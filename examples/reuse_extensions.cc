@@ -2,11 +2,14 @@
 // paper sketches as future work, implemented on top of the same signature
 // and materialization machinery.
 //
-//   1. generalized (containment-based) views      — section 5.3
-//   2. pipelined reuse across concurrent queries  — section 5.4
-//   3. checkpoint/restart via reuse               — section 5.6
-//   4. sampled views for approximate queries      — section 5.6
-//   5. bit-vector (Bloom) semi-join filters       — section 5.6
+//   1. checkpoint/restart via reuse               — section 5.6
+//   2. sampled views for approximate queries      — section 5.6
+//   3. bit-vector (Bloom) semi-join filters       — section 5.6
+//
+// Generalized (containment-based) views, section 5.3, run inside the reuse
+// optimizer; see bench/fig8_generalized_reuse. Work sharing across
+// concurrent jobs, section 5.4, runs inside ReuseEngine::RunSharedWindow;
+// see examples/production_simulation --sharing.
 //
 // Build & run:  ./build/examples/reuse_extensions
 
@@ -15,8 +18,6 @@
 #include "exec/executor.h"
 #include "extensions/bitvector_filter.h"
 #include "extensions/checkpointing.h"
-#include "extensions/concurrent_reuse.h"
-#include "extensions/generalized_views.h"
 #include "extensions/sampled_views.h"
 #include "obs/log.h"
 #include "plan/builder.h"
@@ -38,11 +39,9 @@ LogicalOpPtr Build(const DatasetCatalog& catalog, const std::string& sql) {
   return PlanNormalizer::Normalize(*plan);
 }
 
-ExecResult Execute(const DatasetCatalog& catalog, const LogicalOpPtr& plan,
-                   const ViewStore* store = nullptr) {
+ExecResult Execute(const DatasetCatalog& catalog, const LogicalOpPtr& plan) {
   ExecContext context;
   context.catalog = &catalog;
-  context.view_store = store;
   Executor executor(context);
   auto result = executor.Execute(plan);
   if (!result.ok()) {
@@ -59,54 +58,8 @@ int main() {
   DatasetCatalog catalog;
   testing_util::RegisterFigure4Tables(&catalog);
 
-  // --- 1. Generalized views -------------------------------------------------
-  std::printf("1) generalized views (containment)\n");
-  LogicalOpPtr wide =
-      Build(catalog, "SELECT * FROM Sales WHERE SaleId < 400");
-  LogicalOpPtr view_subtree = wide->children[0];  // Filter(Scan)
-  SignatureComputer signatures;
-  Hash128 view_sig = signatures.Compute(*view_subtree).strict;
-  ViewStore store;
-  store.BeginMaterialize(view_sig, view_sig, "vc0", 1, 0.0).ok();
-  ExecResult view_run = Execute(catalog, view_subtree);
-  store.Seal(view_sig, view_run.output, view_run.output->num_rows(), 1, 0.0)
-      .ok();
-  GeneralizedViewMatcher matcher(&store);
-  GeneralizedViewKey key = GeneralizedKeyFor(*view_subtree);
-  matcher.RegisterView(key.strict, view_sig, key.view_predicate);
-
-  LogicalOpPtr narrow =
-      Build(catalog, "SELECT * FROM Sales WHERE SaleId < 100");
-  int rewrites = matcher.RewriteAll(&narrow, 1.0);
-  ExecResult narrow_run = Execute(catalog, narrow, &store);
-  std::printf("   'SaleId < 100' answered from the 'SaleId < 400' view: "
-              "%d rewrite(s), %zu rows, 0 base rows read (view rows: %llu)\n\n",
-              rewrites, narrow_run.output->num_rows(),
-              static_cast<unsigned long long>(narrow_run.stats.view_rows));
-
-  // --- 2. Concurrent-query sharing -------------------------------------------
-  std::printf("2) pipelined sharing across a concurrent wave\n");
-  ConcurrentBatchExecutor batch_executor(&catalog);
-  const char* shared_sql =
-      "SELECT Customer.CustomerId, AVG(Price) FROM Sales JOIN Customer "
-      "ON Sales.CustomerId = Customer.CustomerId WHERE MktSegment = 'Asia' "
-      "GROUP BY Customer.CustomerId";
-  const char* sibling_sql =
-      "SELECT Name, SUM(Quantity) FROM Sales JOIN Customer "
-      "ON Sales.CustomerId = Customer.CustomerId WHERE MktSegment = 'Asia' "
-      "GROUP BY Name";
-  auto batch = batch_executor.ExecuteBatch(
-      {{1, Build(catalog, shared_sql)}, {2, Build(catalog, sibling_sql)}});
-  std::printf("   2 concurrent jobs, %d shared subexpression(s): cpu %0.f -> "
-              "%.0f (%.0f%% saved)\n\n",
-              batch->shared_subexpressions, batch->cpu_cost_without_sharing,
-              batch->cpu_cost_total,
-              100.0 * (batch->cpu_cost_without_sharing -
-                       batch->cpu_cost_total) /
-                  batch->cpu_cost_without_sharing);
-
-  // --- 3. Checkpoint/restart -------------------------------------------------
-  std::printf("3) checkpoint/restart via reuse\n");
+  // --- 1. Checkpoint/restart -------------------------------------------------
+  std::printf("1) checkpoint/restart via reuse\n");
   CheckpointManager checkpoints(&catalog);
   LogicalOpPtr job = checkpoints.PlanWithCheckpoints(Build(
       catalog,
@@ -121,8 +74,8 @@ int main() {
               attempt2->checkpoints_restored, attempt2->output->num_rows(),
               static_cast<unsigned long long>(attempt2->stats.input_rows));
 
-  // --- 4. Sampled views --------------------------------------------------------
-  std::printf("4) sampled views for approximate answers\n");
+  // --- 2. Sampled views ------------------------------------------------------
+  std::printf("2) sampled views for approximate answers\n");
   auto sales = catalog.Lookup("Sales");
   auto sample = SampleView(*sales->table, 0.1);
   ApproximateAggregate approx{0.1};
@@ -132,12 +85,13 @@ int main() {
               approx.EstimateCount((*sample)->num_rows()),
               sales->table->num_rows());
 
-  // --- 5. Bit-vector filters ------------------------------------------------------
-  std::printf("5) reusable bit-vector (Bloom) semi-join filters\n");
+  // --- 3. Bit-vector filters -------------------------------------------------
+  std::printf("3) reusable bit-vector (Bloom) semi-join filters\n");
   LogicalOpPtr asia = Build(
       catalog, "SELECT CustomerId FROM Customer WHERE MktSegment = 'Asia'");
   ExecResult asia_run = Execute(catalog, asia);
   BitVectorFilterStore filters;
+  SignatureComputer signatures;
   Hash128 build_sig = signatures.Compute(*asia).strict;
   filters.Register(build_sig, *asia_run.output, {0}).ok();
   TablePtr reduced;

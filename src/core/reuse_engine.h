@@ -46,7 +46,8 @@ struct ReuseEngineOptions {
   // default (pruned and unpruned plans have different signatures; a fleet
   // must flip this together, like a runtime-version change).
   bool prune_columns = false;
-  // Degree of parallelism for job execution. The engine pins this to 1 by
+  // Degree of parallelism for job execution on the columnar engine (the
+  // row engine always runs serially). The engine pins this to 1 by
   // default — simulator telemetry must be machine-independent, and measured
   // efficiency on a loaded CI box would leak into latency figures. Set to 0
   // for hardware concurrency or to an explicit DOP; outputs are identical

@@ -8,13 +8,17 @@
 #include "exec/batch_op.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
 
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "exec/batch_kernels.h"
 #include "exec/shared_scan_op.h"
+#include "fault/fault.h"
+#include "fault/fault_sites.h"
 #include "obs/log.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -86,6 +90,54 @@ bool KeepCell(const ColumnVector& v, size_t i) {
 }
 
 }  // namespace
+
+Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
+                        const std::function<Status(size_t morsel, size_t begin,
+                                                   size_t end)>& fn,
+                        OperatorStats* stats) {
+  if (n == 0) return Status::OK();
+  if (grain == 0) grain = 1;
+  size_t morsels = (n + grain - 1) / grain;
+  std::vector<double> busy(morsels, 0.0);
+  CLOUDVIEWS_RETURN_NOT_OK(ParallelFor(
+      runtime.pool, runtime.dop, n, grain,
+      [&](size_t m, size_t begin, size_t end) -> Status {
+        // Container preemption: the task is evicted before it runs and the
+        // scheduler re-queues it. Retrying before fn() keeps the morsel
+        // exactly-once on success — outputs stay byte-identical, only
+        // latency and the retry counter move. Bounded so a permanently
+        // failing site still surfaces as an error.
+        constexpr int kMaxPreemptRetries = 3;
+        for (int attempt = 0;; ++attempt) {
+          Status preempt = fault::Inject(fault::sites::kMorselPreempt);
+          if (preempt.ok()) break;
+          if (attempt + 1 >= kMaxPreemptRetries) return preempt;
+          static obs::Counter& retries =
+              obs::MetricsRegistry::Global().counter(
+                  obs::metric_names::kFaultsRetries);
+          retries.Increment();
+        }
+        // The trace span reuses the telemetry's measured interval, so the
+        // tracer's per-morsel durations sum to busy_seconds (to microsecond
+        // rounding) and its span count equals OperatorStats::morsels.
+        const bool traced = obs::Tracer::Enabled();
+        const uint64_t trace_start = traced ? obs::Tracer::NowMicros() : 0;
+        auto start = std::chrono::steady_clock::now();
+        Status status = fn(m, begin, end);
+        busy[m] = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+        if (traced) {
+          obs::Tracer::Global().RecordComplete(
+              "morsel", "morsel", trace_start,
+              static_cast<uint64_t>(busy[m] * 1e6 + 0.5));
+        }
+        return status;
+      }));
+  stats->morsels += morsels;
+  for (double b : busy) stats->busy_seconds += b;
+  return Status::OK();
+}
 
 Status BatchOp::Next(Row* row, bool* done) {
   (void)row;
@@ -165,7 +217,7 @@ BatchScanPipelineOp::BatchScanPipelineOp(const LogicalOp* logical,
     stage.op = op;
     if (op->kind == LogicalOpKind::kUdo) {
       // Only deterministic UDOs are fused; they key purely on the UDO name
-      // (same seeding as UdoOp / MorselPipelineOp).
+      // (same seeding as UdoOp).
       stage.udo_seed = HashString(op->udo_name).lo;
     }
     stages_.push_back(std::move(stage));
@@ -636,8 +688,7 @@ Status BatchAggregateOp::Open() {
   }
 
   // Group hashes (unseeded Hasher over the key cells, .lo — exactly the row
-  // engine's group hash). Parallelized at DOP > 1 like the row engine's
-  // phase 1.
+  // engine's group hash), computed in morsels at DOP > 1.
   std::vector<uint64_t> hashes(n);
   auto hash_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
@@ -1529,9 +1580,9 @@ void BatchUnionAllOp::Close() {
 
 namespace {
 
-// Mirror of the row builder's Fusable: row-preserving, stateless per row,
-// deterministic. Non-deterministic UDOs are excluded — their keep/drop
-// decision depends on global row arrival order.
+// True for operators a scan pipeline can absorb: row-preserving, stateless
+// per row, and deterministic. Non-deterministic UDOs are excluded — their
+// keep/drop decision depends on global row arrival order.
 bool BatchFusable(const LogicalOp& node) {
   switch (node.kind) {
     case LogicalOpKind::kFilter:
@@ -1544,9 +1595,8 @@ bool BatchFusable(const LogicalOp& node) {
   }
 }
 
-// The columnar mirror of PhysicalBuilder: identical fusion and
-// parallelization decisions (and identical error messages), except that
-// scan-rooted fusable chains always become a BatchScanPipelineOp — streaming
+// The columnar counterpart of PhysicalBuilder (identical error messages).
+// Scan-rooted fusable chains always become a BatchScanPipelineOp — streaming
 // at dop=1 or under a Limit, eager morsel-parallel otherwise.
 class BatchBuilder {
  public:
@@ -1555,6 +1605,10 @@ class BatchBuilder {
       : context_(context), runtime_(runtime),
         batch_rows_(batch_rows > 0 ? batch_rows : 1), registry_(registry) {}
 
+  // `pipeline_ok` is false while an ancestor (a Limit with no intervening
+  // fully-materializing operator) may stop pulling early: materializing
+  // parallel strategies would then do — and count — work a serial run never
+  // performs, so those subtrees stay streaming.
   Result<BatchOpPtr> Build(const LogicalOpPtr& node, bool pipeline_ok) {
     auto op = BuildNode(node, pipeline_ok);
     if (op.ok()) registry_->push_back(op.value().get());

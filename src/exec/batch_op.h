@@ -17,13 +17,34 @@
 
 namespace cloudviews {
 
+class ThreadPool;
+
 // Vectorized (columnar batch-at-a-time) physical operators. The batch engine
-// is the default execution path; the row operators in physical_op.h remain as
-// the byte-identity reference (ExecEngine::kRow). Every operator here
-// replicates its row counterpart's output — values, types, null-ness, row
-// order — exactly, at any DOP and any batch size, and keeps the same
-// OperatorStats accounting (integer counters exactly; floating-point cost to
-// accumulation-order rounding).
+// is the default execution path and the only parallel one; the serial row
+// operators in physical_op.h remain as the byte-identity reference
+// (ExecEngine::kRow). Every operator here replicates its row counterpart's
+// output — values, types, null-ness, row order — exactly, at any DOP and any
+// batch size, and keeps the same OperatorStats accounting (integer counters
+// exactly; floating-point cost to accumulation-order rounding).
+
+// Morsel-parallel execution parameters, resolved by the Executor from the
+// ExecContext and handed to the batch operators. dop <= 1 (or a null pool)
+// means serial execution.
+struct ParallelRuntime {
+  ThreadPool* pool = nullptr;
+  int dop = 1;
+  size_t morsel_rows = 4096;
+
+  bool Enabled() const { return pool != nullptr && dop > 1; }
+};
+
+// ParallelFor over [0, n) in `grain`-row morsels on runtime's pool, also
+// recording the morsel count and summed per-morsel busy wall time into
+// *stats (the telemetry the cluster simulator consumes).
+Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
+                        const std::function<Status(size_t morsel, size_t begin,
+                                                   size_t end)>& fn,
+                        OperatorStats* stats);
 
 // Pull-based batch operator: Open() once, NextBatch() until *done, Close().
 // Batches are dense (no selection vectors across operator boundaries) and
@@ -59,8 +80,8 @@ Result<TablePtr> BindScanTable(const ExecContext& context,
 
 // Builds the batch operator tree for `plan`, registering every operator in
 // `registry` for stats harvesting and verifier bracketing — the columnar
-// mirror of the row engine's PhysicalBuilder, with identical fusion and
-// parallelization decisions.
+// counterpart of the row engine's PhysicalBuilder, adding scan-pipeline
+// fusion and morsel parallelism.
 Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
                                   const ParallelRuntime& runtime,
                                   size_t batch_rows, const LogicalOpPtr& plan,
@@ -79,7 +100,7 @@ Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
 //    processed concurrently via TimedParallelFor, and NextBatch() hands out
 //    the per-morsel outputs in morsel order (DOP-invariant).
 // Per-stage stats replicate the discrete row operators; morsel telemetry is
-// attributed to the chain's top stage, as in MorselPipelineOp.
+// attributed once, to the chain's top stage.
 class BatchScanPipelineOp : public BatchOp {
  public:
   // `chain` lists the fused logical nodes from the scan upward (the last
@@ -315,8 +336,8 @@ class BatchHashJoinOp : public BatchOp {
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   BatchChunk build_;
-  // Hash-partitioned build tables (hash % partition count selects one), as in
-  // the row engine: a single partition when serial, `dop` when parallel.
+  // Hash-partitioned build tables (hash % partition count selects one): a
+  // single partition when serial, `dop` when parallel.
   std::vector<PooledHashTable> partitions_;
   size_t right_arity_ = 0;
   bool parallel_probe_ = false;

@@ -16,123 +16,59 @@ namespace cloudviews {
 
 namespace {
 
-// True for operators a morsel pipeline can absorb: row-preserving, stateless
-// per row, and deterministic. Non-deterministic UDOs are excluded — their
-// keep/drop decision depends on global row arrival order.
-bool Fusable(const LogicalOp& node) {
-  switch (node.kind) {
-    case LogicalOpKind::kFilter:
-    case LogicalOpKind::kProject:
-      return true;
-    case LogicalOpKind::kUdo:
-      return node.udo_deterministic;
-    default:
-      return false;
-  }
-}
-
-// Builds the physical tree, registering every operator in `registry` so
-// statistics can be harvested after the run.
+// Builds the serial row-engine tree, registering every operator in
+// `registry` so statistics can be harvested after the run.
 class PhysicalBuilder {
  public:
-  PhysicalBuilder(const ExecContext* context, ParallelRuntime runtime,
+  PhysicalBuilder(const ExecContext* context,
                   std::vector<PhysicalOp*>* registry)
-      : context_(context), runtime_(runtime), registry_(registry) {}
+      : context_(context), registry_(registry) {}
 
-  // `pipeline_ok` is false while an ancestor (a Limit with no intervening
-  // fully-materializing operator) may stop pulling early: materializing
-  // parallel strategies would then do — and count — work a serial run never
-  // performs, so those subtrees stay streaming and serial.
-  Result<PhysicalOpPtr> Build(const LogicalOpPtr& node, bool pipeline_ok) {
-    auto op = BuildNode(node, pipeline_ok);
+  Result<PhysicalOpPtr> Build(const LogicalOpPtr& node) {
+    auto op = BuildNode(node);
     if (op.ok()) registry_->push_back(op.value().get());
     return op;
   }
 
  private:
-  // Resolves a scan leaf to its backing table, enforcing version pinning
-  // (shared with the batch builder so both engines bind — and fail —
-  // identically).
-  Result<TablePtr> BindScan(const LogicalOp& node, bool* is_view_scan) {
-    return BindScanTable(*context_, node, is_view_scan);
-  }
-
-  // Fuses the maximal {Filter|Project|deterministic Udo}* chain over a
-  // Scan/ViewScan rooted at `node` into a morsel pipeline. Returns null (not
-  // an error) when `node` does not root such a chain.
-  Result<PhysicalOpPtr> TryBuildPipeline(const LogicalOpPtr& node) {
-    const LogicalOp* cur = node.get();
-    std::vector<const LogicalOp*> top_down;
-    while (Fusable(*cur)) {
-      top_down.push_back(cur);
-      cur = cur->children[0].get();
-    }
-    if (cur->kind != LogicalOpKind::kScan &&
-        cur->kind != LogicalOpKind::kViewScan) {
-      return PhysicalOpPtr();
-    }
-    bool is_view_scan = false;
-    auto table = BindScan(*cur, &is_view_scan);
-    if (!table.ok()) return table.status();
-    std::vector<const LogicalOp*> chain;
-    chain.reserve(top_down.size() + 1);
-    chain.push_back(cur);
-    for (auto it = top_down.rbegin(); it != top_down.rend(); ++it) {
-      chain.push_back(*it);
-    }
-    return PhysicalOpPtr(std::make_unique<MorselPipelineOp>(
-        node.get(), std::move(chain), std::move(table).value(), is_view_scan,
-        runtime_));
-  }
-
-  Result<PhysicalOpPtr> BuildNode(const LogicalOpPtr& node, bool pipeline_ok) {
-    if (runtime_.Enabled() && pipeline_ok) {
-      auto pipeline = TryBuildPipeline(node);
-      if (!pipeline.ok()) return pipeline.status();
-      if (*pipeline != nullptr) return pipeline;
-    }
+  Result<PhysicalOpPtr> BuildNode(const LogicalOpPtr& node) {
     switch (node->kind) {
       case LogicalOpKind::kScan:
       case LogicalOpKind::kViewScan: {
+        // Shares version pinning with the batch builder, so both engines
+        // bind — and fail — identically.
         bool is_view_scan = false;
-        auto table = BindScan(*node, &is_view_scan);
+        auto table = BindScanTable(*context_, *node, &is_view_scan);
         if (!table.ok()) return table.status();
         return PhysicalOpPtr(std::make_unique<TableScanOp>(
             node.get(), std::move(table).value(), is_view_scan));
       }
       case LogicalOpKind::kFilter: {
-        auto child = Build(node->children[0], pipeline_ok);
+        auto child = Build(node->children[0]);
         if (!child.ok()) return child.status();
         return PhysicalOpPtr(
             std::make_unique<FilterOp>(node.get(), std::move(child).value()));
       }
       case LogicalOpKind::kProject: {
-        auto child = Build(node->children[0], pipeline_ok);
+        auto child = Build(node->children[0]);
         if (!child.ok()) return child.status();
         return PhysicalOpPtr(
             std::make_unique<ProjectOp>(node.get(), std::move(child).value()));
       }
       case LogicalOpKind::kJoin: {
-        // The build (right) side is fully drained no matter what sits above
-        // the join, so it may always pipeline; the probe (left) side streams
-        // and inherits the ancestor constraint.
-        auto left = Build(node->children[0], pipeline_ok);
+        auto left = Build(node->children[0]);
         if (!left.ok()) return left.status();
-        auto right = Build(node->children[1], /*pipeline_ok=*/true);
+        auto right = Build(node->children[1]);
         if (!right.ok()) return right.status();
         switch (node->join_algorithm) {
-          case JoinAlgorithm::kHash: {
+          case JoinAlgorithm::kHash:
             if (node->equi_keys.empty()) {
               return Status::InvalidArgument(
                   "hash join requires at least one equi key");
             }
-            auto join = std::make_unique<HashJoinOp>(
-                node.get(), std::move(left).value(), std::move(right).value());
-            if (runtime_.Enabled()) {
-              join->set_parallel(runtime_, /*probe_ok=*/pipeline_ok);
-            }
-            return PhysicalOpPtr(std::move(join));
-          }
+            return PhysicalOpPtr(std::make_unique<HashJoinOp>(
+                node.get(), std::move(left).value(),
+                std::move(right).value()));
           case JoinAlgorithm::kMerge:
             if (node->equi_keys.empty()) {
               return Status::InvalidArgument(
@@ -149,22 +85,19 @@ class PhysicalBuilder {
         return Status::Internal("unknown join algorithm");
       }
       case LogicalOpKind::kAggregate: {
-        // Aggregation drains its child completely regardless of ancestors.
-        auto child = Build(node->children[0], /*pipeline_ok=*/true);
+        auto child = Build(node->children[0]);
         if (!child.ok()) return child.status();
-        auto agg = std::make_unique<HashAggregateOp>(node.get(),
-                                                     std::move(child).value());
-        if (runtime_.Enabled()) agg->set_parallel(runtime_);
-        return PhysicalOpPtr(std::move(agg));
+        return PhysicalOpPtr(std::make_unique<HashAggregateOp>(
+            node.get(), std::move(child).value()));
       }
       case LogicalOpKind::kSort: {
-        auto child = Build(node->children[0], /*pipeline_ok=*/true);
+        auto child = Build(node->children[0]);
         if (!child.ok()) return child.status();
         return PhysicalOpPtr(
             std::make_unique<SortOp>(node.get(), std::move(child).value()));
       }
       case LogicalOpKind::kLimit: {
-        auto child = Build(node->children[0], /*pipeline_ok=*/false);
+        auto child = Build(node->children[0]);
         if (!child.ok()) return child.status();
         return PhysicalOpPtr(
             std::make_unique<LimitOp>(node.get(), std::move(child).value()));
@@ -172,7 +105,7 @@ class PhysicalBuilder {
       case LogicalOpKind::kUnionAll: {
         std::vector<PhysicalOpPtr> children;
         for (const LogicalOpPtr& child : node->children) {
-          auto built = Build(child, pipeline_ok);
+          auto built = Build(child);
           if (!built.ok()) return built.status();
           children.push_back(std::move(built).value());
         }
@@ -180,13 +113,13 @@ class PhysicalBuilder {
             std::make_unique<UnionAllOp>(node.get(), std::move(children)));
       }
       case LogicalOpKind::kUdo: {
-        auto child = Build(node->children[0], pipeline_ok);
+        auto child = Build(node->children[0]);
         if (!child.ok()) return child.status();
         return PhysicalOpPtr(std::make_unique<UdoOp>(
             node.get(), std::move(child).value(), context_->job_seed));
       }
       case LogicalOpKind::kSpool: {
-        auto child = Build(node->children[0], pipeline_ok);
+        auto child = Build(node->children[0]);
         if (!child.ok()) return child.status();
         return PhysicalOpPtr(std::make_unique<SpoolOp>(
             node.get(), std::move(child).value(),
@@ -201,7 +134,6 @@ class PhysicalBuilder {
   }
 
   const ExecContext* context_;
-  ParallelRuntime runtime_;
   std::vector<PhysicalOp*>* registry_;
 };
 
@@ -221,8 +153,13 @@ bool IsExchangeBoundary(LogicalOpKind kind) {
 
 Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
   obs::Span exec_span("execute", "exec");
+  const bool columnar = context_.engine == ExecEngine::kColumnar;
   ParallelRuntime runtime;
-  runtime.dop = context_.dop > 0 ? context_.dop : ThreadPool::DefaultDop();
+  // The row engine is the serial reference oracle: it runs at DOP 1
+  // whatever ExecContext::dop asks for.
+  if (columnar) {
+    runtime.dop = context_.dop > 0 ? context_.dop : ThreadPool::DefaultDop();
+  }
   runtime.morsel_rows = context_.morsel_rows > 0 ? context_.morsel_rows : 1;
   if (runtime.dop > 1) {
     runtime.pool =
@@ -239,7 +176,6 @@ Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
   }
 
   std::vector<PhysicalOp*> registry;
-  const bool columnar = context_.engine == ExecEngine::kColumnar;
   PhysicalOpPtr row_root;
   BatchOpPtr batch_root;
   {
@@ -250,8 +186,8 @@ Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
       if (!built.ok()) return built.status();
       batch_root = std::move(built).value();
     } else {
-      PhysicalBuilder builder(&context_, runtime, &registry);
-      auto built = builder.Build(plan, /*pipeline_ok=*/true);
+      PhysicalBuilder builder(&context_, &registry);
+      auto built = builder.Build(plan);
       if (!built.ok()) return built.status();
       row_root = std::move(built).value();
     }

@@ -22,10 +22,11 @@ class StreamDirectory;
 }  // namespace sharing
 
 // Which physical engine Execute() builds. kColumnar (the default) runs the
-// vectorized batch operators in exec/batch_op.h; kRow runs the original
-// row-at-a-time operators and is kept as the byte-identity reference — the
-// two produce identical output tables (values, types, null-ness, row order)
-// for every plan at every dop and batch size.
+// vectorized, morsel-parallel batch operators in exec/batch_op.h; kRow runs
+// the original row-at-a-time operators serially and is kept as the
+// byte-identity reference — the columnar engine's output table (values,
+// types, null-ness, row order) equals the row engine's for every plan at
+// every dop and batch size.
 enum class ExecEngine {
   kColumnar,
   kRow,
@@ -37,9 +38,9 @@ enum class ExecEngine {
 // every member below must stay immutable (and the pointed-to catalog /
 // view store unmodified) for the duration of the call. `on_spool_complete`
 // itself is only ever invoked from the driver thread that called Execute(),
-// but when several Executors run concurrently (see
-// extensions/concurrent_reuse.cc) the callback fires concurrently across
-// jobs and must synchronize any state it shares between them.
+// but when a caller runs several Executors concurrently the callback fires
+// concurrently across jobs and must synchronize any state it shares between
+// them.
 struct ExecContext {
   const DatasetCatalog* catalog = nullptr;
   // View store for ViewScan reads. May be null when reuse is disabled.
@@ -56,11 +57,11 @@ struct ExecContext {
   uint64_t job_seed = 0;
   // Simulated "now" used to check view expiry during ViewScan binding.
   double now = 0.0;
-  // Degree of parallelism for morsel-driven execution. 0 = auto (one per
-  // hardware thread); 1 = serial, reproducing the pre-parallel executor
-  // byte for byte. Any DOP produces the same output rows in the same
-  // order; only wall-clock time and floating-point cost *accumulation
-  // order* (not totals beyond rounding) differ.
+  // Degree of parallelism for the columnar engine's morsel-driven
+  // execution. 0 = auto (one per hardware thread); 1 = serial. Any DOP
+  // produces the same output rows in the same order; only wall-clock time
+  // and floating-point cost *accumulation order* (not totals beyond
+  // rounding) differ. The row engine ignores it and always runs at DOP 1.
   int dop = 0;
   // Rows per morsel. Morsel boundaries depend only on input size and this
   // knob — never on dop — which is what keeps outputs DOP-invariant.
@@ -88,12 +89,12 @@ struct ExecResult {
 };
 
 // Interprets an (optimized) logical plan. The Open/Next/Close driver loop is
-// single-threaded, but operators parallelize internally: linear
+// single-threaded, but columnar operators parallelize internally: linear
 // scan/filter/project/UDO chains fuse into morsel pipelines, hash joins
-// build partitioned tables and probe in morsels, and aggregations
-// hash-partition their input — all on a shared work-stealing pool. The
-// cluster simulator combines the collected stats with the measured morsel
-// telemetry to model cluster-scale parallelism.
+// build partitioned tables and probe in morsels, and aggregations hash
+// their keys in morsels — all on a shared work-stealing pool. The cluster
+// simulator combines the collected stats with the measured morsel telemetry
+// to model cluster-scale parallelism.
 class Executor {
  public:
   explicit Executor(ExecContext context) : context_(std::move(context)) {}

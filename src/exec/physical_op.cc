@@ -21,6 +21,16 @@ Result<bool> EvalJoinResidual(const LogicalOp& join, const Row& combined) {
          v.value().AsBool();
 }
 
+Status DrainChild(PhysicalOp* child, std::vector<Row>* out) {
+  while (true) {
+    Row row;
+    bool done = false;
+    CLOUDVIEWS_RETURN_NOT_OK(child->Next(&row, &done));
+    if (done) return Status::OK();
+    out->push_back(std::move(row));
+  }
+}
+
 // --- TableScanOp ------------------------------------------------------------
 
 TableScanOp::TableScanOp(const LogicalOp* logical, TablePtr table,
@@ -256,15 +266,6 @@ void SortOp::Close() {
 
 // --- HashAggregateOp -------------------------------------------------------------
 
-Status HashAggregateOp::Open() {
-  obs::Span span("aggregate", "operator");
-  CLOUDVIEWS_RETURN_NOT_OK(child_->Open());
-  output_.clear();
-  index_ = 0;
-  if (runtime_.Enabled()) return OpenParallel();
-  return OpenSerial();
-}
-
 HashAggregateOp::Group* HashAggregateOp::FindOrCreateGroup(
     GroupBuckets* buckets, uint64_t hash, Row&& key,
     size_t* num_groups) const {
@@ -381,7 +382,7 @@ void HashAggregateOp::SortOutput() {
   // columns. Aggregation output order is not semantically meaningful, but
   // determinism keeps signatures honest when views are compared in tests.
   // Distinct groups always differ on some key column under Value::Compare,
-  // so this order is total — parallel and serial runs emit identically.
+  // so this order is total.
   size_t num_keys = logical_->group_by.size();
   std::stable_sort(output_.begin(), output_.end(),
                    [num_keys](const Row& a, const Row& b) {
@@ -393,7 +394,11 @@ void HashAggregateOp::SortOutput() {
                    });
 }
 
-Status HashAggregateOp::OpenSerial() {
+Status HashAggregateOp::Open() {
+  obs::Span span("aggregate", "operator");
+  CLOUDVIEWS_RETURN_NOT_OK(child_->Open());
+  output_.clear();
+  index_ = 0;
   GroupBuckets buckets;
   size_t num_groups = 0;
 
@@ -432,81 +437,6 @@ Status HashAggregateOp::OpenSerial() {
   output_.reserve(num_groups);
   for (auto& [hash, bucket] : buckets) {
     for (Group& group : bucket) EmitGroup(&group, &output_);
-  }
-  SortOutput();
-  return Status::OK();
-}
-
-Status HashAggregateOp::OpenParallel() {
-  std::vector<Row> input;
-  CLOUDVIEWS_RETURN_NOT_OK(DrainChild(child_.get(), &input));
-  const size_t n = input.size();
-  AddCost(CostWeights::kAggRow * static_cast<double>(n));
-
-  // Phase 1: evaluate group keys and hashes for every row, in parallel.
-  std::vector<Row> keys(n);
-  std::vector<uint64_t> hashes(n);
-  CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-      runtime_, n, runtime_.morsel_rows,
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          Row key;
-          key.reserve(logical_->group_by.size());
-          for (const ExprPtr& expr : logical_->group_by) {
-            auto v = expr->Evaluate(input[i]);
-            if (!v.ok()) return v.status();
-            key.push_back(std::move(v).value());
-          }
-          Hasher h;
-          for (const Value& v : key) v.HashInto(&h);
-          hashes[i] = h.Finish().lo;
-          keys[i] = std::move(key);
-        }
-        return Status::OK();
-      },
-      &stats_));
-
-  // Hash-partition row indices. A group's rows all share a hash, hence a
-  // partition, and each partition keeps global input order — so every group
-  // accumulates exactly as the serial loop would (floating-point sums,
-  // DISTINCT discovery order, and the representative key included).
-  const size_t num_partitions = static_cast<size_t>(runtime_.dop);
-  std::vector<std::vector<size_t>> partitions(num_partitions);
-  for (size_t i = 0; i < n; ++i) {
-    partitions[hashes[i] % num_partitions].push_back(i);
-  }
-
-  // Phase 2: aggregate the partitions independently.
-  std::vector<std::vector<Row>> partial(num_partitions);
-  CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-      runtime_, num_partitions, /*grain=*/1,
-      [&](size_t p, size_t, size_t) -> Status {
-        GroupBuckets buckets;
-        size_t num_groups = 0;
-        for (size_t i : partitions[p]) {
-          Group* group = FindOrCreateGroup(&buckets, hashes[i],
-                                           std::move(keys[i]), &num_groups);
-          CLOUDVIEWS_RETURN_NOT_OK(AccumulateRow(input[i], group));
-        }
-        partial[p].reserve(num_groups);
-        for (auto& [hash, bucket] : buckets) {
-          for (Group& group : bucket) EmitGroup(&group, &partial[p]);
-        }
-        return Status::OK();
-      },
-      &stats_));
-
-  size_t total = 0;
-  for (const std::vector<Row>& rows : partial) total += rows.size();
-  if (total == 0 && logical_->group_by.empty()) {
-    // Scalar aggregation over empty input: COUNT = 0, other aggregates NULL.
-    Group empty{Row{}, std::vector<AggState>(logical_->aggregates.size())};
-    EmitGroup(&empty, &output_);
-    return Status::OK();
-  }
-  output_.reserve(total);
-  for (std::vector<Row>& rows : partial) {
-    for (Row& row : rows) output_.push_back(std::move(row));
   }
   SortOutput();
   return Status::OK();
@@ -620,45 +550,7 @@ HashJoinOp::HashJoinOp(const LogicalOp* logical, PhysicalOpPtr left,
 }
 
 Status HashJoinOp::BuildRight() {
-  partitions_.clear();
-  if (runtime_.Enabled()) {
-    // Partitioned parallel build: hash every build row in morsels, assign
-    // rows to partitions by hash (serially — this fixes the relative order
-    // of equal keys to the global input order, exactly as a single-map
-    // serial build would), then populate the partitions concurrently.
-    std::vector<Row> rows;
-    CLOUDVIEWS_RETURN_NOT_OK(DrainChild(right_.get(), &rows));
-    const size_t n = rows.size();
-    AddCost(CostWeights::kHashBuildRow * static_cast<double>(n));
-    if (n > 0) right_arity_ = rows[0].size();
-    std::vector<uint64_t> hashes(n);
-    CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-        runtime_, n, runtime_.morsel_rows,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            hashes[i] = HashRowKey(rows[i], right_keys_);
-          }
-          return Status::OK();
-        },
-        &stats_));
-    const size_t num_partitions = static_cast<size_t>(runtime_.dop);
-    std::vector<std::vector<size_t>> index(num_partitions);
-    for (size_t i = 0; i < n; ++i) {
-      index[hashes[i] % num_partitions].push_back(i);
-    }
-    partitions_.resize(num_partitions);
-    CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-        runtime_, num_partitions, /*grain=*/1,
-        [&](size_t p, size_t, size_t) -> Status {
-          for (size_t i : index[p]) {
-            partitions_[p].emplace(hashes[i], std::move(rows[i]));
-          }
-          return Status::OK();
-        },
-        &stats_));
-    return Status::OK();
-  }
-  partitions_.resize(1);
+  build_.clear();
   while (true) {
     Row row;
     bool done = false;
@@ -667,7 +559,7 @@ Status HashJoinOp::BuildRight() {
     AddCost(CostWeights::kHashBuildRow);
     right_arity_ = row.size();
     uint64_t hash = HashRowKey(row, right_keys_);
-    partitions_[0].emplace(hash, std::move(row));
+    build_.emplace(hash, std::move(row));
   }
   return Status::OK();
 }
@@ -679,101 +571,11 @@ Status HashJoinOp::Open() {
   if (right_arity_ == 0) {
     right_arity_ = logical_->children[1]->output_schema.num_columns();
   }
-  {
-    obs::Span span("join-build", "operator");
-    CLOUDVIEWS_RETURN_NOT_OK(BuildRight());
-  }
-  if (runtime_.Enabled() && probe_ok_) {
-    obs::Span span("join-probe", "operator");
-    return ProbeParallel();
-  }
-  return Status::OK();
-}
-
-Status HashJoinOp::ProbeOne(const Row& left_row, std::vector<Row>* out,
-                            OperatorStats* local) const {
-  local->cpu_cost += CostWeights::kHashProbeRow;
-  uint64_t hash = HashRowKey(left_row, left_keys_);
-  const BuildMap& partition = partitions_[hash % partitions_.size()];
-  auto range = partition.equal_range(hash);
-  bool matched = false;
-  for (auto it = range.first; it != range.second; ++it) {
-    const Row& right_row = it->second;
-    // Verify key equality (hash collisions) then residual predicate.
-    bool keys_equal = true;
-    for (size_t i = 0; i < left_keys_.size(); ++i) {
-      const Value& l = left_row[static_cast<size_t>(left_keys_[i])];
-      const Value& r = right_row[static_cast<size_t>(right_keys_[i])];
-      if (l.is_null() || r.is_null() || l.Compare(r) != 0) {
-        keys_equal = false;
-        break;
-      }
-    }
-    if (!keys_equal) continue;
-    Row combined = left_row;
-    combined.insert(combined.end(), right_row.begin(), right_row.end());
-    auto pass = EvalJoinResidual(*logical_, combined);
-    if (!pass.ok()) return pass.status();
-    if (!*pass) continue;
-    matched = true;
-    local->rows_out += 1;
-    for (const Value& v : combined) local->bytes_out += v.ByteSize();
-    out->push_back(std::move(combined));
-  }
-  if (logical_->join_kind == sql::JoinKind::kLeft && !matched) {
-    Row combined = left_row;
-    combined.resize(combined.size() + right_arity_);  // nulls
-    local->rows_out += 1;
-    for (const Value& v : combined) local->bytes_out += v.ByteSize();
-    out->push_back(std::move(combined));
-  }
-  return Status::OK();
-}
-
-Status HashJoinOp::ProbeParallel() {
-  std::vector<Row> probe_rows;
-  CLOUDVIEWS_RETURN_NOT_OK(DrainChild(left_.get(), &probe_rows));
-  const size_t n = probe_rows.size();
-  size_t grain = runtime_.morsel_rows > 0 ? runtime_.morsel_rows : 1;
-  size_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
-  probe_out_.assign(morsels, {});
-  std::vector<OperatorStats> local(morsels);
-  CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-      runtime_, n, grain,
-      [&](size_t m, size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          CLOUDVIEWS_RETURN_NOT_OK(
-              ProbeOne(probe_rows[i], &probe_out_[m], &local[m]));
-        }
-        return Status::OK();
-      },
-      &stats_));
-  // Merge per-morsel stats in morsel order (matches serial accumulation).
-  for (const OperatorStats& s : local) MergeStats(s);
-  parallel_probe_ = true;
-  out_morsel_ = 0;
-  out_index_ = 0;
-  return Status::OK();
+  obs::Span build_span("join-build", "operator");
+  return BuildRight();
 }
 
 Status HashJoinOp::Next(Row* row, bool* done) {
-  if (parallel_probe_) {
-    // Emit buffered matches in morsel order = global probe order.
-    while (out_morsel_ < probe_out_.size()) {
-      std::vector<Row>& buf = probe_out_[out_morsel_];
-      if (out_index_ < buf.size()) {
-        *row = std::move(buf[out_index_]);
-        out_index_ += 1;
-        *done = false;
-        return Status::OK();
-      }
-      buf.clear();
-      out_morsel_ += 1;
-      out_index_ = 0;
-    }
-    *done = true;
-    return Status::OK();
-  }
   while (true) {
     if (!have_left_) {
       bool left_done = false;
@@ -786,7 +588,7 @@ Status HashJoinOp::Next(Row* row, bool* done) {
       have_left_ = true;
       left_matched_ = false;
       uint64_t hash = HashRowKey(current_left_, left_keys_);
-      probe_range_ = partitions_[hash % partitions_.size()].equal_range(hash);
+      probe_range_ = build_.equal_range(hash);
     }
     while (probe_range_.first != probe_range_.second) {
       const Row& right_row = probe_range_.first->second;
@@ -830,8 +632,7 @@ Status HashJoinOp::Next(Row* row, bool* done) {
 void HashJoinOp::Close() {
   left_->Close();
   right_->Close();
-  partitions_.clear();
-  probe_out_.clear();
+  build_.clear();
 }
 
 // --- MergeJoinOp ------------------------------------------------------------------

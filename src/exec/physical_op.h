@@ -15,25 +15,12 @@
 
 namespace cloudviews {
 
-class ThreadPool;
-
-// Morsel-parallel execution parameters, resolved by the Executor from the
-// ExecContext and handed to operators that can use them. dop <= 1 (or a
-// null pool) means serial execution, which is bit-for-bit the pre-parallel
-// behavior.
-struct ParallelRuntime {
-  ThreadPool* pool = nullptr;
-  int dop = 1;
-  size_t morsel_rows = 4096;
-
-  bool Enabled() const { return pool != nullptr && dop > 1; }
-};
-
 // Pull-based physical operator (Volcano iterator model, row granularity).
 // Protocol: Open() once, then Next() until *done, then Close(). The
-// Open/Next/Close driver runs on a single thread; operators may fan
-// internal work out to a ParallelRuntime during Open, but every morsel task
-// must be joined before Open returns.
+// Open/Next/Close driver runs on a single thread. The row operators in this
+// header are the serial reference engine (ExecEngine::kRow); only the
+// columnar operators (exec/batch_op.h) fan morsels out to a thread pool,
+// and they join every morsel task before Open returns.
 class PhysicalOp {
  public:
   explicit PhysicalOp(const LogicalOp* logical) : logical_(logical) {}
@@ -52,8 +39,8 @@ class PhysicalOp {
   const OperatorStats& stats() const { return stats_; }
 
   // Reports (logical node, stats) pairs for every logical operator this
-  // physical operator implements. Fused operators (the morsel pipeline)
-  // implement several logical nodes at once and override this.
+  // physical operator implements. Fused operators (the columnar scan
+  // pipeline) implement several logical nodes at once and override this.
   virtual void ExportStats(
       const std::function<void(const LogicalOp*, const OperatorStats&)>& fn)
       const {
@@ -81,18 +68,8 @@ class PhysicalOp {
 
 using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 
-// Drains `child` to completion into *out. When the child is a morsel
-// pipeline that already materialized its output, steals the buffers instead
-// of moving row by row.
+// Drains `child` to completion into *out.
 Status DrainChild(PhysicalOp* child, std::vector<Row>* out);
-
-// ParallelFor over [0, n) in `grain`-row morsels on runtime's pool, also
-// recording the morsel count and summed per-morsel busy wall time into
-// *stats (the telemetry the cluster simulator consumes).
-Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
-                        const std::function<Status(size_t morsel, size_t begin,
-                                                   size_t end)>& fn,
-                        OperatorStats* stats);
 
 // --- Leaf operators ---------------------------------------------------------
 
@@ -109,53 +86,6 @@ class TableScanOp : public PhysicalOp {
   TablePtr table_;
   bool is_view_scan_;
   size_t index_ = 0;
-};
-
-// Morsel-driven parallel pipeline: fuses a linear chain of row-preserving
-// operators — {Filter, Project, deterministic Udo}* over a Scan/ViewScan —
-// and executes it by splitting the base table into fixed-size row-range
-// morsels processed concurrently on the thread pool. Morsel outputs are
-// emitted in morsel order, so the row stream (and every per-operator
-// counter except floating-point cost rounding) is identical to the serial
-// chain at any DOP. Built by the Executor only when DOP > 1.
-class MorselPipelineOp : public PhysicalOp {
- public:
-  // `chain` lists the fused logical nodes from the scan upward (the last
-  // element is `logical`, the chain's top). Non-deterministic UDOs are
-  // never fused: their output depends on global row arrival order.
-  MorselPipelineOp(const LogicalOp* logical,
-                   std::vector<const LogicalOp*> chain, TablePtr table,
-                   bool is_view_scan, ParallelRuntime runtime);
-
-  Status Open() override;
-  Status Next(Row* row, bool* done) override;
-  void Close() override;
-
-  void ExportStats(
-      const std::function<void(const LogicalOp*, const OperatorStats&)>& fn)
-      const override;
-
-  // Hands the materialized output to a blocking parent (one move instead of
-  // a row-at-a-time drain). Valid once after Open.
-  std::vector<Row> TakeRows();
-
- private:
-  struct Stage {
-    const LogicalOp* op = nullptr;
-    uint64_t udo_seed = 0;
-    OperatorStats stats;
-  };
-
-  Status RunMorsel(size_t begin, size_t end, std::vector<Row>* out,
-                   std::vector<OperatorStats>* stage_stats) const;
-
-  std::vector<Stage> stages_;  // scan first, chain top last
-  TablePtr table_;
-  bool is_view_scan_;
-  ParallelRuntime runtime_;
-  std::vector<std::vector<Row>> morsel_outputs_;
-  size_t out_morsel_ = 0;
-  size_t out_index_ = 0;
 };
 
 // --- Unary operators --------------------------------------------------------
@@ -215,10 +145,8 @@ class UdoOp : public PhysicalOp {
   uint64_t counter_ = 0;
 };
 
-// Sorts the child's output (materializing it) by the logical sort keys.
-// std::stable_sort on a total preorder makes the output independent of how
-// the input was produced, but we still drain the child through DrainChild so
-// a morsel-pipeline child hands over its buffers wholesale.
+// Sorts the child's output (materializing it) by the logical sort keys;
+// std::stable_sort keeps rows with equal keys in input order.
 class SortOp : public PhysicalOp {
  public:
   SortOp(const LogicalOp* logical, PhysicalOpPtr child);
@@ -234,10 +162,8 @@ class SortOp : public PhysicalOp {
 };
 
 // Hash aggregation (also implements DISTINCT when aggregates are empty).
-// At DOP > 1 the input is hash-partitioned on the group key and the
-// partitions are aggregated in parallel; within a partition each group
-// accumulates its rows in global input order, so even floating-point
-// aggregates (SUM/AVG over doubles) are bit-identical to serial execution.
+// Each group accumulates its rows in input order; output is sorted by the
+// group key.
 class HashAggregateOp : public PhysicalOp {
  public:
   HashAggregateOp(const LogicalOp* logical, PhysicalOpPtr child);
@@ -245,8 +171,6 @@ class HashAggregateOp : public PhysicalOp {
   Status Open() override;
   Status Next(Row* row, bool* done) override;
   void Close() override;
-
-  void set_parallel(const ParallelRuntime& runtime) { runtime_ = runtime; }
 
  private:
   struct AggState {
@@ -265,10 +189,8 @@ class HashAggregateOp : public PhysicalOp {
 
   using GroupBuckets = std::unordered_map<uint64_t, std::vector<Group>>;
 
-  Status OpenSerial();
-  Status OpenParallel();
   // Finds `key`'s group in *buckets (hash-collision aware) or creates it,
-  // bumping *num_groups. Touches no member state.
+  // bumping *num_groups.
   Group* FindOrCreateGroup(GroupBuckets* buckets, uint64_t hash, Row&& key,
                            size_t* num_groups) const;
   Status AccumulateRow(const Row& row, Group* group) const;
@@ -276,7 +198,6 @@ class HashAggregateOp : public PhysicalOp {
   void SortOutput();
 
   PhysicalOpPtr child_;
-  ParallelRuntime runtime_;
   std::vector<Row> output_;
   size_t index_ = 0;
 };
@@ -366,11 +287,8 @@ class SpoolOp : public PhysicalOp, public SpoolOpIface {
 
 // --- Binary operators -------------------------------------------------------
 
-// Hash join. At DOP > 1 the build side is hash-partitioned (each partition
-// built by one task, preserving the global insertion order of equal keys)
-// and the probe side is materialized and probed in morsels whose output
-// buffers are concatenated in morsel order — so the emitted row stream is
-// identical to the serial probe at any DOP.
+// Hash join: drains the build (right) side into one multimap, then streams
+// the probe (left) side through it.
 class HashJoinOp : public PhysicalOp {
  public:
   HashJoinOp(const LogicalOp* logical, PhysicalOpPtr left, PhysicalOpPtr right);
@@ -379,32 +297,14 @@ class HashJoinOp : public PhysicalOp {
   Status Next(Row* row, bool* done) override;
   void Close() override;
 
-  // `probe_ok` permits the materializing parallel probe; the partitioned
-  // build is always safe (the build side is fully drained either way), but
-  // the probe side must stay streaming when an ancestor (e.g. a Limit) may
-  // stop pulling early.
-  void set_parallel(const ParallelRuntime& runtime, bool probe_ok) {
-    runtime_ = runtime;
-    probe_ok_ = probe_ok;
-  }
-
  private:
   using BuildMap = std::unordered_multimap<uint64_t, Row>;
 
   Status BuildRight();
-  Status ProbeParallel();
-  // Joins one probe-side row against the build partitions, appending matches
-  // (plus the left-outer pad when required) to *out. Thread-safe: reads
-  // shared state only.
-  Status ProbeOne(const Row& left_row, std::vector<Row>* out,
-                  OperatorStats* local) const;
 
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;
-  ParallelRuntime runtime_;
-  // Build partitions; exactly 1 in serial execution (bit-identical to the
-  // single-map implementation this replaces).
-  std::vector<BuildMap> partitions_;
+  BuildMap build_;
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   Row current_left_;
@@ -412,12 +312,6 @@ class HashJoinOp : public PhysicalOp {
   bool left_matched_ = false;
   std::pair<BuildMap::const_iterator, BuildMap::const_iterator> probe_range_;
   size_t right_arity_ = 0;
-  // Parallel-probe output, one buffer per probe morsel, consumed in order.
-  bool probe_ok_ = false;
-  bool parallel_probe_ = false;
-  std::vector<std::vector<Row>> probe_out_;
-  size_t out_morsel_ = 0;
-  size_t out_index_ = 0;
 };
 
 class MergeJoinOp : public PhysicalOp {

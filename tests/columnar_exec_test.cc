@@ -94,20 +94,23 @@ class ColumnarExecTest : public ::testing::Test {
   }
 
   // Runs `plan` on the row engine at dop=1 as the reference, then asserts
-  // the columnar engine matches at every DOP x batch_rows combination (and
-  // that the row engine itself stays DOP-invariant). `output_only` is for
-  // Limit plans, where input-side counters legitimately differ between
-  // engines by up to batch_rows - 1 rows of overrun.
+  // the columnar engine matches at every DOP x batch_rows combination, and
+  // that the row engine is a serial oracle: whatever dop it is asked for,
+  // it runs at dop 1 with no morsels. `output_only` is for Limit plans,
+  // where input-side counters legitimately differ between engines by up to
+  // batch_rows - 1 rows of overrun.
   void ExpectEngineParity(const LogicalOpPtr& plan, bool output_only = false) {
     ASSERT_NE(plan, nullptr);
     auto reference = Run(plan, ExecEngine::kRow, /*dop=*/1, /*batch_rows=*/1);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     for (int dop : kDops) {
+      const std::string row_label = "row engine dop=" + std::to_string(dop);
       auto row_run = Run(plan, ExecEngine::kRow, dop, /*batch_rows=*/1);
       ASSERT_TRUE(row_run.ok()) << row_run.status().ToString();
-      ExpectSameOutput(row_run->output, reference->output,
-                       "row engine dop=" + std::to_string(dop));
+      ExpectSameOutput(row_run->output, reference->output, row_label);
+      EXPECT_EQ(row_run->stats.dop, 1) << row_label;
+      EXPECT_EQ(row_run->stats.morsels, 0u) << row_label;
       for (size_t batch_rows : kBatchSizes) {
         const std::string label = "columnar dop=" + std::to_string(dop) +
                                   " batch_rows=" + std::to_string(batch_rows);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <vector>
 
 #include "common/sim_clock.h"
+#include "common/thread_pool.h"
 #include "core/insights_service.h"
 #include "core/reuse_engine.h"
 #include "core/view_selection.h"
@@ -244,6 +246,53 @@ TEST(InsightsServiceTest, PublishAndFetch) {
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].recurring_signature, HashString("r1"));
   EXPECT_EQ(service.fetch_count(), 1);
+  EXPECT_GT(service.total_fetch_latency(), 0.0);
+}
+
+TEST(InsightsServiceTest, ConcurrentAnnotationFetchesCountEveryCall) {
+  // FetchAnnotations is const and called from every concurrently compiling
+  // job; its fetch counter is the only mutation. Hammer it from many
+  // threads (under TSan this is the regression test for the counter being
+  // a plain int64_t) and check no fetch is lost or double-counted.
+  InsightsService service;
+  SelectionResult selection;
+  for (int i = 0; i < 4; ++i) {
+    ViewCandidate cand;
+    cand.recurring_signature = HashString("conc-" + std::to_string(i));
+    cand.utility = 1.0 + i;
+    selection.selected.push_back(cand);
+  }
+  service.PublishSelection(selection);
+
+  constexpr int kThreads = 8;
+  constexpr int kFetchesPerThread = 200;
+  ThreadPool pool(kThreads);
+  TaskGroup group(&pool);
+  std::atomic<int64_t> hits_seen{0};
+  for (int t = 0; t < kThreads; ++t) {
+    group.Spawn([&, t]() -> Status {
+      for (int i = 0; i < kFetchesPerThread; ++i) {
+        auto hits = service.FetchAnnotations(
+            {HashString("conc-" + std::to_string((t + i) % 4)),
+             HashString("never-published")});
+        if (hits.size() != 1u) {
+          return Status::Internal("expected exactly one annotation hit");
+        }
+        hits_seen.fetch_add(static_cast<int64_t>(hits.size()),
+                            std::memory_order_relaxed);
+        // Concurrent readers of the counter race with the writers above;
+        // the value observed mid-run must be sane, not torn.
+        int64_t seen = service.fetch_count();
+        if (seen < 1 || seen > kThreads * kFetchesPerThread) {
+          return Status::Internal("torn fetch count");
+        }
+      }
+      return Status::OK();
+    });
+  }
+  ASSERT_TRUE(group.Wait().ok());
+  EXPECT_EQ(service.fetch_count(), kThreads * kFetchesPerThread);
+  EXPECT_EQ(hits_seen.load(), kThreads * kFetchesPerThread);
   EXPECT_GT(service.total_fetch_latency(), 0.0);
 }
 

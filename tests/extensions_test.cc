@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "exec/executor.h"
 #include "extensions/bitvector_filter.h"
 #include "extensions/checkpointing.h"
-#include "extensions/generalized_views.h"
 #include "extensions/sampled_views.h"
 #include "plan/builder.h"
 #include "plan/containment.h"
@@ -98,92 +96,6 @@ TEST(ContainmentTest, NullPredicates) {
 TEST(ContainmentTest, UnsatisfiableQueryContainedInAnything) {
   auto empty = And(ColGt(0, 10), ColLt(0, 5));
   EXPECT_TRUE(Implies(empty, ColGt(0, 100)));
-}
-
-// --- GeneralizedViewMatcher ----------------------------------------------------
-
-class GeneralizedViewTest : public ::testing::Test {
- protected:
-  void SetUp() override { testing_util::RegisterFigure4Tables(&catalog_); }
-
-  LogicalOpPtr Build(const std::string& sql) {
-    PlanBuilder builder(&catalog_);
-    auto plan = builder.BuildFromSql(sql);
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    return plan.ok() ? PlanNormalizer::Normalize(*plan) : nullptr;
-  }
-
-  Result<ExecResult> Execute(const LogicalOpPtr& plan, const ViewStore* store) {
-    ExecContext context;
-    context.catalog = &catalog_;
-    context.view_store = store;
-    Executor executor(context);
-    return executor.Execute(plan);
-  }
-
-  DatasetCatalog catalog_;
-};
-
-TEST_F(GeneralizedViewTest, WiderViewAnswersNarrowerQuery) {
-  // Materialize SELECT * FROM Sales WHERE SaleId < 400 (the "view"), then
-  // answer ... WHERE SaleId < 100 from it with a compensating filter.
-  LogicalOpPtr wide = Build("SELECT * FROM Sales WHERE SaleId < 400");
-  LogicalOpPtr narrow = Build("SELECT * FROM Sales WHERE SaleId < 100");
-
-  // wide = Project(Filter(Scan)); the filter subtree is the view source.
-  LogicalOpPtr view_subtree = wide->children[0];
-  ASSERT_EQ(view_subtree->kind, LogicalOpKind::kFilter);
-  GeneralizedViewKey key = GeneralizedKeyFor(*view_subtree);
-  SignatureComputer signatures;
-  Hash128 view_sig = signatures.Compute(*view_subtree).strict;
-
-  ViewStore store;
-  ASSERT_TRUE(store
-                  .BeginMaterialize(view_sig,
-                                    signatures.Compute(*view_subtree).recurring,
-                                    "vc0", 1, 0.0)
-                  .ok());
-  auto run = Execute(view_subtree, nullptr);
-  ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(store
-                  .Seal(view_sig, run->output, run->output->num_rows(), 1000,
-                        0.0)
-                  .ok());
-
-  GeneralizedViewMatcher matcher(&store);
-  matcher.RegisterView(key.strict, view_sig, key.view_predicate);
-
-  LogicalOpPtr rewritten = narrow->Clone();
-  int rewrites = matcher.RewriteAll(&rewritten, 1.0);
-  EXPECT_EQ(rewrites, 1);
-
-  // The rewritten plan computes the same answer, reading only the view.
-  auto original = Execute(narrow, &store);
-  auto via_view = Execute(rewritten, &store);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(via_view.ok()) << via_view.status().ToString();
-  EXPECT_EQ(original->output->num_rows(), via_view->output->num_rows());
-  EXPECT_EQ(via_view->stats.input_rows, 0u);  // no base tables touched
-  EXPECT_GT(via_view->stats.view_rows, 0u);
-}
-
-TEST_F(GeneralizedViewTest, NonContainedQueryNotRewritten) {
-  LogicalOpPtr wide = Build("SELECT * FROM Sales WHERE SaleId < 100");
-  LogicalOpPtr narrow = Build("SELECT * FROM Sales WHERE SaleId < 400");
-  LogicalOpPtr view_subtree = wide->children[0];
-  GeneralizedViewKey key = GeneralizedKeyFor(*view_subtree);
-  SignatureComputer signatures;
-  Hash128 view_sig = signatures.Compute(*view_subtree).strict;
-  ViewStore store;
-  store.BeginMaterialize(view_sig, view_sig, "vc0", 1, 0.0).ok();
-  auto run = Execute(view_subtree, nullptr);
-  store.Seal(view_sig, run->output, 1, 1, 0.0).ok();
-  GeneralizedViewMatcher matcher(&store);
-  matcher.RegisterView(key.strict, view_sig, key.view_predicate);
-
-  LogicalOpPtr rewritten = narrow->Clone();
-  // SaleId < 400 is NOT contained in SaleId < 100.
-  EXPECT_EQ(matcher.RewriteAll(&rewritten, 1.0), 0);
 }
 
 // --- Checkpointing ---------------------------------------------------------------

@@ -4,6 +4,9 @@
 // with a small morsel size (so even the 100/500-row test tables split into
 // many morsels) and compares outputs cell by cell.
 
+#include <atomic>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,8 @@
 #include "exec/executor.h"
 #include "obs/trace.h"
 #include "plan/builder.h"
+#include "plan/normalizer.h"
+#include "plan/signature.h"
 #include "storage/view_store.h"
 #include "tests/test_util.h"
 
@@ -142,7 +147,7 @@ TEST_F(ParallelExecTest, GroupByAggregates) {
 }
 
 TEST_F(ParallelExecTest, FloatingPointAvgExactlyEqual) {
-  // AVG over doubles is the acid test: the partitioned aggregation must
+  // AVG over doubles is the acid test: the parallel aggregation must
   // accumulate each group's values in global input order, or the sums
   // drift in the last ulp and the rendered doubles differ.
   ExpectDopInvariant(Plan(
@@ -156,8 +161,8 @@ TEST_F(ParallelExecTest, ScalarAggregateNoGroupBy) {
 }
 
 TEST_F(ParallelExecTest, GroupByManyGroups) {
-  // 100 groups over 500 rows: more groups than morsels, exercising the
-  // hash partitioning across dop.
+  // 100 groups over 500 rows: more groups than morsels, so one group's
+  // rows span many morsels of key hashing.
   ExpectDopInvariant(Plan(
       "SELECT CustomerId, SUM(Price), COUNT(*) FROM Sales "
       "GROUP BY CustomerId ORDER BY CustomerId"));
@@ -309,9 +314,9 @@ TEST_F(ParallelExecTest, ConcurrentScansOfSharedSpooledView) {
   // A sealed view's table is shared, read-only, by every job that reuses
   // it. A columnar-produced view is column-primary, so the first row-engine
   // reader triggers the lazy call_once row materialization while columnar
-  // readers stream the column arrays — all concurrently, each reader itself
-  // running parallel morsels. Run under TSan, this is the data-race canary
-  // for the shared-table path.
+  // readers stream the column arrays — all concurrently, each columnar
+  // reader itself running parallel morsels. Run under TSan, this is the
+  // data-race canary for the shared-table path.
   LogicalOpPtr source = Plan(
       "SELECT SaleId, CustomerId, Price * Quantity, Discount FROM Sales "
       "WHERE SaleId % 7 != 0");
@@ -374,6 +379,103 @@ TEST_F(ParallelExecTest, ConcurrentScansOfSharedSpooledView) {
     }
   }
   EXPECT_EQ(store.FindAny(sig)->reuse_count, 0);
+}
+
+TEST_F(ParallelExecTest, SpoolSealsExactlyOnceUnderConcurrency) {
+  // Eight executors race to materialize the same spooled subexpression.
+  // Every spool operator must fire its completion callback exactly once
+  // (the atomic early-sealing latch), and a shared first-wins registry —
+  // the pattern checkpointing and the view store use — must end up with
+  // exactly one sealed copy per signature.
+  constexpr int kJobs = 8;
+
+  LogicalOpPtr base = Plan(
+      "SELECT Customer.CustomerId, AVG(Price * Quantity) FROM Sales "
+      "JOIN Customer ON Sales.CustomerId = Customer.CustomerId "
+      "WHERE MktSegment = 'Asia' GROUP BY Customer.CustomerId");
+  ASSERT_NE(base, nullptr);
+  LogicalOpPtr normalized = PlanNormalizer::Normalize(base);
+
+  // Spool the filtered-join subtree beneath the aggregate, exactly as the
+  // view materializer would.
+  ASSERT_FALSE(normalized->children.empty());
+  LogicalOpPtr* target = &normalized->children[0];
+  while (!(*target)->children.empty() &&
+         (*target)->kind != LogicalOpKind::kJoin) {
+    target = &(*target)->children[0];
+  }
+  SignatureComputer computer;
+  NodeSignature sig = computer.Compute(**target);
+  LogicalOpPtr spool = LogicalOp::Spool(*target);
+  spool->view_signature = sig.strict;
+  spool->view_recurring_signature = sig.recurring;
+  *target = std::move(spool);
+
+  auto expected = Run(PlanNormalizer::Normalize(base), /*dop=*/1,
+                      /*morsel_rows=*/4096);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  // Shared sealing registry: first writer wins, later completions of the
+  // same signature are counted but must not replace the sealed contents.
+  std::mutex registry_mu;
+  std::map<Hash128, TablePtr> registry;
+  std::atomic<int> total_completions{0};
+  std::atomic<int> seal_wins{0};
+  std::vector<std::atomic<int>> per_job_completions(kJobs);
+  for (auto& c : per_job_completions) c.store(0);
+
+  ThreadPool pool(4);
+  std::vector<TablePtr> outputs(kJobs);
+  TaskGroup group(&pool);
+  for (int job = 0; job < kJobs; ++job) {
+    group.Spawn([&, job]() -> Status {
+      // Each job executes its own clone of the spooled plan, morsel-parallel
+      // on the same pool the jobs themselves run on (nested parallelism).
+      LogicalOpPtr plan = normalized->Clone();
+      ExecContext context;
+      context.catalog = &catalog_;
+      context.dop = 2;
+      context.morsel_rows = 16;
+      context.pool = &pool;
+      context.on_spool_complete = [&, job](const LogicalOp& node,
+                                           TablePtr contents,
+                                           const OperatorStats& stats) {
+        EXPECT_EQ(node.kind, LogicalOpKind::kSpool);
+        EXPECT_EQ(stats.rows_out, contents->num_rows());
+        total_completions.fetch_add(1, std::memory_order_relaxed);
+        per_job_completions[job].fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(registry_mu);
+        auto [it, inserted] =
+            registry.emplace(node.view_signature, std::move(contents));
+        if (inserted) seal_wins.fetch_add(1, std::memory_order_relaxed);
+      };
+      Executor executor(context);
+      auto r = executor.Execute(plan);
+      if (!r.ok()) return r.status();
+      outputs[job] = r->output;
+      return Status::OK();
+    });
+  }
+  ASSERT_TRUE(group.Wait().ok());
+
+  // One completion per spool instance, no double-fires, no lost seals.
+  EXPECT_EQ(total_completions.load(), kJobs);
+  for (int job = 0; job < kJobs; ++job) {
+    EXPECT_EQ(per_job_completions[job].load(), 1) << "job " << job;
+  }
+  // All jobs spooled the same signature: exactly one registry entry won.
+  EXPECT_EQ(seal_wins.load(), 1);
+  ASSERT_EQ(registry.size(), 1u);
+  const TablePtr& sealed = registry.begin()->second;
+  ASSERT_NE(sealed, nullptr);
+  EXPECT_GT(sealed->num_rows(), 0u);
+
+  // Concurrency changed nothing about the answers.
+  for (int job = 0; job < kJobs; ++job) {
+    ASSERT_NE(outputs[job], nullptr) << "job " << job;
+    EXPECT_EQ(outputs[job]->num_rows(), expected->output->num_rows())
+        << "job " << job;
+  }
 }
 
 TEST_F(ParallelExecTest, ErrorsPropagateFromParallelMorsels) {
