@@ -556,9 +556,25 @@ SelectionResult ReuseEngine::RunViewSelection(double now) {
                     {{"status", audit.ToString()}});
     }
   }
+  static obs::Counter& runs = obs::MetricsRegistry::Global().counter(
+      obs::metric_names::kSelectionRuns);
+  static obs::Counter& candidates = obs::MetricsRegistry::Global().counter(
+      obs::metric_names::kSelectionCandidates);
+  static obs::Counter& selected = obs::MetricsRegistry::Global().counter(
+      obs::metric_names::kSelectionSelected);
+  static obs::Histogram& run_us = obs::MetricsRegistry::Global().histogram(
+      obs::metric_names::kSelectionRunUs, obs::LatencyBucketsUs());
   SelectionConstraints constraints = options_.selection;
   ViewSelector selector(constraints);
+  const bool timed = obs::Tracer::Enabled();
+  const uint64_t start_us = timed ? obs::Tracer::NowMicros() : 0;
   SelectionResult result = selector.Select(repository_);
+  if (timed) {
+    run_us.Observe(static_cast<double>(obs::Tracer::NowMicros() - start_us));
+  }
+  runs.Increment();
+  candidates.Add(static_cast<uint64_t>(result.candidates_considered));
+  selected.Add(result.selected.size());
   // The ledger's candidate events open the lifecycle: this is where a
   // subexpression was judged worth materializing. The candidate's strict
   // signature is the last observed instance; future instances may

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <queue>
 
 #include "common/exec_stats.h"
 
@@ -81,9 +82,18 @@ namespace {
 // subexpression selection is a bipartite job/subexpression problem — a job's
 // computation can only be saved once, so overlapping candidates covering the
 // same jobs must not double count their savings. The exact ILP is solved in
-// production with distributed label propagation; here we run the standard
-// lazy-greedy approximation over marginal utilities, which propagates
-// per-job "already saved" labels between rounds.
+// production with distributed label propagation; here we run greedy rounds
+// over marginal utilities, which propagate per-job "already saved" labels
+// between rounds. Each round takes the fitting candidate with the best
+// marginal utility per byte, the lowest index winning ties.
+//
+// The rounds are evaluated lazily (CELF), yet pick exactly what a rescan of
+// every candidate would. Labels only rise and `used` only grows, and max,
+// subtraction, a fixed-order sum and division by the size are monotone under
+// IEEE round-to-nearest, so a ratio computed in an earlier round bounds the
+// current one from above. A heap entry whose ratio is current thus beats
+// every other candidate, ties included; one that stops fitting never fits
+// again, and one whose marginal utility fell to <= 0 stays there.
 std::vector<ViewCandidate> SelectBigSubs(
     std::vector<ViewCandidate> candidates,
     const WorkloadRepository& repository, uint64_t budget, int max_views,
@@ -92,7 +102,6 @@ std::vector<ViewCandidate> SelectBigSubs(
     ViewCandidate cand;
     std::vector<int64_t> jobs;      // jobs containing this subexpression
     double per_job_saving = 0.0;    // savings if this view serves that job
-    bool taken = false;
   };
   std::vector<Entry> entries;
   entries.reserve(candidates.size());
@@ -133,25 +142,35 @@ std::vector<ViewCandidate> SelectBigSubs(
     return total;
   };
 
+  // Max-heap on (ratio, -index); `round` counts the picks made when the
+  // ratio was computed, so it is current iff it equals selected.size().
+  struct Bound {
+    double ratio;
+    size_t index;
+    size_t round;
+  };
+  auto below = [](const Bound& a, const Bound& b) {
+    return a.ratio != b.ratio ? a.ratio < b.ratio : a.index > b.index;
+  };
+  std::priority_queue<Bound, std::vector<Bound>, decltype(below)> heap(below);
   std::vector<ViewCandidate> selected;
+  auto push_if_useful = [&](size_t i) {
+    double mu = marginal_utility(entries[i]);
+    double ratio = mu / static_cast<double>(entries[i].cand.storage_bytes + 1);
+    if (mu > 0) heap.push({ratio, i, selected.size()});
+  };
+  for (size_t i = 0; i < entries.size(); ++i) push_if_useful(i);
+
   uint64_t used = 0;
-  while (static_cast<int>(selected.size()) < max_views) {
-    double best_ratio = 0.0;
-    int best = -1;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].taken) continue;
-      if (used + entries[i].cand.storage_bytes > budget) continue;
-      double mu = marginal_utility(entries[i]);
-      double ratio =
-          mu / static_cast<double>(entries[i].cand.storage_bytes + 1);
-      if (mu > 0 && (best < 0 || ratio > best_ratio)) {
-        best_ratio = ratio;
-        best = static_cast<int>(i);
-      }
+  while (static_cast<int>(selected.size()) < max_views && !heap.empty()) {
+    Bound top = heap.top();
+    heap.pop();
+    Entry& entry = entries[top.index];
+    if (used + entry.cand.storage_bytes > budget) continue;
+    if (top.round != selected.size()) {
+      push_if_useful(top.index);
+      continue;
     }
-    if (best < 0) break;
-    Entry& entry = entries[static_cast<size_t>(best)];
-    entry.taken = true;
     used += entry.cand.storage_bytes;
     // Propagate labels: these jobs are now (partially) served.
     for (int64_t job : entry.jobs) {
@@ -159,11 +178,10 @@ std::vector<ViewCandidate> SelectBigSubs(
       saved = std::max(saved, entry.per_job_saving);
     }
     entry.cand.utility = marginal_utility(entry);  // report marginal value
-    selected.push_back(entry.cand);
+    selected.push_back(std::move(entry.cand));
   }
-  for (const Entry& entry : entries) {
-    if (!entry.taken) result->rejected_budget += 1;
-  }
+  result->rejected_budget +=
+      static_cast<int64_t>(entries.size() - selected.size());
   return selected;
 }
 

@@ -70,6 +70,14 @@ inline constexpr char kSharingProducerAborts[] = "sharing.producer_aborts";
 inline constexpr char kSharingBatchesForwarded[] =
     "sharing.batches_forwarded";
 
+// --- View selection (core/reuse_engine.cc) ---------------------------------
+// Per RunViewSelection call: scored candidates and views selected. The run
+// time is observed only while the tracer is enabled.
+inline constexpr char kSelectionRuns[] = "selection.runs";
+inline constexpr char kSelectionCandidates[] = "selection.candidates";
+inline constexpr char kSelectionSelected[] = "selection.selected";
+inline constexpr char kSelectionRunUs[] = "selection.run_us";
+
 // --- Signature cache (core/cardinality_feedback.cc) ------------------------
 inline constexpr char kSignatureCacheLookupHit[] = "signature_cache.lookup.hit";
 inline constexpr char kSignatureCacheLookupMiss[] =

@@ -2,15 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/exec_stats.h"
 #include "common/sim_clock.h"
 #include "common/thread_pool.h"
 #include "core/insights_service.h"
 #include "core/reuse_engine.h"
 #include "core/view_selection.h"
 #include "core/workload_repository.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace cloudviews {
@@ -226,6 +233,231 @@ TEST_F(ViewSelectorTest, TopKIgnoresUtility) {
   SelectionResult result = selector.Select(repo_);
   ASSERT_EQ(result.selected.size(), 1u);
   EXPECT_EQ(result.selected[0].occurrences, 10);
+}
+
+// Reference BigSubs by full rescan: every round re-evaluates every remaining
+// candidate. Select's lazy greedy must reproduce it exactly (kBigSubs, one
+// global budget, schedule-aware off).
+SelectionResult RescanBigSubs(const WorkloadRepository& repository,
+                              const SelectionConstraints& constraints) {
+  std::vector<ViewCandidate> candidates =
+      ViewSelector(constraints).ScoreCandidates(repository);
+  SelectionResult result;
+  result.candidates_considered = static_cast<int64_t>(candidates.size());
+  struct Entry {
+    ViewCandidate cand;
+    std::vector<int64_t> jobs;
+    double per_job_saving = 0.0;
+    bool taken = false;
+  };
+  std::vector<Entry> entries;
+  for (ViewCandidate& cand : candidates) {
+    if (cand.utility <= 0) {
+      result.rejected_utility += 1;
+      continue;
+    }
+    Entry entry;
+    const SubexpressionGroup* group =
+        repository.FindGroup(cand.strict_signature);
+    if (group != nullptr) {
+      for (const auto& [job_id, t] : group->recent_instances) {
+        entry.jobs.push_back(job_id);
+      }
+    }
+    entry.per_job_saving = std::max(0.0, cand.avg_cpu_cost - cand.read_cost);
+    entry.cand = std::move(cand);
+    entries.push_back(std::move(entry));
+  }
+  std::unordered_map<int64_t, double> job_saved;
+  auto marginal_utility = [&](const Entry& entry) {
+    double total = 0.0;
+    for (int64_t job : entry.jobs) {
+      auto it = job_saved.find(job);
+      double already = it == job_saved.end() ? 0.0 : it->second;
+      total += std::max(0.0, entry.per_job_saving - already);
+    }
+    double materialize_overhead =
+        static_cast<double>(entry.cand.storage_bytes) *
+        CostWeights::kSpoolByte;
+    total -= entry.per_job_saving + materialize_overhead;
+    return total;
+  };
+  uint64_t used = 0;
+  while (static_cast<int>(result.selected.size()) < constraints.max_views) {
+    double best_ratio = 0.0;
+    int best = -1;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].taken) continue;
+      if (used + entries[i].cand.storage_bytes >
+          constraints.storage_budget_bytes) {
+        continue;
+      }
+      double mu = marginal_utility(entries[i]);
+      double ratio =
+          mu / static_cast<double>(entries[i].cand.storage_bytes + 1);
+      if (mu > 0 && (best < 0 || ratio > best_ratio)) {
+        best_ratio = ratio;
+        best = static_cast<int>(i);
+      }
+    }
+    if (best < 0) break;
+    Entry& entry = entries[static_cast<size_t>(best)];
+    entry.taken = true;
+    used += entry.cand.storage_bytes;
+    for (int64_t job : entry.jobs) {
+      double& saved = job_saved[job];
+      saved = std::max(saved, entry.per_job_saving);
+    }
+    entry.cand.utility = marginal_utility(entry);
+    result.selected_strict.insert(entry.cand.strict_signature);
+    result.expected_savings += std::max(0.0, entry.cand.utility);
+    result.total_storage_bytes += entry.cand.storage_bytes;
+    result.selected.push_back(entry.cand);
+  }
+  for (const Entry& entry : entries) {
+    if (!entry.taken) result.rejected_budget += 1;
+  }
+  return result;
+}
+
+SelectionConstraints BigSubsConstraints(uint64_t budget, int max_views) {
+  SelectionConstraints constraints;
+  constraints.strategy = SelectionStrategy::kBigSubs;
+  constraints.per_virtual_cluster = false;
+  constraints.schedule_aware = false;
+  constraints.storage_budget_bytes = budget;
+  constraints.max_views = max_views;
+  return constraints;
+}
+
+// Selects with `constraints` and checks the result against the rescan,
+// field by field; doubles compare by bit pattern.
+SelectionResult ExpectSameAsRescan(const WorkloadRepository& repository,
+                                   const SelectionConstraints& constraints) {
+  SelectionResult got = ViewSelector(constraints).Select(repository);
+  SelectionResult want = RescanBigSubs(repository, constraints);
+  EXPECT_EQ(got.candidates_considered, want.candidates_considered);
+  EXPECT_EQ(got.rejected_budget, want.rejected_budget);
+  EXPECT_EQ(got.rejected_utility, want.rejected_utility);
+  EXPECT_EQ(got.rejected_schedule, 0);
+  EXPECT_EQ(got.total_storage_bytes, want.total_storage_bytes);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.expected_savings),
+            std::bit_cast<uint64_t>(want.expected_savings));
+  EXPECT_EQ(got.selected_strict, want.selected_strict);
+  EXPECT_EQ(got.selected.size(), want.selected.size());
+  for (size_t i = 0; i < std::min(got.selected.size(), want.selected.size());
+       ++i) {
+    const ViewCandidate& g = got.selected[i];
+    const ViewCandidate& w = want.selected[i];
+    EXPECT_EQ(g.strict_signature, w.strict_signature) << "pick " << i;
+    EXPECT_EQ(g.recurring_signature, w.recurring_signature) << "pick " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.utility),
+              std::bit_cast<uint64_t>(w.utility))
+        << "pick " << i;
+    EXPECT_EQ(g.storage_bytes, w.storage_bytes) << "pick " << i;
+  }
+  return got;
+}
+
+// Ingests `n` instances of `sig_seed`, one per job in [first_job, first_job+n).
+void IngestJobs(WorkloadRepository* repo, const std::string& sig_seed,
+                int64_t first_job, int n, double cpu, uint64_t bytes) {
+  for (int i = 0; i < n; ++i) {
+    repo->Ingest(MakeInstance(sig_seed, first_job + i, "vc0", 0, i * 1000.0,
+                              cpu, bytes));
+  }
+}
+
+TEST_F(ViewSelectorTest, BigSubsMatchesRescanOnRandomRepositories) {
+  // Job ids come from a small shared pool so that labels interact; costs and
+  // sizes come from short lists, some values twice, so that equal ratios
+  // occur. A cost of 10 is below the read cost: non-positive utility.
+  const double kCosts[] = {10.0, 600.0, 2000.0, 2000.0, 9000.0, 40000.0};
+  const uint64_t kBytes[] = {100, 1000, 1000, 4000, 30000};
+  const uint64_t kBudgets[] = {1500, 6000, 40000, 1ull << 30};
+  const int kMaxViews[] = {1, 3, 10000, 10000};
+  int64_t picks = 0;
+  for (uint32_t seed = 0; seed < 300; ++seed) {
+    std::mt19937 rng(seed);
+    WorkloadRepository repo;
+    const int signatures = 2 + static_cast<int>(rng() % 40);
+    const int64_t job_pool = 3 + static_cast<int64_t>(rng() % 40);
+    for (int s = 0; s < signatures; ++s) {
+      const double cpu = kCosts[rng() % 6];
+      const uint64_t bytes = kBytes[rng() % 5];
+      const int instances = 1 + static_cast<int>(rng() % 8);
+      for (int k = 0; k < instances; ++k) {
+        repo.Ingest(MakeInstance("s" + std::to_string(s),
+                                 static_cast<int64_t>(rng()) % job_pool,
+                                 "vc0", 0, k * 1000.0, cpu, bytes));
+      }
+    }
+    SelectionConstraints constraints =
+        BigSubsConstraints(kBudgets[rng() % 4], kMaxViews[rng() % 4]);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SelectionResult result = ExpectSameAsRescan(repo, constraints);
+    picks += static_cast<int64_t>(result.selected.size());
+  }
+  EXPECT_GT(picks, 600);  // the sweep makes real selections
+}
+
+TEST_F(ViewSelectorTest, BigSubsEqualRatiosGoToTheFirstCandidate) {
+  // Same cost, size and job count on disjoint jobs: every ratio ties, and
+  // the budget holds two. ScoreCandidates orders equal occurrence counts by
+  // strict signature, and the first two in that order win.
+  for (int s = 0; s < 4; ++s) {
+    IngestJobs(&repo_, "tie" + std::to_string(s), 10 * s, 4, 5000.0, 1000);
+  }
+  SelectionConstraints constraints = BigSubsConstraints(2000, 10000);
+  std::vector<ViewCandidate> order =
+      ViewSelector(constraints).ScoreCandidates(repo_);
+  SelectionResult result = ExpectSameAsRescan(repo_, constraints);
+  ASSERT_EQ(result.selected.size(), 2u);
+  EXPECT_EQ(result.selected[0].strict_signature, order[0].strict_signature);
+  EXPECT_EQ(result.selected[1].strict_signature, order[1].strict_signature);
+  EXPECT_EQ(result.rejected_budget, 2);
+}
+
+TEST_F(ViewSelectorTest, BigSubsSkipsWhatStopsFittingButTakesSmallerLater) {
+  // Budget 10000: "big" (6000 bytes) is taken first, "mid" (5000) no longer
+  // fits, and the lower-ratio "small" (1000) still does.
+  IngestJobs(&repo_, "big", 0, 8, 90000.0, 6000);
+  IngestJobs(&repo_, "mid", 100, 8, 60000.0, 5000);
+  IngestJobs(&repo_, "small", 200, 3, 5000.0, 1000);
+  SelectionResult result =
+      ExpectSameAsRescan(repo_, BigSubsConstraints(10000, 10000));
+  ASSERT_EQ(result.selected.size(), 2u);
+  EXPECT_EQ(result.selected[0].strict_signature, HashString("strict-big"));
+  EXPECT_EQ(result.selected[1].strict_signature, HashString("strict-small"));
+  EXPECT_EQ(result.total_storage_bytes, 7000u);
+  EXPECT_EQ(result.rejected_budget, 1);
+}
+
+TEST_F(ViewSelectorTest, BigSubsStopsAtMaxViews) {
+  for (int s = 0; s < 5; ++s) {
+    IngestJobs(&repo_, "v" + std::to_string(s), 10 * s, 3 + s, 8000.0, 1000);
+  }
+  SelectionResult result =
+      ExpectSameAsRescan(repo_, BigSubsConstraints(1ull << 30, 2));
+  ASSERT_EQ(result.selected.size(), 2u);
+  EXPECT_EQ(result.selected[0].strict_signature, HashString("strict-v4"));
+  EXPECT_EQ(result.selected[1].strict_signature, HashString("strict-v3"));
+  EXPECT_EQ(result.rejected_budget, 3);
+}
+
+TEST_F(ViewSelectorTest, BigSubsDropsNonPositiveUtility) {
+  // "cheap" costs less to recompute than to read back: non-positive utility
+  // up front. "inner" covers the same jobs as "outer" with a smaller saving,
+  // so its marginal utility falls to <= 0 once "outer" is taken.
+  IngestJobs(&repo_, "cheap", 0, 6, 10.0, 1000);
+  IngestJobs(&repo_, "outer", 100, 6, 80000.0, 1000);
+  IngestJobs(&repo_, "inner", 100, 6, 40000.0, 1000);
+  SelectionResult result =
+      ExpectSameAsRescan(repo_, BigSubsConstraints(1ull << 30, 10000));
+  ASSERT_EQ(result.selected.size(), 1u);
+  EXPECT_EQ(result.selected[0].strict_signature, HashString("strict-outer"));
+  EXPECT_EQ(result.rejected_utility, 1);
+  EXPECT_EQ(result.rejected_budget, 1);
 }
 
 // --- InsightsService ---------------------------------------------------------------
@@ -481,6 +713,34 @@ TEST_F(ReuseEngineTest, FullLoopBuildThenReuse) {
   // Same answer either way.
   EXPECT_EQ(e4->output->num_rows(), e1->output->num_rows());
   EXPECT_EQ(engine_->view_store().total_views_reused(), 1);
+}
+
+TEST_F(ReuseEngineTest, SelectionMetricsCountEachRun) {
+  ASSERT_TRUE(engine_->RunJob(MakeJob(1, kAsiaSql, 0.0)).ok());
+  ASSERT_TRUE(engine_->RunJob(MakeJob(2, kAsiaSql, 1000.0)).ok());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& runs = registry.counter(obs::metric_names::kSelectionRuns);
+  obs::Counter& candidates =
+      registry.counter(obs::metric_names::kSelectionCandidates);
+  obs::Counter& selected =
+      registry.counter(obs::metric_names::kSelectionSelected);
+  obs::Histogram& run_us = registry.histogram(
+      obs::metric_names::kSelectionRunUs, obs::LatencyBucketsUs());
+  const uint64_t runs0 = runs.Value();
+  const uint64_t candidates0 = candidates.Value();
+  const uint64_t selected0 = selected.Value();
+  const uint64_t timed0 = run_us.GetSnapshot().count;
+  // The run time is observed only while tracing.
+  const bool was_tracing = obs::Tracer::Enabled();
+  obs::Tracer::Global().Enable();
+  SelectionResult result = engine_->RunViewSelection();
+  if (!was_tracing) obs::Tracer::Global().Disable();
+  ASSERT_GT(result.selected.size(), 0u);
+  EXPECT_EQ(runs.Value() - runs0, 1u);
+  EXPECT_EQ(candidates.Value() - candidates0,
+            static_cast<uint64_t>(result.candidates_considered));
+  EXPECT_EQ(selected.Value() - selected0, result.selected.size());
+  EXPECT_EQ(run_us.GetSnapshot().count - timed0, 1u);
 }
 
 TEST_F(ReuseEngineTest, DisabledVcGetsNoReuse) {

@@ -229,12 +229,14 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingTasks) {
 // present this test hangs rather than fails.
 TEST(ThreadPoolTest, RapidCreateDestroyDoesNotHangShutdown) {
   for (int round = 0; round < 200; ++round) {
+    // Declared before the pool: its workers may still run the submitted
+    // tasks, which reference `ran`, until the pool's destructor returns.
+    std::atomic<int> ran{0};
     ThreadPool pool(4);
     // Half the rounds submit a little work so destruction races both
     // sleeping and task-running workers; half destroy immediately, when
     // every worker is headed for (or already in) the predicate window.
     if (round % 2 == 0) {
-      std::atomic<int> ran{0};
       for (int i = 0; i < 8; ++i) {
         pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
       }
