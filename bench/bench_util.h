@@ -1,10 +1,13 @@
 #ifndef CLOUDVIEWS_BENCH_BENCH_UTIL_H_
 #define CLOUDVIEWS_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "obs/json_writer.h"
 
@@ -47,11 +50,29 @@ inline void PrintHeader(const char* title, const char* paper_ref) {
 // Machine-readable bench output: accumulates named metrics and prints one
 // greppable `JSON {...}` line. All benches share this emitter (built on
 // obs::JsonWriter) so downstream tooling parses every bench the same way.
+// The CPU's "model name" from /proc/cpuinfo, or "unknown".
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      size_t value = line.find_first_not_of(" \t:", line.find(':'));
+      if (value != std::string::npos) return line.substr(value);
+    }
+  }
+  return "unknown";
+}
+
 class JsonReport {
  public:
+  // Every report names the host it ran on, so tools/bench_guard.py can tell
+  // when a baseline came from different hardware.
   explicit JsonReport(const char* bench_name) {
     writer_.BeginObject();
     writer_.Field("bench", bench_name);
+    writer_.Field("nproc",
+                  static_cast<int64_t>(std::thread::hardware_concurrency()));
+    writer_.Field("cpu_model", CpuModel());
   }
 
   JsonReport& Metric(const char* name, double value) {

@@ -317,23 +317,6 @@ Status EvalArithmetic(BinaryOp op, const ColumnVector& lhs,
   return Status::OK();
 }
 
-// Gathers the columns referenced by `expr` at `rows`, building a sparse
-// sub-context aligned with the parent's column ordinals.
-void GatherReferenced(const Expr& expr, const EvalInput& in,
-                      const std::vector<uint32_t>& rows,
-                      std::vector<ColumnPtr>* sub) {
-  sub->assign(in.columns->size(), nullptr);
-  std::vector<int> refs;
-  expr.CollectColumns(&refs);
-  for (int idx : refs) {
-    if (idx < 0 || static_cast<size_t>(idx) >= in.columns->size()) continue;
-    const ColumnPtr& src = (*in.columns)[static_cast<size_t>(idx)];
-    if (src != nullptr) {
-      (*sub)[static_cast<size_t>(idx)] = GatherColumn(*src, rows);
-    }
-  }
-}
-
 // AND/OR with the row engine's short-circuit contract: the right operand is
 // evaluated only for rows the left side leaves undecided.
 Status EvalAndOr(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
@@ -367,7 +350,8 @@ Status EvalAndOr(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
     return Status::OK();
   }
   std::vector<ColumnPtr> sub_cols;
-  GatherReferenced(*expr.children[1], in, undecided, &sub_cols);
+  GatherReferenced(*expr.children[1], *in.columns, undecided, {}, {},
+                   &sub_cols);
   EvalInput sub{&sub_cols, undecided.size()};
   ColumnPtr rhs;
   st = EvalExprBatch(*expr.children[1], sub, &rhs);
@@ -568,7 +552,8 @@ Status EvalInList(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   for (size_t item = 1; item < expr.children.size() && !undecided.empty();
        ++item) {
     std::vector<ColumnPtr> sub_cols;
-    GatherReferenced(*expr.children[item], in, undecided, &sub_cols);
+    GatherReferenced(*expr.children[item], *in.columns, undecided, {}, {},
+                     &sub_cols);
     EvalInput sub{&sub_cols, undecided.size()};
     ColumnPtr item_col;
     st = EvalExprBatch(*expr.children[item], sub, &item_col);
@@ -689,6 +674,25 @@ Status FilterSelection(const Expr& predicate, const EvalInput& in,
     }
   }
   return Status::OK();
+}
+
+void GatherReferenced(const Expr& expr, const std::vector<ColumnPtr>& left,
+                      const std::vector<uint32_t>& left_rows,
+                      const std::vector<ColumnPtr>& right,
+                      const std::vector<uint32_t>& right_rows,
+                      std::vector<ColumnPtr>* sub) {
+  sub->assign(left.size() + right.size(), nullptr);
+  std::vector<int> refs;
+  expr.CollectColumns(&refs);
+  for (int idx : refs) {
+    if (idx < 0 || static_cast<size_t>(idx) >= sub->size()) continue;
+    const size_t i = static_cast<size_t>(idx);
+    const bool from_left = i < left.size();
+    const ColumnPtr& src = from_left ? left[i] : right[i - left.size()];
+    if (src != nullptr) {
+      (*sub)[i] = GatherColumn(*src, from_left ? left_rows : right_rows);
+    }
+  }
 }
 
 void GatherBatch(const ColumnBatch& in, const std::vector<uint32_t>& sel,

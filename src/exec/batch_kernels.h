@@ -40,6 +40,16 @@ Status EvalExprBatch(const Expr& expr, const EvalInput& in, ColumnPtr* out);
 Status FilterSelection(const Expr& predicate, const EvalInput& in,
                        std::vector<uint32_t>* sel);
 
+// Gathers the columns `expr` references from the side-by-side concatenation
+// of `left` (at `left_rows`) and `right` (at `right_rows`) into a sparse
+// input of left.size() + right.size() slots; the slots `expr` does not read
+// stay null. A one-sided gather passes an empty `right`.
+void GatherReferenced(const Expr& expr, const std::vector<ColumnPtr>& left,
+                      const std::vector<uint32_t>& left_rows,
+                      const std::vector<ColumnPtr>& right,
+                      const std::vector<uint32_t>& right_rows,
+                      std::vector<ColumnPtr>* sub);
+
 // Gathers `sel` rows of every column of `in` into `*out`.
 void GatherBatch(const ColumnBatch& in, const std::vector<uint32_t>& sel,
                  ColumnBatch* out);

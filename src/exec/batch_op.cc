@@ -28,8 +28,9 @@ namespace cloudviews {
 
 namespace {
 
-// Output-row index meaning "pad with null" (left-outer joins).
-constexpr uint32_t kPadIndex = 0xFFFFFFFFu;
+// Output-row index meaning "pad with null" (left-outer joins); also the
+// aggregate's "no group yet" sentinel.
+constexpr uint32_t kPadIndex = ColumnVector::kPadIndex;
 
 EvalInput InputOf(const ColumnBatch& batch) {
   EvalInput in;
@@ -52,20 +53,10 @@ void CountBatch(OperatorStats* stats, const ColumnBatch& batch, double cpu) {
   stats->cpu_cost += cpu;
 }
 
-// Gathers `indices` from `src`, appending a null for kPadIndex entries (and
-// for every entry when `src` is null — an empty build side of a left join).
-ColumnPtr GatherPad(const ColumnVector* src,
-                    const std::vector<uint32_t>& indices) {
-  auto out = std::make_shared<ColumnVector>();
-  out->Reserve(indices.size());
-  for (uint32_t idx : indices) {
-    if (src == nullptr || idx == kPadIndex) {
-      out->AppendNull();
-    } else {
-      out->AppendCellFrom(*src, idx);
-    }
-  }
-  return out;
+// Rows [begin, end) of `col`; the whole column is shared, not copied.
+ColumnPtr SliceOrShare(const ColumnPtr& col, size_t begin, size_t end) {
+  if (begin == 0 && end == col->size()) return col;
+  return SliceColumn(*col, begin, end);
 }
 
 // Rows [begin, end) of `chunk` as a batch; whole-chunk slices share the
@@ -74,11 +65,7 @@ ColumnBatch SliceChunk(const BatchChunk& chunk, size_t begin, size_t end) {
   ColumnBatch out;
   out.columns.reserve(chunk.columns.size());
   for (const ColumnPtr& col : chunk.columns) {
-    if (begin == 0 && end == col->size()) {
-      out.columns.push_back(col);
-    } else {
-      out.columns.push_back(SliceColumn(*col, begin, end));
-    }
+    out.columns.push_back(SliceOrShare(col, begin, end));
   }
   out.num_rows = end - begin;
   return out;
@@ -87,6 +74,44 @@ ColumnBatch SliceChunk(const BatchChunk& chunk, size_t begin, size_t end) {
 // FilterOp's keep test over an evaluated predicate column.
 bool KeepCell(const ColumnVector& v, size_t i) {
   return !v.IsNull(i) && v.CellType(i) == DataType::kBool && v.CellBool(i);
+}
+
+// A join residual over the candidate pairs (left_rows[c], right_rows[c]):
+// only the columns the predicate reads are gathered, and (*pass)[c] is
+// FilterOp's keep test of pair c.
+Status EvalResidual(const Expr& predicate, const std::vector<ColumnPtr>& left,
+                    const std::vector<uint32_t>& left_rows,
+                    const std::vector<ColumnPtr>& right,
+                    const std::vector<uint32_t>& right_rows,
+                    std::vector<uint8_t>* pass) {
+  std::vector<ColumnPtr> sparse;
+  GatherReferenced(predicate, left, left_rows, right, right_rows, &sparse);
+  ColumnPtr v;
+  CLOUDVIEWS_RETURN_NOT_OK(
+      EvalExprBatch(predicate, EvalInput{&sparse, left_rows.size()}, &v));
+  for (size_t c = 0; c < pass->size(); ++c) {
+    (*pass)[c] = KeepCell(*v, c) ? 1 : 0;
+  }
+  return Status::OK();
+}
+
+// Join output: every left column at `out_left`, then `right_arity` right
+// columns at `out_right` (kPadIndex pads with null). An empty right side
+// drains to no columns, so its output is all pads.
+void GatherJoinOutput(const std::vector<ColumnPtr>& left,
+                      const std::vector<uint32_t>& out_left,
+                      const std::vector<ColumnPtr>& right, size_t right_arity,
+                      const std::vector<uint32_t>& out_right,
+                      std::vector<ColumnPtr>* out) {
+  const ColumnVector none;
+  out->reserve(left.size() + right_arity);
+  for (const ColumnPtr& col : left) {
+    out->push_back(GatherColumn(*col, out_left));
+  }
+  for (size_t r = 0; r < right_arity; ++r) {
+    out->push_back(
+        GatherColumn(r < right.size() ? *right[r] : none, out_right));
+  }
 }
 
 }  // namespace
@@ -146,27 +171,28 @@ Status BatchOp::Next(Row* row, bool* done) {
       "batch operator driven through row-at-a-time Next()");
 }
 
-Status DrainBatches(BatchOp* child, std::vector<ColumnBatch>* out) {
+Status BatchOp::DrainToChunk(const std::vector<int>* columns,
+                             BatchChunk* chunk) {
+  std::vector<ColumnBatch> batches;
   while (true) {
     ColumnBatch batch;
     bool done = false;
-    CLOUDVIEWS_RETURN_NOT_OK(child->NextBatch(&batch, &done));
-    if (done) return Status::OK();
-    if (batch.num_rows > 0) out->push_back(std::move(batch));
+    CLOUDVIEWS_RETURN_NOT_OK(NextBatch(&batch, &done));
+    if (done) break;
+    if (batch.num_rows > 0) batches.push_back(std::move(batch));
   }
-}
-
-Status DrainToChunk(BatchOp* child, BatchChunk* chunk) {
-  std::vector<ColumnBatch> batches;
-  CLOUDVIEWS_RETURN_NOT_OK(DrainBatches(child, &batches));
   chunk->columns.clear();
   chunk->num_rows = 0;
   if (batches.empty()) return Status::OK();
   const size_t arity = batches[0].columns.size();
   for (const ColumnBatch& b : batches) chunk->num_rows += b.num_rows;
-  chunk->columns.reserve(arity);
+  chunk->columns.assign(arity, nullptr);
   for (size_t c = 0; c < arity; ++c) {
-    chunk->columns.push_back(ConcatColumn(batches, c));
+    const bool read =
+        columns == nullptr ||
+        std::find(columns->begin(), columns->end(), static_cast<int>(c)) !=
+            columns->end();
+    if (read) chunk->columns[c] = ConcatColumn(batches, c);
   }
   return Status::OK();
 }
@@ -224,42 +250,88 @@ BatchScanPipelineOp::BatchScanPipelineOp(const LogicalOp* logical,
   }
 }
 
-Status BatchScanPipelineOp::RunRange(
-    size_t begin, size_t end, ColumnBatch* out,
-    std::vector<OperatorStats>* stage_stats) const {
+Status BatchScanPipelineOp::ScannedColumns(
+    std::vector<ColumnPtr>* out) const {
   const LogicalOp* scan = stages_[0].op;
-  const double byte_weight =
-      is_view_scan_ ? CostWeights::kViewScanByte : CostWeights::kScanByte;
-  ColumnBatch cur;
+  out->clear();
   if (scan->kind == LogicalOpKind::kScan && !scan->scan_columns.empty()) {
     // Pruned scan: emit only the selected columns.
-    cur.columns.reserve(scan->scan_columns.size());
+    out->reserve(scan->scan_columns.size());
     for (int col : scan->scan_columns) {
       if (col < 0 || static_cast<size_t>(col) >= table_->num_columns()) {
         return Status::Internal("scan column " + std::to_string(col) +
                                 " out of range for dataset " +
                                 scan->dataset_name);
       }
-      cur.columns.push_back(
-          SliceColumn(*table_->column(static_cast<size_t>(col)), begin, end));
+      out->push_back(table_->column(static_cast<size_t>(col)));
     }
-  } else {
-    cur.columns.reserve(table_->num_columns());
-    for (size_t c = 0; c < table_->num_columns(); ++c) {
-      cur.columns.push_back(SliceColumn(*table_->column(c), begin, end));
-    }
+    return Status::OK();
   }
-  cur.num_rows = end - begin;
-  {
-    OperatorStats& st = (*stage_stats)[0];
-    const size_t bytes = BatchByteSize(cur);
+  out->reserve(table_->num_columns());
+  for (size_t c = 0; c < table_->num_columns(); ++c) {
+    out->push_back(table_->column(c));
+  }
+  return Status::OK();
+}
+
+void BatchScanPipelineOp::CountScan(const std::vector<ColumnPtr>& scanned,
+                                    size_t begin, size_t end,
+                                    OperatorStats* st) const {
+  const double byte_weight =
+      is_view_scan_ ? CostWeights::kViewScanByte : CostWeights::kScanByte;
+  size_t bytes = 0;
+  for (const ColumnPtr& col : scanned) bytes += col->ByteSize(begin, end);
+  st->rows_out += end - begin;
+  st->bytes_out += bytes;
+  st->cpu_cost += CostWeights::kScanRow * static_cast<double>(end - begin) +
+                  byte_weight * static_cast<double>(bytes);
+}
+
+Status BatchScanPipelineOp::RunRange(
+    size_t begin, size_t end, ColumnBatch* out,
+    std::vector<OperatorStats>* stage_stats) const {
+  std::vector<ColumnPtr> scanned;
+  CLOUDVIEWS_RETURN_NOT_OK(ScannedColumns(&scanned));
+  CountScan(scanned, begin, end, &(*stage_stats)[0]);
+
+  ColumnBatch cur;
+  cur.columns.reserve(scanned.size());
+  size_t first = 1;
+  if (stages_.size() > 1 && stages_[1].op->kind == LogicalOpKind::kFilter) {
+    // A first filter reads only its predicate's columns: slice just those,
+    // then gather the surviving rows of every column straight from the
+    // table.
+    const Expr& predicate = *stages_[1].op->predicate;
+    OperatorStats& st = (*stage_stats)[1];
+    st.cpu_cost += CostWeights::kFilterRow * static_cast<double>(end - begin);
+    std::vector<int> refs;
+    predicate.CollectColumns(&refs);
+    std::vector<ColumnPtr> sparse(scanned.size());
+    for (int r : refs) {
+      if (r >= 0 && static_cast<size_t>(r) < scanned.size()) {
+        sparse[static_cast<size_t>(r)] =
+            SliceOrShare(scanned[static_cast<size_t>(r)], begin, end);
+      }
+    }
+    std::vector<uint32_t> sel;
+    CLOUDVIEWS_RETURN_NOT_OK(
+        FilterSelection(predicate, EvalInput{&sparse, end - begin}, &sel));
+    for (uint32_t& row : sel) row += static_cast<uint32_t>(begin);
+    for (const ColumnPtr& col : scanned) {
+      cur.columns.push_back(GatherColumn(*col, sel));
+    }
+    cur.num_rows = sel.size();
     st.rows_out += cur.num_rows;
-    st.bytes_out += bytes;
-    st.cpu_cost += CostWeights::kScanRow * static_cast<double>(cur.num_rows) +
-                   byte_weight * static_cast<double>(bytes);
+    st.bytes_out += BatchByteSize(cur);
+    first = 2;
+  } else {
+    for (const ColumnPtr& col : scanned) {
+      cur.columns.push_back(SliceOrShare(col, begin, end));
+    }
+    cur.num_rows = end - begin;
   }
 
-  for (size_t s = 1; s < stages_.size(); ++s) {
+  for (size_t s = first; s < stages_.size(); ++s) {
     if (cur.num_rows == 0) break;
     const LogicalOp* op = stages_[s].op;
     OperatorStats& st = (*stage_stats)[s];
@@ -409,6 +481,34 @@ Status BatchScanPipelineOp::NextBatch(ColumnBatch* batch, bool* done) {
     return Status::OK();
   }
   *done = true;
+  return Status::OK();
+}
+
+Status BatchScanPipelineOp::DrainToChunk(const std::vector<int>* columns,
+                                         BatchChunk* chunk) {
+  // Fused stages and eager morsel outputs drain batch by batch; only a bare
+  // serial scan hands out the table itself.
+  if (stages_.size() > 1 || eager_parallel_) {
+    return BatchOp::DrainToChunk(columns, chunk);
+  }
+  chunk->columns.clear();
+  chunk->num_rows = 0;
+  const size_t n = table_->num_rows();
+  if (pos_ >= n) return Status::OK();
+  std::vector<ColumnPtr> scanned;
+  CLOUDVIEWS_RETURN_NOT_OK(ScannedColumns(&scanned));
+  // Charge the stats per batch_rows range, exactly as NextBatch() would.
+  const size_t first = pos_;
+  while (pos_ < n) {
+    const size_t end = std::min(pos_ + batch_rows_, n);
+    CountScan(scanned, pos_, end, &stages_[0].stats);
+    pos_ = end;
+  }
+  stats_ = stages_[0].stats;
+  for (const ColumnPtr& col : scanned) {
+    chunk->columns.push_back(SliceOrShare(col, first, n));
+  }
+  chunk->num_rows = n - first;
   return Status::OK();
 }
 
@@ -599,7 +699,7 @@ Status BatchSortOp::Open() {
   sorted_.num_rows = 0;
   pos_ = 0;
   BatchChunk input;
-  CLOUDVIEWS_RETURN_NOT_OK(DrainToChunk(child_.get(), &input));
+  CLOUDVIEWS_RETURN_NOT_OK(child_->DrainToChunk(nullptr, &input));
   const size_t n = input.num_rows;
   // Precompute sort-key columns to keep the comparator cheap and fallible
   // evaluation out of std::stable_sort (exactly SortOp's precomputed keys).
@@ -662,13 +762,19 @@ Status BatchAggregateOp::Open() {
   output_.columns.clear();
   output_.num_rows = 0;
   pos_ = 0;
-  BatchChunk input;
-  CLOUDVIEWS_RETURN_NOT_OK(DrainToChunk(child_.get(), &input));
-  const size_t n = input.num_rows;
-  AddCost(CostWeights::kAggRow * static_cast<double>(n));
-
   const size_t num_keys = logical_->group_by.size();
   const size_t num_aggs = logical_->aggregates.size();
+  // Only the key and argument columns are read, so only they are
+  // concatenated.
+  std::vector<int> refs;
+  for (const ExprPtr& expr : logical_->group_by) expr->CollectColumns(&refs);
+  for (const AggregateSpec& spec : logical_->aggregates) {
+    if (spec.func != AggFunc::kCountStar) spec.arg->CollectColumns(&refs);
+  }
+  BatchChunk input;
+  CLOUDVIEWS_RETURN_NOT_OK(child_->DrainToChunk(&refs, &input));
+  const size_t n = input.num_rows;
+  AddCost(CostWeights::kAggRow * static_cast<double>(n));
 
   // Group keys and aggregate arguments, evaluated vectorized over the whole
   // input (the row engine evaluates the same expressions for every row; only
@@ -999,7 +1105,7 @@ BatchHashJoinOp::BatchHashJoinOp(const LogicalOp* logical, BatchOpPtr left,
 Status BatchHashJoinOp::BuildRight() {
   partitions_.clear();
   BatchChunk rows;
-  CLOUDVIEWS_RETURN_NOT_OK(DrainToChunk(right_.get(), &rows));
+  CLOUDVIEWS_RETURN_NOT_OK(right_->DrainToChunk(nullptr, &rows));
   const size_t n = rows.num_rows;
   AddCost(CostWeights::kHashBuildRow * static_cast<double>(n));
   if (n > 0) right_arity_ = rows.columns.size();
@@ -1096,21 +1202,9 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
   // Pass 2: residual predicate over all candidates at once.
   std::vector<uint8_t> pass(cand_left.size(), 1);
   if (logical_->predicate != nullptr && !cand_left.empty()) {
-    ColumnBatch combined;
-    combined.columns.reserve(probe.columns.size() + build_.columns.size());
-    for (const ColumnPtr& col : probe.columns) {
-      combined.columns.push_back(GatherColumn(*col, cand_left));
-    }
-    for (const ColumnPtr& col : build_.columns) {
-      combined.columns.push_back(GatherColumn(*col, cand_right));
-    }
-    combined.num_rows = cand_left.size();
-    ColumnPtr v;
-    CLOUDVIEWS_RETURN_NOT_OK(
-        EvalExprBatch(*logical_->predicate, InputOf(combined), &v));
-    for (size_t c = 0; c < pass.size(); ++c) {
-      pass[c] = KeepCell(*v, c) ? 1 : 0;
-    }
+    CLOUDVIEWS_RETURN_NOT_OK(EvalResidual(*logical_->predicate, probe.columns,
+                                          cand_left, build_.columns,
+                                          cand_right, &pass));
   }
   // Pass 3: emit surviving matches per probe row in order, padding
   // unmatched left-outer rows.
@@ -1131,15 +1225,8 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
     }
   }
   if (out_left.empty()) return Status::OK();
-  out->columns.reserve(probe.columns.size() + right_arity_);
-  for (const ColumnPtr& col : probe.columns) {
-    out->columns.push_back(GatherColumn(*col, out_left));
-  }
-  for (size_t r = 0; r < right_arity_; ++r) {
-    out->columns.push_back(GatherPad(
-        r < build_.columns.size() ? build_.columns[r].get() : nullptr,
-        out_right));
-  }
+  GatherJoinOutput(probe.columns, out_left, build_.columns, right_arity_,
+                   out_right, &out->columns);
   out->num_rows = out_left.size();
   local->rows_out += out->num_rows;
   local->bytes_out += BatchByteSize(*out);
@@ -1148,7 +1235,7 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
 
 Status BatchHashJoinOp::ProbeParallel() {
   BatchChunk probe;
-  CLOUDVIEWS_RETURN_NOT_OK(DrainToChunk(left_.get(), &probe));
+  CLOUDVIEWS_RETURN_NOT_OK(left_->DrainToChunk(nullptr, &probe));
   const size_t n = probe.num_rows;
   size_t grain = runtime_.morsel_rows > 0 ? runtime_.morsel_rows : 1;
   size_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
@@ -1248,8 +1335,8 @@ Status BatchMergeJoinOp::Open() {
 
   BatchChunk left;
   BatchChunk right;
-  CLOUDVIEWS_RETURN_NOT_OK(DrainToChunk(left_.get(), &left));
-  CLOUDVIEWS_RETURN_NOT_OK(DrainToChunk(right_.get(), &right));
+  CLOUDVIEWS_RETURN_NOT_OK(left_->DrainToChunk(nullptr, &left));
+  CLOUDVIEWS_RETURN_NOT_OK(right_->DrainToChunk(nullptr, &right));
 
   std::vector<int> lk, rk;
   for (const auto& [l, r] : logical_->equi_keys) {
@@ -1349,21 +1436,9 @@ Status BatchMergeJoinOp::Open() {
 
   std::vector<uint8_t> pass(cand_left.size(), 1);
   if (logical_->predicate != nullptr && !cand_left.empty()) {
-    ColumnBatch combined;
-    combined.columns.reserve(left.columns.size() + right.columns.size());
-    for (const ColumnPtr& col : left.columns) {
-      combined.columns.push_back(GatherColumn(*col, cand_left));
-    }
-    for (const ColumnPtr& col : right.columns) {
-      combined.columns.push_back(GatherColumn(*col, cand_right));
-    }
-    combined.num_rows = cand_left.size();
-    ColumnPtr v;
-    CLOUDVIEWS_RETURN_NOT_OK(
-        EvalExprBatch(*logical_->predicate, InputOf(combined), &v));
-    for (size_t c = 0; c < pass.size(); ++c) {
-      pass[c] = KeepCell(*v, c) ? 1 : 0;
-    }
+    CLOUDVIEWS_RETURN_NOT_OK(EvalResidual(*logical_->predicate, left.columns,
+                                          cand_left, right.columns,
+                                          cand_right, &pass));
   }
 
   std::vector<uint32_t> out_left;
@@ -1387,17 +1462,9 @@ Status BatchMergeJoinOp::Open() {
     }
   }
   if (out_left.empty()) return Status::OK();
-  const size_t right_arity =
-      logical_->children[1]->output_schema.num_columns();
-  output_.columns.reserve(left.columns.size() + right_arity);
-  for (const ColumnPtr& col : left.columns) {
-    output_.columns.push_back(GatherColumn(*col, out_left));
-  }
-  for (size_t r = 0; r < right_arity; ++r) {
-    output_.columns.push_back(GatherPad(
-        r < right.columns.size() ? right.columns[r].get() : nullptr,
-        out_right));
-  }
+  GatherJoinOutput(left.columns, out_left, right.columns,
+                   logical_->children[1]->output_schema.num_columns(),
+                   out_right, &output_.columns);
   output_.num_rows = out_left.size();
   return Status::OK();
 }
@@ -1434,7 +1501,7 @@ Status BatchLoopJoinOp::Open() {
   CLOUDVIEWS_RETURN_NOT_OK(right_->Open());
   right_chunk_.columns.clear();
   right_chunk_.num_rows = 0;
-  return DrainToChunk(right_.get(), &right_chunk_);
+  return right_->DrainToChunk(nullptr, &right_chunk_);
 }
 
 Status BatchLoopJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
@@ -1481,22 +1548,10 @@ Status BatchLoopJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
     }
     std::vector<uint8_t> pass(cand_left.size(), 1);
     if (logical_->predicate != nullptr && !cand_left.empty()) {
-      ColumnBatch combined;
-      combined.columns.reserve(input.columns.size() +
-                               right_chunk_.columns.size());
-      for (const ColumnPtr& col : input.columns) {
-        combined.columns.push_back(GatherColumn(*col, cand_left));
-      }
-      for (const ColumnPtr& col : right_chunk_.columns) {
-        combined.columns.push_back(GatherColumn(*col, cand_right));
-      }
-      combined.num_rows = cand_left.size();
-      ColumnPtr v;
-      CLOUDVIEWS_RETURN_NOT_OK(
-          EvalExprBatch(*logical_->predicate, InputOf(combined), &v));
-      for (size_t c = 0; c < pass.size(); ++c) {
-        pass[c] = KeepCell(*v, c) ? 1 : 0;
-      }
+      CLOUDVIEWS_RETURN_NOT_OK(EvalResidual(*logical_->predicate,
+                                            input.columns, cand_left,
+                                            right_chunk_.columns, cand_right,
+                                            &pass));
     }
     std::vector<uint32_t> out_left;
     std::vector<uint32_t> out_right;
@@ -1516,16 +1571,8 @@ Status BatchLoopJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
     }
     if (out_left.empty()) continue;
     ColumnBatch out;
-    out.columns.reserve(input.columns.size() + right_arity);
-    for (const ColumnPtr& col : input.columns) {
-      out.columns.push_back(GatherColumn(*col, out_left));
-    }
-    for (size_t r = 0; r < right_arity; ++r) {
-      out.columns.push_back(GatherPad(r < right_chunk_.columns.size()
-                                          ? right_chunk_.columns[r].get()
-                                          : nullptr,
-                                      out_right));
-    }
+    GatherJoinOutput(input.columns, out_left, right_chunk_.columns,
+                     right_arity, out_right, &out.columns);
     out.num_rows = out_left.size();
     CountBatch(&stats_, out, 0.0);
     *batch = std::move(out);

@@ -46,6 +46,12 @@ Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
                                                    size_t end)>& fn,
                         OperatorStats* stats);
 
+// A fully drained child output in columnar form (all batches concatenated).
+struct BatchChunk {
+  std::vector<ColumnPtr> columns;
+  size_t num_rows = 0;
+};
+
 // Pull-based batch operator: Open() once, NextBatch() until *done, Close().
 // Batches are dense (no selection vectors across operator boundaries) and
 // hold 1..batch_rows rows; zero-row batches may appear and consumers must
@@ -57,21 +63,18 @@ class BatchOp : public PhysicalOp {
 
   Status Next(Row* row, bool* done) final;
   virtual Status NextBatch(ColumnBatch* batch, bool* done) = 0;
+
+  // Pulls the operator to completion and concatenates its batches into one
+  // chunk, with the stats a NextBatch() drain records. When `columns` is
+  // set, only those ordinals need be materialized and the other slots may
+  // stay null: a sparse chunk for a consumer that evaluates expressions
+  // reading just those columns. A bare serial scan overrides this to hand
+  // out its table's own columns without copying.
+  virtual Status DrainToChunk(const std::vector<int>* columns,
+                              BatchChunk* chunk);
 };
 
 using BatchOpPtr = std::unique_ptr<BatchOp>;
-
-// A fully drained child output in columnar form (all batches concatenated).
-struct BatchChunk {
-  std::vector<ColumnPtr> columns;
-  size_t num_rows = 0;
-};
-
-// Drains `child` to completion, collecting its batches.
-Status DrainBatches(BatchOp* child, std::vector<ColumnBatch>* out);
-
-// Drains `child` and concatenates the batches into one chunk.
-Status DrainToChunk(BatchOp* child, BatchChunk* chunk);
 
 // Resolves a scan leaf to its backing table, enforcing GUID version pinning
 // (shared by the row and batch plan builders).
@@ -100,7 +103,9 @@ Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
 //    processed concurrently via TimedParallelFor, and NextBatch() hands out
 //    the per-morsel outputs in morsel order (DOP-invariant).
 // Per-stage stats replicate the discrete row operators; morsel telemetry is
-// attributed once, to the chain's top stage.
+// attributed once, to the chain's top stage. The table's columns are never
+// copied unread: a whole-table range shares them, and a first Filter reads
+// only its predicate's columns before gathering the surviving rows.
 class BatchScanPipelineOp : public BatchOp {
  public:
   // `chain` lists the fused logical nodes from the scan upward (the last
@@ -112,6 +117,8 @@ class BatchScanPipelineOp : public BatchOp {
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
+  Status DrainToChunk(const std::vector<int>* columns,
+                      BatchChunk* chunk) override;
   void Close() override;
 
   void ExportStats(
@@ -125,6 +132,11 @@ class BatchScanPipelineOp : public BatchOp {
     OperatorStats stats;
   };
 
+  // The table columns the scan emits: its pruned selection, or all.
+  Status ScannedColumns(std::vector<ColumnPtr>* out) const;
+  // Charges the scan stage for table rows [begin, end) of `scanned`.
+  void CountScan(const std::vector<ColumnPtr>& scanned, size_t begin,
+                 size_t end, OperatorStats* st) const;
   // Runs table rows [begin, end) through every stage into *out.
   Status RunRange(size_t begin, size_t end, ColumnBatch* out,
                   std::vector<OperatorStats>* stage_stats) const;

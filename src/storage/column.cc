@@ -1,5 +1,6 @@
 #include "storage/column.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -356,37 +357,49 @@ void ColumnVector::AppendGatherFrom(const ColumnVector& src,
                                     const std::vector<uint32_t>& indices) {
   const bool bulk_ok =
       !mixed_ && !src.mixed_ && src.type_ != DataType::kNull &&
-      (type_ == src.type_ || type_ == DataType::kNull);
+      (type_ == src.type_ || (type_ == DataType::kNull && size_ == 0));
   if (!bulk_ok) {
-    for (uint32_t idx : indices) AppendCellFrom(src, idx);
+    for (uint32_t idx : indices) {
+      if (idx == kPadIndex) {
+        AppendNull();
+      } else {
+        AppendCellFrom(src, idx);
+      }
+    }
     return;
   }
   const size_t n = indices.size();
   if (n == 0) return;
-  if (type_ == DataType::kNull && size_ > 0) {
-    // Backfill existing nulls before adopting the source type (rare path;
-    // mirrors AppendRangeFrom).
-    AppendRangeFrom(src, indices[0], indices[0] + 1);
-    for (size_t k = 1; k < n; ++k) AppendCellFrom(src, indices[k]);
-    return;
-  }
+  // Pads take the typed default, exactly what AppendNull pushes.
   type_ = src.type_;
   switch (type_) {
     case DataType::kBool:
       bools_.reserve(bools_.size() + n);
-      for (uint32_t idx : indices) bools_.push_back(src.bools_[idx]);
+      for (uint32_t idx : indices) {
+        bools_.push_back(idx == kPadIndex ? 0 : src.bools_[idx]);
+      }
       break;
     case DataType::kInt64:
       ints_.reserve(ints_.size() + n);
-      for (uint32_t idx : indices) ints_.push_back(src.ints_[idx]);
+      for (uint32_t idx : indices) {
+        ints_.push_back(idx == kPadIndex ? 0 : src.ints_[idx]);
+      }
       break;
     case DataType::kDouble:
       doubles_.reserve(doubles_.size() + n);
-      for (uint32_t idx : indices) doubles_.push_back(src.doubles_[idx]);
+      for (uint32_t idx : indices) {
+        doubles_.push_back(idx == kPadIndex ? 0.0 : src.doubles_[idx]);
+      }
       break;
     case DataType::kString:
       strings_.reserve(strings_.size() + n);
-      for (uint32_t idx : indices) strings_.push_back(src.strings_[idx]);
+      for (uint32_t idx : indices) {
+        if (idx == kPadIndex) {
+          strings_.emplace_back();
+        } else {
+          strings_.push_back(src.strings_[idx]);
+        }
+      }
       break;
     default:
       break;
@@ -395,7 +408,8 @@ void ColumnVector::AppendGatherFrom(const ColumnVector& src,
   valid_.resize((new_size + 63) / 64, 0);
   size_t bit = size_;
   for (uint32_t idx : indices) {
-    if ((src.valid_[idx >> 6] & (uint64_t{1} << (idx & 63))) != 0) {
+    if (idx != kPadIndex &&
+        (src.valid_[idx >> 6] & (uint64_t{1} << (idx & 63))) != 0) {
       valid_[bit >> 6] |= uint64_t{1} << (bit & 63);
     }
     ++bit;
@@ -499,33 +513,45 @@ void ColumnVector::AppendCellFrom(const ColumnVector& src, size_t i) {
   }
 }
 
-size_t ColumnVector::TotalByteSize() const {
-  size_t total = 0;
+size_t ColumnVector::CountValid(size_t begin, size_t end) const {
+  size_t present = 0;
+  while (begin < end) {
+    const size_t off = begin & 63;
+    const size_t n = std::min<size_t>(64 - off, end - begin);
+    uint64_t w = valid_[begin >> 6] >> off;
+    if (n < 64) w &= (uint64_t{1} << n) - 1;
+    present += static_cast<size_t>(__builtin_popcountll(w));
+    begin += n;
+  }
+  return present;
+}
+
+size_t ColumnVector::ByteSize(size_t begin, size_t end) const {
+  if (begin >= end) return 0;
+  const size_t n = end - begin;
   if (!mixed_) {
-    // Typed fast path: fixed-width cells contribute a constant per cell;
-    // nulls are counted word-wise off the bitmap.
-    size_t present = 0;
-    for (uint64_t w : valid_) {
-      present += static_cast<size_t>(__builtin_popcountll(w));
-    }
-    const size_t null_count = size_ - present;
+    // Typed fast path: a null cell is 1 byte, a present fixed-width cell a
+    // constant; nulls are counted word-wise off the bitmap.
     switch (type_) {
       case DataType::kNull:
-        return size_;  // every cell null, 1 byte each
       case DataType::kBool:
-        return size_;  // 1 byte whether null or present
+        return n;  // 1 byte whether null or present
       case DataType::kInt64:
-      case DataType::kDouble:
-        return null_count + present * 8;
-      case DataType::kString:
-        total = null_count;
-        for (size_t i = 0; i < size_; ++i) {
-          if (!IsNull(i)) total += strings_[i].size() + 4;
+      case DataType::kDouble: {
+        const size_t present = CountValid(begin, end);
+        return (n - present) + present * 8;
+      }
+      case DataType::kString: {
+        size_t total = 0;
+        for (size_t i = begin; i < end; ++i) {
+          total += IsNull(i) ? 1 : strings_[i].size() + 4;
         }
         return total;
+      }
     }
   }
-  for (size_t i = 0; i < size_; ++i) total += CellByteSize(i);
+  size_t total = 0;
+  for (size_t i = begin; i < end; ++i) total += CellByteSize(i);
   return total;
 }
 

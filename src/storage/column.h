@@ -25,6 +25,10 @@ namespace cloudviews {
 // bit for bit; they are the parity layer every columnar operator leans on.
 class ColumnVector {
  public:
+  // A gather index meaning "append a null here" (the unmatched side of an
+  // outer join).
+  static constexpr uint32_t kPadIndex = 0xFFFFFFFFu;
+
   ColumnVector() = default;
 
   size_t size() const { return size_; }
@@ -76,6 +80,7 @@ class ColumnVector {
   // are the engine's throughput path; per-cell appends remain the fallback
   // for mixed-mode and type-mismatch cases.
   void AppendRangeFrom(const ColumnVector& src, size_t begin, size_t end);
+  // Appends src's cell at each index in order, or a null for kPadIndex.
   void AppendGatherFrom(const ColumnVector& src,
                         const std::vector<uint32_t>& indices);
 
@@ -98,8 +103,10 @@ class ColumnVector {
   // An all-ones bitmap for n cells, tail bits zeroed.
   static std::vector<uint64_t> AllValid(size_t n);
 
-  // Sum of CellByteSize over all cells (the row engine's bytes accounting).
-  size_t TotalByteSize() const;
+  // Sum of CellByteSize over cells [begin, end) (the row engine's bytes
+  // accounting), without copying the range out.
+  size_t ByteSize(size_t begin, size_t end) const;
+  size_t TotalByteSize() const { return ByteSize(0, size_); }
 
   // True when the null bitmap is sized consistently with size() — the
   // invariant the PhysicalVerifier's batch check enforces.
@@ -107,6 +114,8 @@ class ColumnVector {
 
  private:
   void SetValid(size_t i) { valid_[i >> 6] |= uint64_t{1} << (i & 63); }
+  // Number of non-null cells in [begin, end).
+  size_t CountValid(size_t begin, size_t end) const;
   void GrowBitmap(bool valid);
   // Appends `count` bits of `words` starting at bit `begin` to the bitmap,
   // advancing size_ (typed storage must be grown by the caller).
@@ -154,7 +163,7 @@ int CompareCells(const ColumnVector& a, size_t i, const ColumnVector& b,
 // Builds a column holding rows [begin, end) of `src` (a typed copy).
 ColumnPtr SliceColumn(const ColumnVector& src, size_t begin, size_t end);
 
-// Builds a column of src's cells at `indices`, in order.
+// Builds a column of src's cells at `indices`, in order (kPadIndex = null).
 ColumnPtr GatherColumn(const ColumnVector& src,
                        const std::vector<uint32_t>& indices);
 

@@ -53,6 +53,8 @@ class Table {
 
   // Appends a batch of rows column-wise. Only valid before any row-wise
   // Append (the first AppendBatch switches the table to column-primary).
+  // Scans share the columns instead of copying them, so a table is appended
+  // to only while it is built, before any scan can read it.
   Status AppendBatch(const ColumnBatch& batch);
 
   void Reserve(size_t n) { rows_.reserve(n); }

@@ -8,12 +8,15 @@
 // sanctioned exception: the two engines may pull different amounts of input
 // before the limit trips (batch granularity), so only output is compared.
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "exec/batch_op.h"
 #include "exec/executor.h"
 #include "fault/fault.h"
 #include "fault/fault_sites.h"
@@ -220,6 +223,80 @@ TEST_F(ColumnarExecTest, LeftOuterLoopJoin) {
       "SELECT Customer.CustomerId, SaleId FROM Customer LEFT JOIN Sales "
       "ON Customer.CustomerId = Sales.CustomerId AND Price > 15",
       JoinAlgorithm::kLoop));
+}
+
+// Join residuals and aggregate inputs hold only the columns their
+// expressions read; these plans fail if an operator reads a slot it did not
+// gather.
+TEST_F(ColumnarExecTest, PureThetaLoopJoin) {
+  ExpectEngineParity(Plan(
+      "SELECT Brand, SaleId, Price FROM Parts JOIN Sales "
+      "ON Parts.PartId > Sales.Quantity * 3 AND Sales.Price > 14"));
+}
+
+TEST_F(ColumnarExecTest, LeftOuterPureThetaLoopJoin) {
+  // PartIds 0..10 find no Sales row and are padded with nulls.
+  ExpectEngineParity(Plan(
+      "SELECT Parts.PartId, Brand, SaleId, Discount FROM Parts LEFT JOIN "
+      "Sales ON Parts.PartId > Sales.Quantity + 9 AND Sales.SaleId < 40"));
+}
+
+TEST_F(ColumnarExecTest, HashJoinResidualReadsBuildSideString) {
+  ExpectEngineParity(Plan(
+      "SELECT SaleId, Name FROM Sales JOIN Customer "
+      "ON Sales.CustomerId = Customer.CustomerId "
+      "AND Customer.MktSegment = 'Europe' AND Sales.Price > 12"));
+}
+
+TEST_F(ColumnarExecTest, AggregateOverWideJoinReadsOneColumn) {
+  ExpectEngineParity(Plan(
+      "SELECT PartType, COUNT(*) FROM Sales JOIN Customer "
+      "ON Sales.CustomerId = Customer.CustomerId JOIN Parts "
+      "ON Sales.PartId = Parts.PartId GROUP BY PartType"));
+}
+
+TEST_F(ColumnarExecTest, BareSerialScanDrainSharesTableColumns) {
+  // Draining a bare serial scan hands out the table's own columns, and
+  // charges exactly the stats a batch-by-batch drain would.
+  auto dataset = catalog_.Lookup("Sales");
+  ASSERT_TRUE(dataset.ok());
+  const TablePtr& table = dataset->table;
+  LogicalOpPtr scan =
+      LogicalOp::Scan("Sales", dataset->guid, table->schema());
+  for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
+    const std::string label = "batch_rows=" + std::to_string(batch_rows);
+    BatchScanPipelineOp drained(scan.get(), {scan.get()}, table,
+                                /*is_view_scan=*/false, ParallelRuntime(),
+                                batch_rows, /*eager_parallel=*/false);
+    ASSERT_TRUE(drained.Open().ok()) << label;
+    BatchChunk chunk;
+    ASSERT_TRUE(drained.DrainToChunk(nullptr, &chunk).ok()) << label;
+    ASSERT_EQ(chunk.num_rows, table->num_rows()) << label;
+    ASSERT_EQ(chunk.columns.size(), table->num_columns()) << label;
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      EXPECT_EQ(chunk.columns[c].get(), table->column(c).get()) << label;
+    }
+
+    BatchScanPipelineOp streamed(scan.get(), {scan.get()}, table,
+                                 /*is_view_scan=*/false, ParallelRuntime(),
+                                 batch_rows, /*eager_parallel=*/false);
+    ASSERT_TRUE(streamed.Open().ok()) << label;
+    size_t rows = 0;
+    while (true) {
+      ColumnBatch batch;
+      bool done = false;
+      ASSERT_TRUE(streamed.NextBatch(&batch, &done).ok()) << label;
+      if (done) break;
+      EXPECT_LE(batch.num_rows, batch_rows) << label;
+      rows += batch.num_rows;
+    }
+    EXPECT_EQ(rows, table->num_rows()) << label;
+    EXPECT_EQ(drained.stats().rows_out, streamed.stats().rows_out) << label;
+    EXPECT_EQ(drained.stats().bytes_out, streamed.stats().bytes_out) << label;
+    EXPECT_EQ(std::bit_cast<uint64_t>(drained.stats().cpu_cost),
+              std::bit_cast<uint64_t>(streamed.stats().cpu_cost))
+        << label;
+  }
 }
 
 TEST_F(ColumnarExecTest, GroupByAggregates) {

@@ -1,6 +1,10 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "storage/catalog.h"
+#include "storage/column.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -96,6 +100,111 @@ TEST(SchemaTest, HashChangesWithNameAndType) {
 TEST(SchemaTest, ToStringReadable) {
   Schema s({{"a", DataType::kInt64}});
   EXPECT_EQ(s.ToString(), "(a:INT64)");
+}
+
+// --- ColumnVector ------------------------------------------------------------
+
+// 200 cells built by `make_cell(i)`, null at 64-bit word boundaries (and
+// every 7th cell), so ranges straddle bitmap words with nulls on both sides.
+template <typename MakeCell>
+ColumnVector MakeColumnWithNulls(MakeCell make_cell) {
+  ColumnVector col;
+  for (size_t i = 0; i < 200; ++i) {
+    const size_t r = i % 64;
+    if (r == 0 || r == 63 || i % 7 == 0) {
+      col.AppendNull();
+    } else {
+      col.AppendValue(make_cell(i));
+    }
+  }
+  return col;
+}
+
+// One column of each storage mode: typed scalars, string, mixed, kNull.
+std::vector<ColumnVector> StorageModeColumns() {
+  std::vector<ColumnVector> cols;
+  cols.push_back(MakeColumnWithNulls(
+      [](size_t i) { return Value(static_cast<int64_t>(i)); }));
+  cols.push_back(MakeColumnWithNulls(
+      [](size_t i) { return Value(0.5 * static_cast<double>(i)); }));
+  cols.push_back(
+      MakeColumnWithNulls([](size_t i) { return Value(i % 3 == 0); }));
+  cols.push_back(MakeColumnWithNulls(
+      [](size_t i) { return Value(std::string(i % 11, 'x')); }));
+  cols.push_back(MakeColumnWithNulls([](size_t i) {
+    return i % 2 == 0 ? Value(static_cast<int64_t>(i)) : Value("s");
+  }));
+  ColumnVector all_null;
+  for (size_t i = 0; i < 200; ++i) all_null.AppendNull();
+  cols.push_back(std::move(all_null));
+  return cols;
+}
+
+// Every cell's type and rendering: equal strings = equal cells.
+std::vector<std::string> RenderCells(const ColumnVector& col) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < col.size(); ++i) {
+    out.push_back(std::to_string(static_cast<int>(col.CellType(i))) + ":" +
+                  col.CellToString(i));
+  }
+  return out;
+}
+
+TEST(ColumnVectorTest, RangeByteSizeEqualsCellByteSizeSum) {
+  const size_t bounds[] = {0,   1,   62,  63,  64,  65,  100, 127,
+                           128, 129, 190, 191, 192, 199, 200};
+  std::vector<ColumnVector> cols = StorageModeColumns();
+  ASSERT_TRUE(cols[4].mixed());
+  ASSERT_EQ(cols[5].type(), DataType::kNull);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const ColumnVector& col = cols[c];
+    for (size_t begin : bounds) {
+      for (size_t end : bounds) {
+        if (end < begin) continue;
+        size_t want = 0;
+        for (size_t i = begin; i < end; ++i) want += col.CellByteSize(i);
+        EXPECT_EQ(col.ByteSize(begin, end), want)
+            << "column " << c << " [" << begin << ", " << end << ")";
+      }
+    }
+    EXPECT_EQ(col.TotalByteSize(), col.ByteSize(0, col.size()));
+  }
+}
+
+TEST(ColumnVectorTest, PadAwareGatherMatchesPerCellAppends) {
+  constexpr uint32_t kPad = ColumnVector::kPadIndex;
+  const std::vector<std::vector<uint32_t>> index_lists = {
+      {kPad, kPad, kPad},                       // all pads
+      {5, 0, 63, 64, 199, 64, 1},               // no pads
+      {kPad, 3, kPad, 64, 63, kPad, 128, kPad}  // mixed
+  };
+  std::vector<ColumnVector> sources = StorageModeColumns();
+  // Destinations: empty, holding a leading null, and holding an int64.
+  std::vector<ColumnVector> starts(3);
+  starts[1].AppendNull();
+  starts[2].AppendInt64(7);
+  for (size_t c = 0; c < sources.size(); ++c) {
+    for (size_t l = 0; l < index_lists.size(); ++l) {
+      for (size_t d = 0; d < starts.size(); ++d) {
+        ColumnVector got = starts[d];
+        got.AppendGatherFrom(sources[c], index_lists[l]);
+        ColumnVector want = starts[d];
+        for (uint32_t idx : index_lists[l]) {
+          if (idx == kPad) {
+            want.AppendNull();
+          } else {
+            want.AppendCellFrom(sources[c], idx);
+          }
+        }
+        const std::string label = "source " + std::to_string(c) +
+                                  " list " + std::to_string(l) +
+                                  " start " + std::to_string(d);
+        EXPECT_TRUE(got.BitmapConsistent()) << label;
+        EXPECT_EQ(RenderCells(got), RenderCells(want)) << label;
+        EXPECT_EQ(got.TotalByteSize(), want.TotalByteSize()) << label;
+      }
+    }
+  }
 }
 
 // --- Table -------------------------------------------------------------------

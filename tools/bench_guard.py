@@ -11,8 +11,12 @@ Comparison rules:
   * ratio/percentage metrics (``*_pct``) compare in absolute percentage
     points (default budget 5.0) — relative tolerances misbehave near zero;
   * every other guarded metric compares relatively (default 10%);
-  * bookkeeping keys (bench, scale, runs, days, cpu_ghz, ...) are recorded
-    but never guarded.
+  * bookkeeping keys (bench, scale, runs, days, cpu_ghz, nproc, cpu_model,
+    ...) are recorded but never guarded.
+
+Every comparison prints the baseline's host and the current one (``nproc``
+and ``cpu_model``, which each report records) and warns when they differ:
+timings from different hardware are not like for like.
 
 ``--keys REGEX`` restricts guarding to matching metric names; CI guards the
 scale-free metrics (speedups and percentages) so the committed baseline stays
@@ -34,7 +38,8 @@ HIGHER_BETTER = re.compile(
     r"(rows_per_sec|_speedup|improvement_pct|hit_rate|_ratio)$")
 LOWER_BETTER = re.compile(r"(_ms|_ns|_seconds|cycles_per_tuple|overhead_pct)$")
 # Run parameters and identifiers: recorded in the baseline, never guarded.
-BOOKKEEPING = {"bench", "scale", "runs", "days", "cpu_ghz", "queries", "jobs"}
+BOOKKEEPING = {"bench", "scale", "runs", "days", "cpu_ghz", "queries", "jobs",
+               "nproc", "cpu_model"}
 
 
 def direction(key):
@@ -46,6 +51,12 @@ def direction(key):
     if LOWER_BETTER.search(key):
         return -1
     return 0
+
+
+def host(report):
+    """The host a report was measured on, as far as it records one."""
+    return (f"{report.get('cpu_model', 'unrecorded')}, "
+            f"nproc {report.get('nproc', 'unrecorded')}")
 
 
 def run_bench(cmd):
@@ -140,6 +151,11 @@ def main():
 
     with open(opts.baseline) as fp:
         baseline = json.load(fp)
+    print(f"bench_guard: baseline host: {host(baseline)}")
+    print(f"bench_guard: current host:  {host(current)}")
+    if host(baseline) != host(current):
+        print("bench_guard: WARNING: the hosts differ; timings compare "
+              "different hardware")
     keys_re = re.compile(opts.keys) if opts.keys else None
     regressions = compare(baseline, current, keys_re,
                           opts.tolerance, opts.pct_points)
