@@ -11,7 +11,12 @@
 //             enabling once leaves no residual cost behind)
 //
 // `overhead_pct` compares `on` against `off`; `disabled_delta_pct` compares
-// `off-again` against `off` and should hover around measurement noise.
+// `off-again` against `off` and should hover around measurement noise. The
+// three modes run interleaved — each round times off, then on, then
+// off-again, each as the best of a few back-to-back runs — so host drift
+// hits each alike, and every reported figure is a median over the rounds:
+// each mode's time, and each delta taken round by round against that
+// round's `off` time.
 //
 // A second section applies the same off / on / off-again protocol to the
 // provenance ledger on a full engine loop (jobs + selection + maintenance,
@@ -24,20 +29,23 @@
 // Build & run:  ./build/bench/micro_obs_overhead [--scale=...] [--check]
 //
 // With --check, exits nonzero if the provenance or decision disabled-path
-// delta (off2 vs off on the engine loop) exceeds 5% — the CI regression
-// guard for the "ledger compiled in but off is free" invariant. The tracer
-// off2 deltas are reported but not gated: those sections time ~1-2 ms of
-// executor work, which jitters past any honest budget on a shared 1-core
-// CI box, while the multi-millisecond engine loop is stable under
-// min-of-runs.
+// delta (off2 vs off on the engine loop) exceeds 5% — the "ledger compiled
+// in but off is free" invariant — or if either ledger's or any tracer
+// shape's overhead_pct does: the house rule that observability costs at
+// most 5%. Shapes run at a DOP above the host's core count are reported but
+// not gated. The tracer off2 deltas are reported but not gated either: a
+// round's two disabled runs differ only by noise.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -91,22 +99,74 @@ double RunSeconds(const DatasetCatalog& catalog, const LogicalOpPtr& plan,
   return r->stats.wall_seconds;
 }
 
-// Best executor seconds over `runs` repetitions (after one warm-up).
-// Min, not mean: scheduler noise only ever adds time, so the minimum is
-// the stable estimate of the code's cost on a loaded machine.
-double MeasureSeconds(const DatasetCatalog& catalog, const LogicalOpPtr& plan,
-                      int dop, int runs) {
-  RunSeconds(catalog, plan, dop);
-  double best = RunSeconds(catalog, plan, dop);
-  for (int i = 1; i < runs; ++i) {
-    best = std::min(best, RunSeconds(catalog, plan, dop));
-  }
-  return best;
-}
-
 double PercentDelta(double baseline, double measured) {
   if (baseline <= 0.0) return 0.0;
   return (measured - baseline) / baseline * 100.0;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  if (n == 0) return 0.0;
+  return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+// Medians over the interleaved rounds of one off / on / off-again protocol.
+struct OverheadReading {
+  double off_ms = 0.0;
+  double on_ms = 0.0;
+  double off_again_ms = 0.0;
+  double overhead_pct = 0.0;        // median of per-round on vs off
+  double disabled_delta_pct = 0.0;  // median of per-round off2 vs off
+};
+
+// Runs one warm-up round and then `rounds` rounds with the recording
+// switched off, on, and off again (`set_enabled` flips it), timing each
+// mode as the best of `reps` runs: scheduler noise only ever adds time.
+OverheadReading MeasureInterleaved(const std::function<double()>& run,
+                                   const std::function<void(bool)>& set_enabled,
+                                   int rounds, int reps) {
+  auto best = [&](bool enabled) {
+    set_enabled(enabled);
+    double seconds = run();
+    for (int i = 1; i < reps; ++i) seconds = std::min(seconds, run());
+    return seconds;
+  };
+  std::vector<double> off, on, off_again, on_pct, off2_pct;
+  for (int r = -1; r < rounds; ++r) {
+    const double a = best(false);
+    const double b = best(true);
+    const double c = best(false);
+    if (r < 0) continue;  // warm-up
+    off.push_back(a);
+    on.push_back(b);
+    off_again.push_back(c);
+    on_pct.push_back(PercentDelta(a, b));
+    off2_pct.push_back(PercentDelta(a, c));
+  }
+  OverheadReading reading;
+  reading.off_ms = Median(off) * 1e3;
+  reading.on_ms = Median(on) * 1e3;
+  reading.off_again_ms = Median(off_again) * 1e3;
+  reading.overhead_pct = Median(on_pct);
+  reading.disabled_delta_pct = Median(off2_pct);
+  return reading;
+}
+
+void PrintReading(const char* name, const std::string& dop,
+                  const OverheadReading& r) {
+  std::printf("%-22s %4s | %12.3f %12.3f %12.3f | %8.1f%% %8.1f%%\n", name,
+              dop.c_str(), r.off_ms, r.on_ms, r.off_again_ms, r.overhead_pct,
+              r.disabled_delta_pct);
+}
+
+void ReportReading(bench_util::JsonReport* report, const std::string& prefix,
+                   const OverheadReading& r) {
+  report->Metric((prefix + "_off_ms").c_str(), r.off_ms)
+      .Metric((prefix + "_on_ms").c_str(), r.on_ms)
+      .Metric((prefix + "_off_again_ms").c_str(), r.off_again_ms)
+      .Metric((prefix + "_overhead_pct").c_str(), r.overhead_pct)
+      .Metric((prefix + "_disabled_delta_pct").c_str(), r.disabled_delta_pct);
 }
 
 // One engine loop: a seeded recurring workload through a fresh engine with
@@ -161,16 +221,6 @@ double RunEngineLoopSeconds(double scale, int days) {
       .count();
 }
 
-// Best engine-loop seconds over `runs` repetitions (after one warm-up).
-double MeasureEngineLoop(double scale, int days, int runs) {
-  RunEngineLoopSeconds(scale, days);
-  double best = RunEngineLoopSeconds(scale, days);
-  for (int i = 1; i < runs; ++i) {
-    best = std::min(best, RunEngineLoopSeconds(scale, days));
-  }
-  return best;
-}
-
 struct QueryShape {
   const char* name;
   const char* sql;
@@ -182,7 +232,7 @@ int RunBench(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
   }
-  constexpr double kDisabledBudgetPct = 5.0;
+  constexpr double kBudgetPct = 5.0;
   bench_util::PrintHeader(
       "Observability overhead: executor throughput, tracer off / on / off",
       "obs subsystem acceptance: <5% regression with tracing compiled in");
@@ -198,112 +248,108 @@ int RunBench(int argc, char** argv) {
        "WHERE MktSegment = 'Asia' GROUP BY Customer.CustomerId"},
   };
   const int dops[] = {1, 4};
-  constexpr int kRuns = 5;
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  constexpr int kRounds = 21;
 
   std::printf("%-22s %4s | %12s %12s %12s | %9s %9s\n", "query", "dop",
               "off (ms)", "on (ms)", "off2 (ms)", "on_pct", "off2_pct");
+  std::printf("(medians of %d interleaved rounds, each mode best of 3)\n",
+              kRounds);
 
   bench_util::JsonReport report("micro_obs_overhead");
-  report.Metric("scale", scale).Metric("runs", static_cast<int64_t>(kRuns));
+  report.Metric("scale", scale).Metric("runs", static_cast<int64_t>(kRounds));
 
+  std::vector<std::string> failures;
   obs::Tracer& tracer = obs::Tracer::Global();
+  auto set_tracer = [&](bool on) {
+    if (on) {
+      tracer.Enable();
+    } else {
+      tracer.Disable();
+      tracer.Clear();
+    }
+  };
   for (const QueryShape& shape : shapes) {
     LogicalOpPtr plan = Plan(*catalog, shape.sql);
     for (int dop : dops) {
-      tracer.Disable();
-      double off = MeasureSeconds(*catalog, plan, dop, kRuns);
-      tracer.Enable();
-      tracer.Clear();
-      double on = MeasureSeconds(*catalog, plan, dop, kRuns);
-      tracer.Disable();
-      tracer.Clear();
-      double off_again = MeasureSeconds(*catalog, plan, dop, kRuns);
-
-      double on_pct = PercentDelta(off, on);
-      double off2_pct = PercentDelta(off, off_again);
-      std::printf("%-22s %4d | %12.3f %12.3f %12.3f | %8.1f%% %8.1f%%\n",
-                  shape.name, dop, off * 1e3, on * 1e3, off_again * 1e3,
-                  on_pct, off2_pct);
-
-      std::string prefix =
+      const OverheadReading r = MeasureInterleaved(
+          [&] { return RunSeconds(*catalog, plan, dop); }, set_tracer,
+          kRounds, /*reps=*/3);
+      PrintReading(shape.name, std::to_string(dop), r);
+      const std::string prefix =
           std::string(shape.name) + "_dop" + std::to_string(dop);
-      report.Metric((prefix + "_off_ms").c_str(), off * 1e3)
-          .Metric((prefix + "_on_ms").c_str(), on * 1e3)
-          .Metric((prefix + "_off_again_ms").c_str(), off_again * 1e3)
-          .Metric((prefix + "_overhead_pct").c_str(), on_pct)
-          .Metric((prefix + "_disabled_delta_pct").c_str(), off2_pct);
+      ReportReading(&report, prefix, r);
+      if (dop <= cores && r.overhead_pct > kBudgetPct) {
+        failures.push_back(prefix + " tracer overhead " +
+                           std::to_string(r.overhead_pct) + "%");
+      }
     }
   }
-  tracer.Disable();
-  tracer.Clear();
+  set_tracer(false);
 
   // Same protocol for the provenance ledger, on the engine loop (the
   // ledger's gates sit on the materialize/hit/invalidate path, not the
   // executor hot loop). `on` includes building + exporting the ledger.
   constexpr int kEngineDays = 5;
-  constexpr int kEngineRuns = 5;
-  obs::ProvenanceLedger::Disable();
-  double prov_off = MeasureEngineLoop(scale, kEngineDays, kEngineRuns);
-  obs::ProvenanceLedger::Enable();
-  double prov_on = MeasureEngineLoop(scale, kEngineDays, kEngineRuns);
-  obs::ProvenanceLedger::Disable();
-  double prov_off_again = MeasureEngineLoop(scale, kEngineDays, kEngineRuns);
-
-  double prov_on_pct = PercentDelta(prov_off, prov_on);
-  double prov_off2_pct = PercentDelta(prov_off, prov_off_again);
-  std::printf("\n%-22s %4s | %12.3f %12.3f %12.3f | %8.1f%% %8.1f%%\n",
-              "engine_loop_provenance", "-", prov_off * 1e3, prov_on * 1e3,
-              prov_off_again * 1e3, prov_on_pct, prov_off2_pct);
-  report.Metric("provenance_off_ms", prov_off * 1e3)
-      .Metric("provenance_on_ms", prov_on * 1e3)
-      .Metric("provenance_off_again_ms", prov_off_again * 1e3)
-      .Metric("provenance_overhead_pct", prov_on_pct)
-      .Metric("provenance_disabled_delta_pct", prov_off2_pct);
+  constexpr int kEngineRounds = 9;
+  auto engine_loop = [&] { return RunEngineLoopSeconds(scale, kEngineDays); };
+  const OverheadReading prov = MeasureInterleaved(
+      engine_loop,
+      [](bool on) {
+        if (on) {
+          obs::ProvenanceLedger::Enable();
+        } else {
+          obs::ProvenanceLedger::Disable();
+        }
+      },
+      kEngineRounds, /*reps=*/2);
+  std::printf("\n");
+  PrintReading("engine_loop_provenance", "-", prov);
+  ReportReading(&report, "provenance", prov);
 
   // And once more for the decision ledger, whose gates fire on every
   // optimizer choice point (exact lookup, stage-1/stage-2 matching, cost
   // gates, spool policy). `on` includes recording + exporting the traces.
-  obs::DecisionLedger::Disable();
-  double dec_off = MeasureEngineLoop(scale, kEngineDays, kEngineRuns);
-  obs::DecisionLedger::Enable();
-  double dec_on = MeasureEngineLoop(scale, kEngineDays, kEngineRuns);
-  obs::DecisionLedger::Disable();
-  double dec_off_again = MeasureEngineLoop(scale, kEngineDays, kEngineRuns);
+  const OverheadReading dec = MeasureInterleaved(
+      engine_loop,
+      [](bool on) {
+        if (on) {
+          obs::DecisionLedger::Enable();
+        } else {
+          obs::DecisionLedger::Disable();
+        }
+      },
+      kEngineRounds, /*reps=*/2);
+  PrintReading("engine_loop_decisions", "-", dec);
+  ReportReading(&report, "decisions", dec);
 
-  double dec_on_pct = PercentDelta(dec_off, dec_on);
-  double dec_off2_pct = PercentDelta(dec_off, dec_off_again);
-  std::printf("%-22s %4s | %12.3f %12.3f %12.3f | %8.1f%% %8.1f%%\n",
-              "engine_loop_decisions", "-", dec_off * 1e3, dec_on * 1e3,
-              dec_off_again * 1e3, dec_on_pct, dec_off2_pct);
-  report.Metric("decisions_off_ms", dec_off * 1e3)
-      .Metric("decisions_on_ms", dec_on * 1e3)
-      .Metric("decisions_off_again_ms", dec_off_again * 1e3)
-      .Metric("decisions_overhead_pct", dec_on_pct)
-      .Metric("decisions_disabled_delta_pct", dec_off2_pct);
-
-  std::printf("\n(off2 is tracer-disabled after a traced run; its delta vs "
-              "off is the compiled-but-disabled cost and should be noise)\n");
+  std::printf("\n(off2 is recording-disabled after a recorded run; its delta "
+              "vs off is the compiled-but-disabled cost and should be "
+              "noise)\n");
   report.Print();
 
-  bool failed = false;
-  if (check && prov_off2_pct > kDisabledBudgetPct) {
-    std::printf("CHECK FAILED: provenance disabled-path delta %.1f%% exceeds "
-                "the %.0f%% budget\n",
-                prov_off2_pct, kDisabledBudgetPct);
-    failed = true;
+  const std::pair<const char*, const OverheadReading*> ledgers[] = {
+      {"provenance", &prov}, {"decisions", &dec}};
+  for (const auto& [name, r] : ledgers) {
+    if (r->overhead_pct > kBudgetPct) {
+      failures.push_back(std::string(name) + " ledger overhead " +
+                         std::to_string(r->overhead_pct) + "%");
+    }
+    if (r->disabled_delta_pct > kBudgetPct) {
+      failures.push_back(std::string(name) + " disabled-path delta " +
+                         std::to_string(r->disabled_delta_pct) + "%");
+    }
   }
-  if (check && dec_off2_pct > kDisabledBudgetPct) {
-    std::printf("CHECK FAILED: decisions disabled-path delta %.1f%% exceeds "
-                "the %.0f%% budget\n",
-                dec_off2_pct, kDisabledBudgetPct);
-    failed = true;
+  if (!check) return 0;
+  for (const std::string& failure : failures) {
+    std::printf("CHECK FAILED: %s exceeds the %.0f%% budget\n",
+                failure.c_str(), kBudgetPct);
   }
-  if (failed) return 1;
-  if (check) {
-    std::printf("CHECK OK: provenance %.1f%% and decisions %.1f%% "
-                "disabled-path deltas within %.0f%%\n",
-                prov_off2_pct, dec_off2_pct, kDisabledBudgetPct);
-  }
+  if (!failures.empty()) return 1;
+  std::printf("CHECK OK: every tracer overhead (DOP <= %d), both ledger "
+              "overheads and their disabled-path deltas within %.0f%%\n",
+              cores, kBudgetPct);
   return 0;
 }
 

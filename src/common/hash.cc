@@ -4,40 +4,6 @@
 
 namespace cloudviews {
 
-namespace {
-
-constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
-constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
-constexpr uint64_t kPrime3 = 0x165667B19E3779F9ULL;
-
-uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
-
-}  // namespace
-
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDULL;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-Hasher& Hasher::Update(uint64_t value) {
-  hi_ = Rotl(hi_ ^ (value * kPrime1), 31) * kPrime2;
-  lo_ = Rotl(lo_ + (value ^ kPrime3), 27) * kPrime1 + kPrime2;
-  length_ += 8;
-  return *this;
-}
-
-Hasher& Hasher::Update(double value) {
-  uint64_t bits = 0;
-  // Canonicalize -0.0 to 0.0 so logically equal literals hash equally.
-  double canonical = value == 0.0 ? 0.0 : value;
-  std::memcpy(&bits, &canonical, sizeof(bits));
-  return Update(bits);
-}
-
 Hasher& Hasher::Update(std::string_view bytes) {
   uint64_t word = 0;
   size_t i = 0;
@@ -53,13 +19,6 @@ Hasher& Hasher::Update(std::string_view bytes) {
   }
   Update(uint64_t{bytes.size()});
   return *this;
-}
-
-Hash128 Hasher::Finish() const {
-  Hash128 out;
-  out.hi = Mix64(hi_ ^ (length_ * kPrime1));
-  out.lo = Mix64(lo_ + (length_ ^ kPrime2) + out.hi);
-  return out;
 }
 
 Hash128 HashString(std::string_view s) { return Hasher().Update(s).Finish(); }

@@ -1,6 +1,7 @@
 #ifndef CLOUDVIEWS_COMMON_HASH_H_
 #define CLOUDVIEWS_COMMON_HASH_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -30,8 +31,20 @@ struct Hash128 {
   static bool FromHex(std::string_view hex, Hash128* out);
 };
 
+// 64-bit mix used for hash-table style hashing of runtime values.
+inline uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDULL;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
 // Incremental 128-bit hasher (xxhash-inspired mixing over two 64-bit lanes).
 // Usage: Hasher h; h.Update(...); ... Hash128 sig = h.Finish();
+// The word and double updates and Finish are inline so that the columnar
+// engine's column-at-a-time hash loops compile to straight-line code.
 class Hasher {
  public:
   Hasher() = default;
@@ -41,18 +54,36 @@ class Hasher {
   // Without this overload a string literal would take the bool overload via
   // the pointer->bool standard conversion, silently hashing all strings alike.
   Hasher& Update(const char* s) { return Update(std::string_view(s)); }
-  Hasher& Update(uint64_t value);
+  Hasher& Update(uint64_t value) {
+    hi_ = Rotl(hi_ ^ (value * kPrime1), 31) * kPrime2;
+    lo_ = Rotl(lo_ + (value ^ kPrime3), 27) * kPrime1 + kPrime2;
+    length_ += 8;
+    return *this;
+  }
   Hasher& Update(int64_t value) { return Update(static_cast<uint64_t>(value)); }
   Hasher& Update(int value) { return Update(static_cast<uint64_t>(value)); }
-  Hasher& Update(double value);
+  // Canonicalizes -0.0 to 0.0 so logically equal literals hash equally.
+  Hasher& Update(double value) {
+    return Update(std::bit_cast<uint64_t>(value == 0.0 ? 0.0 : value));
+  }
   Hasher& Update(bool value) { return Update(uint64_t{value ? 1u : 2u}); }
   Hasher& Update(const Hash128& h) { return Update(h.hi).Update(h.lo); }
 
-  Hash128 Finish() const;
+  Hash128 Finish() const {
+    Hash128 out;
+    out.hi = Mix64(hi_ ^ (length_ * kPrime1));
+    out.lo = Mix64(lo_ + (length_ ^ kPrime2) + out.hi);
+    return out;
+  }
 
  private:
   static constexpr uint64_t kInitHi = 0x9E3779B97F4A7C15ULL;
   static constexpr uint64_t kInitLo = 0xC2B2AE3D27D4EB4FULL;
+  static constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+  static constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+  static constexpr uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+
+  static uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
 
   uint64_t hi_ = kInitHi;
   uint64_t lo_ = kInitLo;
@@ -61,9 +92,6 @@ class Hasher {
 
 // Convenience one-shot hash of a string.
 Hash128 HashString(std::string_view s);
-
-// 64-bit mix used for hash-table style hashing of runtime values.
-uint64_t Mix64(uint64_t x);
 
 struct Hash128Hasher {
   size_t operator()(const Hash128& h) const {

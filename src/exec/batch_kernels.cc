@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace cloudviews {
@@ -119,63 +120,132 @@ std::vector<uint64_t> AndValid(const ColumnVector& a, const ColumnVector& b,
   return out;
 }
 
-Status EvalComparison(BinaryOp op, const ColumnVector& lhs,
-                      const ColumnVector& rhs, size_t n, ColumnPtr* out) {
-  const bool typed = !lhs.mixed() && !rhs.mixed();
-  const bool l_int = typed && lhs.type() == DataType::kInt64;
-  const bool r_int = typed && rhs.type() == DataType::kInt64;
-  const bool l_dbl = typed && lhs.type() == DataType::kDouble;
-  const bool r_dbl = typed && rhs.type() == DataType::kDouble;
-  if ((l_int || l_dbl) && (r_int || r_dbl)) {
-    // Typed numeric kernels: compute over every lane (null slots hold
-    // defaults), then mask — DenseBool normalizes null slots back to 0.
-    std::vector<uint8_t> cells(n);
-    if (l_int && r_int) {
-      const std::vector<int64_t>& a = lhs.ints();
-      const std::vector<int64_t>& b = rhs.ints();
+// One comparison operand: a column, or a non-null literal that stands for a
+// column holding it in every row. At most one operand is a literal.
+struct CompareOperand {
+  const ColumnVector* column = nullptr;
+  const Value* literal = nullptr;
+
+  // The type every non-null cell has; kNull for a mixed column.
+  DataType type() const {
+    if (literal != nullptr) return literal->type();
+    return column->mixed() ? DataType::kNull : column->type();
+  }
+};
+
+template <typename T>
+T LiteralAs(const Value& v) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return v.AsInt64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    return v.NumericValue();
+  } else {
+    return v.AsString();
+  }
+}
+
+// Calls `f` with a lane of a typed operand read as T: lane(i) is row i's
+// value (null slots hold defaults), or the literal in every row. An int64
+// column read as double converts as CompareCells does for an int/double
+// pair; T is int64_t only when the operand is int64.
+template <typename T, typename F>
+void WithLane(const CompareOperand& o, F&& f) {
+  if (o.literal != nullptr) {
+    const T v = LiteralAs<T>(*o.literal);
+    f([&v](size_t) -> const T& { return v; });
+    return;
+  }
+  const ColumnVector& c = *o.column;
+  if constexpr (std::is_same_v<T, std::string>) {
+    f([&s = c.strings()](size_t i) -> const std::string& { return s[i]; });
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    f([&v = c.ints()](size_t i) { return v[i]; });
+  } else if (c.type() == DataType::kInt64) {
+    f([&v = c.ints()](size_t i) { return static_cast<double>(v[i]); });
+  } else {
+    f([&v = c.doubles()](size_t i) { return v[i]; });
+  }
+}
+
+template <typename T>
+int ThreeWay(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    const int c = a.compare(b);
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  } else {
+    return a < b ? -1 : (a > b ? 1 : 0);
+  }
+}
+
+// The operator's answer for each three-way outcome is looked up once per
+// call, so the loop body selects among three bytes instead of switching on
+// the operator per lane.
+template <typename T>
+void CompareLanes(BinaryOp op, const CompareOperand& lhs,
+                  const CompareOperand& rhs, size_t n, uint8_t* cells) {
+  const uint8_t on_less = ComparisonResult(op, -1) ? 1 : 0;
+  const uint8_t on_equal = ComparisonResult(op, 0) ? 1 : 0;
+  const uint8_t on_greater = ComparisonResult(op, 1) ? 1 : 0;
+  WithLane<T>(lhs, [&](const auto& a) {
+    WithLane<T>(rhs, [&](const auto& b) {
       for (size_t i = 0; i < n; ++i) {
-        const int cmp = a[i] < b[i] ? -1 : (a[i] > b[i] ? 1 : 0);
-        cells[i] = ComparisonResult(op, cmp) ? 1 : 0;
+        const int cmp = ThreeWay<T>(a(i), b(i));
+        cells[i] = cmp < 0 ? on_less : (cmp > 0 ? on_greater : on_equal);
       }
-    } else {
+    });
+  });
+}
+
+// Typed operands (int64/double with int64/double, string with string)
+// compare over every lane and then mask — a literal is never null, so the
+// result is null wherever a column operand is, and DenseBool normalizes
+// null slots back to 0. Any other pair compares cell by cell through
+// CompareCells, a literal broadcast into a column first.
+Status EvalComparison(BinaryOp op, const CompareOperand& lhs,
+                      const CompareOperand& rhs, size_t n, ColumnPtr* out) {
+  const DataType lt = lhs.type();
+  const DataType rt = rhs.type();
+  const bool numeric = (lt == DataType::kInt64 || lt == DataType::kDouble) &&
+                       (rt == DataType::kInt64 || rt == DataType::kDouble);
+  if (numeric || (lt == DataType::kString && rt == DataType::kString)) {
+    std::vector<uint8_t> cells(n);
+    if (lt == DataType::kInt64 && rt == DataType::kInt64) {
+      CompareLanes<int64_t>(op, lhs, rhs, n, cells.data());
+    } else if (numeric) {
       // Cross-type numeric comparison goes through double, exactly as
       // CompareCells does for an int/double pair.
-      for (size_t i = 0; i < n; ++i) {
-        const double a = l_int ? static_cast<double>(lhs.ints()[i])
-                               : lhs.doubles()[i];
-        const double b = r_int ? static_cast<double>(rhs.ints()[i])
-                               : rhs.doubles()[i];
-        const int cmp = a < b ? -1 : (a > b ? 1 : 0);
-        cells[i] = ComparisonResult(op, cmp) ? 1 : 0;
-      }
+      CompareLanes<double>(op, lhs, rhs, n, cells.data());
+    } else {
+      CompareLanes<std::string>(op, lhs, rhs, n, cells.data());
     }
-    *out = ColumnVector::DenseBool(std::move(cells), AndValid(lhs, rhs, n), n);
+    std::vector<uint64_t> valid =
+        lhs.literal != nullptr   ? rhs.column->valid_words()
+        : rhs.literal != nullptr ? lhs.column->valid_words()
+                                 : AndValid(*lhs.column, *rhs.column, n);
+    *out = ColumnVector::DenseBool(std::move(cells), std::move(valid), n);
     return Status::OK();
   }
-  if (typed && lhs.type() == DataType::kString &&
-      rhs.type() == DataType::kString) {
-    const std::vector<std::string>& a = lhs.strings();
-    const std::vector<std::string>& b = rhs.strings();
-    std::vector<uint8_t> cells(n);
-    for (size_t i = 0; i < n; ++i) {
-      const int c = a[i].compare(b[i]);
-      const int cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
-      cells[i] = ComparisonResult(op, cmp) ? 1 : 0;
-    }
-    *out = ColumnVector::DenseBool(std::move(cells), AndValid(lhs, rhs, n), n);
-    return Status::OK();
+  ColumnPtr broadcast;
+  if (const Value* lit = lhs.literal != nullptr ? lhs.literal : rhs.literal) {
+    broadcast = BroadcastValue(*lit, n);
   }
+  const ColumnVector& l = lhs.literal != nullptr ? *broadcast : *lhs.column;
+  const ColumnVector& r = rhs.literal != nullptr ? *broadcast : *rhs.column;
   auto result = std::make_shared<ColumnVector>();
   result->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (lhs.IsNull(i) || rhs.IsNull(i)) {
+    if (l.IsNull(i) || r.IsNull(i)) {
       result->AppendNull();
     } else {
-      result->AppendBool(ComparisonResult(op, CompareCells(lhs, i, rhs, i)));
+      result->AppendBool(ComparisonResult(op, CompareCells(l, i, r, i)));
     }
   }
   *out = std::move(result);
   return Status::OK();
+}
+
+bool IsValueLiteral(const Expr& expr) {
+  return expr.kind == ExprKind::kLiteral && !expr.literal.is_null();
 }
 
 // One arithmetic cell, mirroring EvalBinary's arithmetic tail (both operands
@@ -386,15 +456,34 @@ Status EvalBinaryBatch(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
     return EvalAndOr(expr, in, out);
   }
+  if (IsComparisonOp(expr.binary_op)) {
+    // One non-null literal operand (the right one if both are) stays a
+    // scalar. A literal never fails to evaluate, so evaluating only the
+    // other operand surfaces the same errors.
+    const bool literal_right = IsValueLiteral(*expr.children[1]);
+    const bool literal_left =
+        !literal_right && IsValueLiteral(*expr.children[0]);
+    ColumnPtr cols[2];
+    CompareOperand operands[2];
+    for (int side = 0; side < 2; ++side) {
+      const Expr& child = *expr.children[static_cast<size_t>(side)];
+      if (side == 0 ? literal_left : literal_right) {
+        operands[side].literal = &child.literal;
+        continue;
+      }
+      Status st = EvalExprBatch(child, in, &cols[side]);
+      if (!st.ok()) return st;
+      operands[side].column = cols[side].get();
+    }
+    return EvalComparison(expr.binary_op, operands[0], operands[1],
+                          in.num_rows, out);
+  }
   ColumnPtr lhs;
   Status st = EvalExprBatch(*expr.children[0], in, &lhs);
   if (!st.ok()) return st;
   ColumnPtr rhs;
   st = EvalExprBatch(*expr.children[1], in, &rhs);
   if (!st.ok()) return st;
-  if (IsComparisonOp(expr.binary_op)) {
-    return EvalComparison(expr.binary_op, *lhs, *rhs, in.num_rows, out);
-  }
   return EvalArithmetic(expr.binary_op, *lhs, *rhs, in.num_rows, out);
 }
 
@@ -695,48 +784,23 @@ void GatherReferenced(const Expr& expr, const std::vector<ColumnPtr>& left,
   }
 }
 
-void GatherBatch(const ColumnBatch& in, const std::vector<uint32_t>& sel,
-                 ColumnBatch* out) {
-  out->columns.clear();
-  out->columns.reserve(in.columns.size());
-  for (const ColumnPtr& col : in.columns) {
-    out->columns.push_back(GatherColumn(*col, sel));
+void RowByteSizes(const ColumnBatch& batch, std::vector<uint32_t>* out) {
+  if (batch.unread_bytes.empty()) {
+    out->assign(batch.num_rows, 0);
+  } else {
+    *out = batch.unread_bytes;
   }
-  out->num_rows = sel.size();
-}
-
-void RowByteSizes(const ColumnBatch& batch, std::vector<size_t>* out) {
-  out->assign(batch.num_rows, 0);
   for (const ColumnPtr& col : batch.columns) {
-    const ColumnVector& c = *col;
-    if (!c.mixed()) {
-      switch (c.type()) {
-        case DataType::kNull:
-        case DataType::kBool:
-          for (size_t i = 0; i < batch.num_rows; ++i) (*out)[i] += 1;
-          continue;
-        case DataType::kInt64:
-        case DataType::kDouble:
-          for (size_t i = 0; i < batch.num_rows; ++i) {
-            (*out)[i] += c.IsNull(i) ? 1 : 8;
-          }
-          continue;
-        case DataType::kString:
-          for (size_t i = 0; i < batch.num_rows; ++i) {
-            (*out)[i] += c.IsNull(i) ? 1 : c.strings()[i].size() + 4;
-          }
-          continue;
-      }
-    }
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      (*out)[i] += c.CellByteSize(i);
-    }
+    if (col != nullptr) col->AddCellByteSizes(0, batch.num_rows, out->data());
   }
 }
 
 size_t BatchByteSize(const ColumnBatch& batch) {
   size_t total = 0;
-  for (const ColumnPtr& col : batch.columns) total += col->TotalByteSize();
+  for (const ColumnPtr& col : batch.columns) {
+    if (col != nullptr) total += col->TotalByteSize();
+  }
+  for (uint32_t bytes : batch.unread_bytes) total += bytes;
   return total;
 }
 

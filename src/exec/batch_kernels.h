@@ -50,14 +50,10 @@ void GatherReferenced(const Expr& expr, const std::vector<ColumnPtr>& left,
                       const std::vector<uint32_t>& right_rows,
                       std::vector<ColumnPtr>* sub);
 
-// Gathers `sel` rows of every column of `in` into `*out`.
-void GatherBatch(const ColumnBatch& in, const std::vector<uint32_t>& sel,
-                 ColumnBatch* out);
-
 // Per-row byte sizes (sum of Value::ByteSize over the row's cells — the row
-// engine's bytes/IO accounting unit). `*out` is assigned length
-// batch.num_rows.
-void RowByteSizes(const ColumnBatch& batch, std::vector<size_t>* out);
+// engine's bytes/IO accounting unit), the unread columns' bytes included.
+// `*out` is assigned length batch.num_rows.
+void RowByteSizes(const ColumnBatch& batch, std::vector<uint32_t>* out);
 
 // Sum of RowByteSizes over the whole batch.
 size_t BatchByteSize(const ColumnBatch& batch);

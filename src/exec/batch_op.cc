@@ -39,13 +39,6 @@ EvalInput InputOf(const ColumnBatch& batch) {
   return in;
 }
 
-EvalInput InputOf(const BatchChunk& chunk) {
-  EvalInput in;
-  in.columns = &chunk.columns;
-  in.num_rows = chunk.num_rows;
-  return in;
-}
-
 // The batch analogue of PhysicalOp::CountRow over a whole batch.
 void CountBatch(OperatorStats* stats, const ColumnBatch& batch, double cpu) {
   stats->rows_out += batch.num_rows;
@@ -59,16 +52,200 @@ ColumnPtr SliceOrShare(const ColumnPtr& col, size_t begin, size_t end) {
   return SliceColumn(*col, begin, end);
 }
 
-// Rows [begin, end) of `chunk` as a batch; whole-chunk slices share the
-// column buffers zero-copy.
-ColumnBatch SliceChunk(const BatchChunk& chunk, size_t begin, size_t end) {
+// Rows [begin, end) of `batch`; whole-batch slices share the column buffers
+// zero-copy.
+ColumnBatch SliceBatch(const ColumnBatch& batch, size_t begin, size_t end) {
   ColumnBatch out;
-  out.columns.reserve(chunk.columns.size());
-  for (const ColumnPtr& col : chunk.columns) {
-    out.columns.push_back(SliceOrShare(col, begin, end));
+  out.columns.reserve(batch.columns.size());
+  for (const ColumnPtr& col : batch.columns) {
+    out.columns.push_back(col == nullptr ? nullptr
+                                         : SliceOrShare(col, begin, end));
+  }
+  if (!batch.unread_bytes.empty()) {
+    out.unread_bytes.assign(batch.unread_bytes.begin() + begin,
+                            batch.unread_bytes.begin() + end);
   }
   out.num_rows = end - begin;
   return out;
+}
+
+// Whether `mask` asks for ordinal `c` (ordinals past its end are kept).
+bool Keeps(const ColumnMask& mask, size_t c) {
+  return c >= mask.size() || mask[c];
+}
+
+// The ordinals of child `child` that `node` reads when its consumer reads
+// `required`. A Filter or Sort adds its expressions' columns to `required`
+// and a join adds its keys and residual to each side's share of it; a
+// Project reads its projections' columns and an Aggregate its keys and
+// arguments, whatever is required of them (both emit full width). A UDO,
+// whose keep/drop hash reads every cell, and a spool read everything.
+ColumnMask ChildReads(const LogicalOp& node, const ColumnMask& required,
+                      size_t child) {
+  const size_t arity = node.children[child]->output_schema.num_columns();
+  // A join's right side starts after the left side's ordinals.
+  const size_t offset =
+      node.kind == LogicalOpKind::kJoin && child == 1
+          ? node.children[0]->output_schema.num_columns()
+          : 0;
+  ColumnMask reads(arity, false);
+  auto mark = [&](int ordinal) {
+    const size_t c = static_cast<size_t>(ordinal) - offset;
+    if (ordinal >= static_cast<int>(offset) && c < arity) reads[c] = true;
+  };
+  auto mark_expr = [&](const Expr& expr) {
+    std::vector<int> refs;
+    expr.CollectColumns(&refs);
+    for (int ref : refs) mark(ref);
+  };
+  auto pass_required = [&] {
+    for (size_t c = 0; c < arity; ++c) reads[c] = Keeps(required, offset + c);
+  };
+  switch (node.kind) {
+    case LogicalOpKind::kFilter:
+      pass_required();
+      mark_expr(*node.predicate);
+      break;
+    case LogicalOpKind::kSort:
+      pass_required();
+      for (const SortKey& key : node.sort_keys) mark_expr(*key.expr);
+      break;
+    case LogicalOpKind::kLimit:
+    case LogicalOpKind::kUnionAll:
+      pass_required();
+      break;
+    case LogicalOpKind::kProject:
+      for (const ExprPtr& expr : node.projections) mark_expr(*expr);
+      break;
+    case LogicalOpKind::kAggregate:
+      for (const ExprPtr& expr : node.group_by) mark_expr(*expr);
+      for (const AggregateSpec& spec : node.aggregates) {
+        if (spec.func != AggFunc::kCountStar) mark_expr(*spec.arg);
+      }
+      break;
+    case LogicalOpKind::kJoin:
+      pass_required();
+      for (const auto& [l, r] : node.equi_keys) {
+        mark(child == 0 ? l : r + static_cast<int>(offset));
+      }
+      if (node.predicate != nullptr) mark_expr(*node.predicate);
+      break;
+    default:
+      reads.assign(arity, true);
+      break;
+  }
+  return reads;
+}
+
+// Gathers `rows` (kPadIndex: a null pad) of one input into out slots
+// [offset, offset + arity). The input's `columns` are null where pruned
+// below, those columns' bytes being `unread` per row. Slots `keep` marks
+// get a gathered column; every other slot adds its bytes to
+// out->unread_bytes, read off the source cells without copying them (1 per
+// pad). An empty build side drains to no columns: its rows are all pads.
+void GatherInto(const std::vector<ColumnPtr>& columns,
+                const std::vector<uint32_t>& unread, size_t arity,
+                const std::vector<uint32_t>& rows, const ColumnMask& keep,
+                size_t offset, ColumnBatch* out) {
+  const ColumnVector none;
+  auto unread_out = [&] {
+    if (out->unread_bytes.empty()) out->unread_bytes.assign(rows.size(), 0);
+    return out->unread_bytes.data();
+  };
+  uint32_t pruned = 0;  // unkept slots absent here: 1 byte per pad each
+  for (size_t c = 0; c < arity; ++c) {
+    const ColumnVector* src = c < columns.size() ? columns[c].get() : nullptr;
+    if (Keeps(keep, offset + c)) {
+      out->columns[offset + c] =
+          GatherColumn(src != nullptr ? *src : none, rows);
+    } else if (src != nullptr) {
+      src->AddCellByteSizes(rows, unread_out());
+    } else {
+      pruned += 1;
+    }
+  }
+  if (pruned == 0 && unread.empty()) return;
+  uint32_t* bytes = unread_out();
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k] == kPadIndex) {
+      bytes[k] += pruned;
+    } else if (!unread.empty()) {
+      bytes[k] += unread[rows[k]];
+    }
+  }
+}
+
+// The `keep` slots of `in` at `rows`; the other slots' bytes go to
+// unread_bytes.
+ColumnBatch GatherRows(const ColumnBatch& in, const std::vector<uint32_t>& rows,
+                       const ColumnMask& keep) {
+  ColumnBatch out;
+  out.columns.assign(in.columns.size(), nullptr);
+  out.num_rows = rows.size();
+  GatherInto(in.columns, in.unread_bytes, in.columns.size(), rows, keep, 0,
+             &out);
+  return out;
+}
+
+// Join output: `left` at `out_left`, then `right` at `out_right` (kPadIndex
+// pads with nulls), gathering only the `keep` slots.
+ColumnBatch GatherJoinOutput(const ColumnBatch& left, size_t left_arity,
+                             const std::vector<uint32_t>& out_left,
+                             const ColumnBatch& right, size_t right_arity,
+                             const std::vector<uint32_t>& out_right,
+                             const ColumnMask& keep) {
+  ColumnBatch out;
+  out.columns.assign(left_arity + right_arity, nullptr);
+  out.num_rows = out_left.size();
+  GatherInto(left.columns, left.unread_bytes, left_arity, out_left, keep, 0,
+             &out);
+  GatherInto(right.columns, right.unread_bytes, right_arity, out_right, keep,
+             left_arity, &out);
+  return out;
+}
+
+// The columns of `batch` at `ordinals`.
+std::vector<ColumnPtr> ColumnsAt(const ColumnBatch& batch,
+                                 const std::vector<int>& ordinals) {
+  std::vector<ColumnPtr> out;
+  out.reserve(ordinals.size());
+  for (int k : ordinals) out.push_back(batch.columns[static_cast<size_t>(k)]);
+  return out;
+}
+
+// One Hasher per row of [begin, end), seeded with `seed` and fed `columns`
+// a column at a time: each row takes the bytes per-cell HashCellInto calls
+// in column order would feed it.
+std::vector<Hasher> HashRows(const std::vector<ColumnPtr>& columns,
+                             size_t begin, size_t end, uint64_t seed) {
+  std::vector<Hasher> rows(end - begin, Hasher(seed));
+  for (const ColumnPtr& col : columns) {
+    col->HashCellsInto(begin, end - begin, rows.data());
+  }
+  return rows;
+}
+
+// UdoOp's keep/drop draw over every row of full-width `batch`: a Hasher
+// seeded with `seed` takes the row's cells and, when `mix_counter`, the
+// row's arrival number (counter + 1 for the first row); the row survives
+// when the draw falls under `selectivity`.
+Status UdoSelection(const ColumnBatch& batch, uint64_t seed, bool mix_counter,
+                    uint64_t counter, double selectivity,
+                    std::vector<uint32_t>* sel) {
+  for (size_t c = 0; c < batch.columns.size(); ++c) {
+    if (batch.columns[c] == nullptr) {
+      return Status::Internal("UDO input column " + std::to_string(c) +
+                              " not gathered");
+    }
+  }
+  std::vector<Hasher> rows = HashRows(batch.columns, 0, batch.num_rows, seed);
+  for (size_t i = 0; i < batch.num_rows; ++i) {
+    if (mix_counter) rows[i].Update(counter + i + 1);
+    const double u = static_cast<double>(rows[i].Finish().lo >> 11) *
+                     (1.0 / 9007199254740992.0);
+    if (u < selectivity) sel->push_back(static_cast<uint32_t>(i));
+  }
+  return Status::OK();
 }
 
 // FilterOp's keep test over an evaluated predicate column.
@@ -93,25 +270,6 @@ Status EvalResidual(const Expr& predicate, const std::vector<ColumnPtr>& left,
     (*pass)[c] = KeepCell(*v, c) ? 1 : 0;
   }
   return Status::OK();
-}
-
-// Join output: every left column at `out_left`, then `right_arity` right
-// columns at `out_right` (kPadIndex pads with null). An empty right side
-// drains to no columns, so its output is all pads.
-void GatherJoinOutput(const std::vector<ColumnPtr>& left,
-                      const std::vector<uint32_t>& out_left,
-                      const std::vector<ColumnPtr>& right, size_t right_arity,
-                      const std::vector<uint32_t>& out_right,
-                      std::vector<ColumnPtr>* out) {
-  const ColumnVector none;
-  out->reserve(left.size() + right_arity);
-  for (const ColumnPtr& col : left) {
-    out->push_back(GatherColumn(*col, out_left));
-  }
-  for (size_t r = 0; r < right_arity; ++r) {
-    out->push_back(
-        GatherColumn(r < right.size() ? *right[r] : none, out_right));
-  }
 }
 
 }  // namespace
@@ -171,8 +329,7 @@ Status BatchOp::Next(Row* row, bool* done) {
       "batch operator driven through row-at-a-time Next()");
 }
 
-Status BatchOp::DrainToChunk(const std::vector<int>* columns,
-                             BatchChunk* chunk) {
+Status BatchOp::DrainToChunk(BatchChunk* chunk) {
   std::vector<ColumnBatch> batches;
   while (true) {
     ColumnBatch batch;
@@ -181,18 +338,45 @@ Status BatchOp::DrainToChunk(const std::vector<int>* columns,
     if (done) break;
     if (batch.num_rows > 0) batches.push_back(std::move(batch));
   }
-  chunk->columns.clear();
-  chunk->num_rows = 0;
+  chunk->Clear();
   if (batches.empty()) return Status::OK();
+  if (batches.size() == 1) {
+    *chunk = std::move(batches[0]);
+    return Status::OK();
+  }
   const size_t arity = batches[0].columns.size();
   for (const ColumnBatch& b : batches) chunk->num_rows += b.num_rows;
   chunk->columns.assign(arity, nullptr);
+  bool any_unread = false;
   for (size_t c = 0; c < arity; ++c) {
-    const bool read =
-        columns == nullptr ||
-        std::find(columns->begin(), columns->end(), static_cast<int>(c)) !=
-            columns->end();
-    if (read) chunk->columns[c] = ConcatColumn(batches, c);
+    const bool present =
+        std::all_of(batches.begin(), batches.end(), [&](const ColumnBatch& b) {
+          return b.columns[c] != nullptr;
+        });
+    if (present) {
+      chunk->columns[c] = ConcatColumn(batches, c);
+    } else {
+      any_unread = true;
+    }
+  }
+  if (!any_unread) return Status::OK();
+  // Batches may differ in which unread columns they carry (a UNION ALL's
+  // children): a column some batch lacks counts as unread throughout.
+  chunk->unread_bytes.reserve(chunk->num_rows);
+  for (const ColumnBatch& b : batches) {
+    const size_t base = chunk->unread_bytes.size();
+    if (b.unread_bytes.empty()) {
+      chunk->unread_bytes.resize(base + b.num_rows, 0);
+    } else {
+      chunk->unread_bytes.insert(chunk->unread_bytes.end(),
+                                 b.unread_bytes.begin(), b.unread_bytes.end());
+    }
+    for (size_t c = 0; c < arity; ++c) {
+      if (chunk->columns[c] == nullptr && b.columns[c] != nullptr) {
+        b.columns[c]->AddCellByteSizes(0, b.num_rows,
+                                       chunk->unread_bytes.data() + base);
+      }
+    }
   }
   return Status::OK();
 }
@@ -233,7 +417,8 @@ BatchScanPipelineOp::BatchScanPipelineOp(const LogicalOp* logical,
                                          std::vector<const LogicalOp*> chain,
                                          TablePtr table, bool is_view_scan,
                                          ParallelRuntime runtime,
-                                         size_t batch_rows, bool eager_parallel)
+                                         size_t batch_rows, bool eager_parallel,
+                                         ColumnMask required)
     : BatchOp(logical), table_(std::move(table)), is_view_scan_(is_view_scan),
       runtime_(runtime), batch_rows_(batch_rows > 0 ? batch_rows : 1),
       eager_parallel_(eager_parallel) {
@@ -247,6 +432,10 @@ BatchScanPipelineOp::BatchScanPipelineOp(const LogicalOp* logical,
       stage.udo_seed = HashString(op->udo_name).lo;
     }
     stages_.push_back(std::move(stage));
+  }
+  stages_.back().keep = std::move(required);
+  for (size_t s = stages_.size() - 1; s > 0; --s) {
+    stages_[s - 1].keep = ChildReads(*stages_[s].op, stages_[s].keep, 0);
   }
 }
 
@@ -295,12 +484,12 @@ Status BatchScanPipelineOp::RunRange(
   CountScan(scanned, begin, end, &(*stage_stats)[0]);
 
   ColumnBatch cur;
-  cur.columns.reserve(scanned.size());
+  cur.columns.assign(scanned.size(), nullptr);
   size_t first = 1;
   if (stages_.size() > 1 && stages_[1].op->kind == LogicalOpKind::kFilter) {
     // A first filter reads only its predicate's columns: slice just those,
-    // then gather the surviving rows of every column straight from the
-    // table.
+    // then gather the surviving rows of the columns read above it straight
+    // from the table.
     const Expr& predicate = *stages_[1].op->predicate;
     OperatorStats& st = (*stage_stats)[1];
     st.cpu_cost += CostWeights::kFilterRow * static_cast<double>(end - begin);
@@ -317,38 +506,41 @@ Status BatchScanPipelineOp::RunRange(
     CLOUDVIEWS_RETURN_NOT_OK(
         FilterSelection(predicate, EvalInput{&sparse, end - begin}, &sel));
     for (uint32_t& row : sel) row += static_cast<uint32_t>(begin);
-    for (const ColumnPtr& col : scanned) {
-      cur.columns.push_back(GatherColumn(*col, sel));
-    }
     cur.num_rows = sel.size();
+    GatherInto(scanned, {}, scanned.size(), sel, stages_[1].keep, 0, &cur);
     st.rows_out += cur.num_rows;
     st.bytes_out += BatchByteSize(cur);
     first = 2;
   } else {
-    for (const ColumnPtr& col : scanned) {
-      cur.columns.push_back(SliceOrShare(col, begin, end));
-    }
+    // A whole-table range shares every column; a smaller one slices the
+    // columns the stage above reads and counts the others' bytes.
+    const bool whole = begin == 0 && end == table_->num_rows();
     cur.num_rows = end - begin;
+    for (size_t c = 0; c < scanned.size(); ++c) {
+      if (whole || Keeps(stages_[0].keep, c)) {
+        cur.columns[c] = SliceOrShare(scanned[c], begin, end);
+        continue;
+      }
+      if (cur.unread_bytes.empty()) cur.unread_bytes.assign(cur.num_rows, 0);
+      scanned[c]->AddCellByteSizes(begin, cur.num_rows,
+                                   cur.unread_bytes.data());
+    }
   }
 
   for (size_t s = first; s < stages_.size(); ++s) {
     if (cur.num_rows == 0) break;
-    const LogicalOp* op = stages_[s].op;
+    const Stage& stage = stages_[s];
+    const LogicalOp* op = stage.op;
     OperatorStats& st = (*stage_stats)[s];
+    std::vector<uint32_t> sel;
     switch (op->kind) {
-      case LogicalOpKind::kFilter: {
+      case LogicalOpKind::kFilter:
         st.cpu_cost +=
             CostWeights::kFilterRow * static_cast<double>(cur.num_rows);
-        std::vector<uint32_t> sel;
         CLOUDVIEWS_RETURN_NOT_OK(
             FilterSelection(*op->predicate, InputOf(cur), &sel));
-        ColumnBatch next;
-        GatherBatch(cur, sel, &next);
-        st.rows_out += next.num_rows;
-        st.bytes_out += BatchByteSize(next);
-        cur = std::move(next);
+        cur = GatherRows(cur, sel, stage.keep);
         break;
-      }
       case LogicalOpKind::kProject: {
         ColumnBatch next;
         next.columns.reserve(op->projections.size());
@@ -358,37 +550,25 @@ Status BatchScanPipelineOp::RunRange(
           next.columns.push_back(std::move(col));
         }
         next.num_rows = cur.num_rows;
-        st.rows_out += next.num_rows;
-        st.bytes_out += BatchByteSize(next);
         st.cpu_cost +=
             CostWeights::kProjectRow * static_cast<double>(next.num_rows);
         cur = std::move(next);
         break;
       }
-      case LogicalOpKind::kUdo: {
+      case LogicalOpKind::kUdo:
         st.cpu_cost +=
             op->udo_cost_per_row * static_cast<double>(cur.num_rows);
-        std::vector<uint32_t> sel;
-        for (size_t i = 0; i < cur.num_rows; ++i) {
-          // Deterministic pseudo-random keep/drop on (seed, row content) —
-          // identical to UdoOp for deterministic UDOs (which never mix in
-          // an arrival counter).
-          Hasher h(stages_[s].udo_seed);
-          for (const ColumnPtr& col : cur.columns) col->HashCellInto(i, &h);
-          double u = static_cast<double>(h.Finish().lo >> 11) *
-                     (1.0 / 9007199254740992.0);
-          if (u < op->udo_selectivity) sel.push_back(static_cast<uint32_t>(i));
-        }
-        ColumnBatch next;
-        GatherBatch(cur, sel, &next);
-        st.rows_out += next.num_rows;
-        st.bytes_out += BatchByteSize(next);
-        cur = std::move(next);
+        // Deterministic UDOs never mix in an arrival counter.
+        CLOUDVIEWS_RETURN_NOT_OK(UdoSelection(cur, stage.udo_seed,
+                                              /*mix_counter=*/false, 0,
+                                              op->udo_selectivity, &sel));
+        cur = GatherRows(cur, sel, stage.keep);
         break;
-      }
       default:
         return Status::Internal("unsupported morsel pipeline stage");
     }
+    st.rows_out += cur.num_rows;
+    st.bytes_out += BatchByteSize(cur);
   }
   *out = std::move(cur);
   return Status::OK();
@@ -484,15 +664,14 @@ Status BatchScanPipelineOp::NextBatch(ColumnBatch* batch, bool* done) {
   return Status::OK();
 }
 
-Status BatchScanPipelineOp::DrainToChunk(const std::vector<int>* columns,
-                                         BatchChunk* chunk) {
+Status BatchScanPipelineOp::DrainToChunk(BatchChunk* chunk) {
   // Fused stages and eager morsel outputs drain batch by batch; only a bare
-  // serial scan hands out the table itself.
+  // serial scan hands out the table itself, every column of it (sharing
+  // costs nothing).
   if (stages_.size() > 1 || eager_parallel_) {
-    return BatchOp::DrainToChunk(columns, chunk);
+    return BatchOp::DrainToChunk(chunk);
   }
-  chunk->columns.clear();
-  chunk->num_rows = 0;
+  chunk->Clear();
   const size_t n = table_->num_rows();
   if (pos_ >= n) return Status::OK();
   std::vector<ColumnPtr> scanned;
@@ -526,8 +705,10 @@ void BatchScanPipelineOp::ExportStats(
 
 // --- BatchFilterOp -----------------------------------------------------------
 
-BatchFilterOp::BatchFilterOp(const LogicalOp* logical, BatchOpPtr child)
-    : BatchOp(logical), child_(std::move(child)) {}
+BatchFilterOp::BatchFilterOp(const LogicalOp* logical, BatchOpPtr child,
+                             ColumnMask required)
+    : BatchOp(logical), child_(std::move(child)),
+      required_(std::move(required)) {}
 
 Status BatchFilterOp::Open() { return child_->Open(); }
 
@@ -545,8 +726,7 @@ Status BatchFilterOp::NextBatch(ColumnBatch* batch, bool* done) {
     CLOUDVIEWS_RETURN_NOT_OK(
         FilterSelection(*logical_->predicate, InputOf(input), &sel));
     if (sel.empty()) continue;
-    ColumnBatch out;
-    GatherBatch(input, sel, &out);
+    ColumnBatch out = GatherRows(input, sel, required_);
     CountBatch(&stats_, out, 0.0);
     *batch = std::move(out);
     *done = false;
@@ -615,16 +795,8 @@ Status BatchLimitOp::NextBatch(ColumnBatch* batch, bool* done) {
     const size_t remaining =
         static_cast<size_t>(logical_->limit - produced_);
     const size_t take = std::min(input.num_rows, remaining);
-    ColumnBatch out;
-    if (take == input.num_rows) {
-      out = std::move(input);
-    } else {
-      out.columns.reserve(input.columns.size());
-      for (const ColumnPtr& col : input.columns) {
-        out.columns.push_back(SliceColumn(*col, 0, take));
-      }
-      out.num_rows = take;
-    }
+    ColumnBatch out =
+        take == input.num_rows ? std::move(input) : SliceBatch(input, 0, take);
     produced_ += static_cast<int64_t>(take);
     CountBatch(&stats_, out, 0.0);
     *batch = std::move(out);
@@ -638,8 +810,9 @@ void BatchLimitOp::Close() { child_->Close(); }
 // --- BatchUdoOp --------------------------------------------------------------
 
 BatchUdoOp::BatchUdoOp(const LogicalOp* logical, BatchOpPtr child,
-                       uint64_t instance_seed)
-    : BatchOp(logical), child_(std::move(child)) {
+                       uint64_t instance_seed, ColumnMask required)
+    : BatchOp(logical), child_(std::move(child)),
+      required_(std::move(required)) {
   // Deterministic UDOs key their behaviour purely on the UDO name, so the
   // same logical computation yields identical output row sets across jobs.
   uint64_t name_seed = HashString(logical->udo_name).lo;
@@ -659,23 +832,17 @@ Status BatchUdoOp::NextBatch(ColumnBatch* batch, bool* done) {
       return Status::OK();
     }
     AddCost(logical_->udo_cost_per_row * static_cast<double>(input.num_rows));
+    // Deterministic pseudo-random keep/drop decision on (seed, row content);
+    // non-deterministic UDOs additionally mix the global arrival counter —
+    // batches stream in global input order, so the counter sequence matches
+    // the row engine exactly.
     std::vector<uint32_t> sel;
-    for (size_t i = 0; i < input.num_rows; ++i) {
-      counter_ += 1;
-      // Deterministic pseudo-random keep/drop decision on (seed, row
-      // content); non-deterministic UDOs additionally mix the global arrival
-      // counter — batches stream in global input order, so the counter
-      // sequence matches the row engine exactly.
-      Hasher h(seed_);
-      for (const ColumnPtr& col : input.columns) col->HashCellInto(i, &h);
-      if (!logical_->udo_deterministic) h.Update(counter_);
-      double u = static_cast<double>(h.Finish().lo >> 11) *
-                 (1.0 / 9007199254740992.0);
-      if (u < logical_->udo_selectivity) sel.push_back(static_cast<uint32_t>(i));
-    }
+    CLOUDVIEWS_RETURN_NOT_OK(UdoSelection(
+        input, seed_, !logical_->udo_deterministic, counter_,
+        logical_->udo_selectivity, &sel));
+    counter_ += input.num_rows;
     if (sel.empty()) continue;
-    ColumnBatch out;
-    GatherBatch(input, sel, &out);
+    ColumnBatch out = GatherRows(input, sel, required_);
     CountBatch(&stats_, out, 0.0);
     *batch = std::move(out);
     *done = false;
@@ -688,18 +855,18 @@ void BatchUdoOp::Close() { child_->Close(); }
 // --- BatchSortOp -------------------------------------------------------------
 
 BatchSortOp::BatchSortOp(const LogicalOp* logical, BatchOpPtr child,
-                         size_t batch_rows)
+                         size_t batch_rows, ColumnMask required)
     : BatchOp(logical), child_(std::move(child)),
-      batch_rows_(batch_rows > 0 ? batch_rows : 1) {}
+      batch_rows_(batch_rows > 0 ? batch_rows : 1),
+      required_(std::move(required)) {}
 
 Status BatchSortOp::Open() {
   obs::Span span("sort", "operator");
   CLOUDVIEWS_RETURN_NOT_OK(child_->Open());
-  sorted_.columns.clear();
-  sorted_.num_rows = 0;
+  sorted_.Clear();
   pos_ = 0;
   BatchChunk input;
-  CLOUDVIEWS_RETURN_NOT_OK(child_->DrainToChunk(nullptr, &input));
+  CLOUDVIEWS_RETURN_NOT_OK(child_->DrainToChunk(&input));
   const size_t n = input.num_rows;
   // Precompute sort-key columns to keep the comparator cheap and fallible
   // evaluation out of std::stable_sort (exactly SortOp's precomputed keys).
@@ -719,11 +886,7 @@ Status BatchSortOp::Open() {
     }
     return false;
   });
-  sorted_.columns.reserve(input.columns.size());
-  for (const ColumnPtr& col : input.columns) {
-    sorted_.columns.push_back(GatherColumn(*col, order));
-  }
-  sorted_.num_rows = n;
+  sorted_ = GatherRows(input, order, required_);
   double dn = static_cast<double>(n);
   AddCost(CostWeights::kSortRowLog * dn * (dn > 1 ? std::log2(dn) : 1.0));
   return Status::OK();
@@ -735,7 +898,7 @@ Status BatchSortOp::NextBatch(ColumnBatch* batch, bool* done) {
     return Status::OK();
   }
   const size_t end = std::min(pos_ + batch_rows_, sorted_.num_rows);
-  ColumnBatch out = SliceChunk(sorted_, pos_, end);
+  ColumnBatch out = SliceBatch(sorted_, pos_, end);
   pos_ = end;
   CountBatch(&stats_, out, 0.0);
   *batch = std::move(out);
@@ -745,8 +908,7 @@ Status BatchSortOp::NextBatch(ColumnBatch* batch, bool* done) {
 
 void BatchSortOp::Close() {
   child_->Close();
-  sorted_.columns.clear();
-  sorted_.num_rows = 0;
+  sorted_.Clear();
 }
 
 // --- BatchAggregateOp --------------------------------------------------------
@@ -759,20 +921,13 @@ BatchAggregateOp::BatchAggregateOp(const LogicalOp* logical, BatchOpPtr child,
 Status BatchAggregateOp::Open() {
   obs::Span span("aggregate", "operator");
   CLOUDVIEWS_RETURN_NOT_OK(child_->Open());
-  output_.columns.clear();
-  output_.num_rows = 0;
+  output_.Clear();
   pos_ = 0;
   const size_t num_keys = logical_->group_by.size();
   const size_t num_aggs = logical_->aggregates.size();
-  // Only the key and argument columns are read, so only they are
-  // concatenated.
-  std::vector<int> refs;
-  for (const ExprPtr& expr : logical_->group_by) expr->CollectColumns(&refs);
-  for (const AggregateSpec& spec : logical_->aggregates) {
-    if (spec.func != AggFunc::kCountStar) spec.arg->CollectColumns(&refs);
-  }
+  // The child was built to carry only the key and argument columns.
   BatchChunk input;
-  CLOUDVIEWS_RETURN_NOT_OK(child_->DrainToChunk(&refs, &input));
+  CLOUDVIEWS_RETURN_NOT_OK(child_->DrainToChunk(&input));
   const size_t n = input.num_rows;
   AddCost(CostWeights::kAggRow * static_cast<double>(n));
 
@@ -797,10 +952,9 @@ Status BatchAggregateOp::Open() {
   // engine's group hash), computed in morsels at DOP > 1.
   std::vector<uint64_t> hashes(n);
   auto hash_range = [&](size_t begin, size_t end) {
+    std::vector<Hasher> rows = HashRows(key_cols, begin, end, 0);
     for (size_t i = begin; i < end; ++i) {
-      Hasher h;
-      for (const ColumnPtr& col : key_cols) col->HashCellInto(i, &h);
-      hashes[i] = h.Finish().lo;
+      hashes[i] = rows[i - begin].Finish().lo;
     }
   };
   if (runtime_.Enabled()) {
@@ -995,7 +1149,7 @@ Status BatchAggregateOp::NextBatch(ColumnBatch* batch, bool* done) {
     return Status::OK();
   }
   const size_t end = std::min(pos_ + batch_rows_, output_.num_rows);
-  ColumnBatch out = SliceChunk(output_, pos_, end);
+  ColumnBatch out = SliceBatch(output_, pos_, end);
   pos_ = end;
   CountBatch(&stats_, out, 0.0);
   *batch = std::move(out);
@@ -1005,8 +1159,7 @@ Status BatchAggregateOp::NextBatch(ColumnBatch* batch, bool* done) {
 
 void BatchAggregateOp::Close() {
   child_->Close();
-  output_.columns.clear();
-  output_.num_rows = 0;
+  output_.Clear();
 }
 
 // --- BatchSpoolOp ------------------------------------------------------------
@@ -1049,7 +1202,7 @@ Status BatchSpoolOp::NextBatch(ColumnBatch* batch, bool* done) {
     return Status::OK();
   }
   const size_t n = batch->num_rows;
-  std::vector<size_t> row_bytes;
+  std::vector<uint32_t> row_bytes;
   RowByteSizes(*batch, &row_bytes);
   double cost_total = 0.0;
   uint64_t bytes_total = 0;
@@ -1094,8 +1247,9 @@ void BatchSpoolOp::Close() { child_->Close(); }
 // --- BatchHashJoinOp ---------------------------------------------------------
 
 BatchHashJoinOp::BatchHashJoinOp(const LogicalOp* logical, BatchOpPtr left,
-                                 BatchOpPtr right)
-    : BatchOp(logical), left_(std::move(left)), right_(std::move(right)) {
+                                 BatchOpPtr right, ColumnMask required)
+    : BatchOp(logical), left_(std::move(left)), right_(std::move(right)),
+      required_(std::move(required)) {
   for (const auto& [l, r] : logical->equi_keys) {
     left_keys_.push_back(l);
     right_keys_.push_back(r);
@@ -1105,19 +1259,17 @@ BatchHashJoinOp::BatchHashJoinOp(const LogicalOp* logical, BatchOpPtr left,
 Status BatchHashJoinOp::BuildRight() {
   partitions_.clear();
   BatchChunk rows;
-  CLOUDVIEWS_RETURN_NOT_OK(right_->DrainToChunk(nullptr, &rows));
+  CLOUDVIEWS_RETURN_NOT_OK(right_->DrainToChunk(&rows));
   const size_t n = rows.num_rows;
   AddCost(CostWeights::kHashBuildRow * static_cast<double>(n));
-  if (n > 0) right_arity_ = rows.columns.size();
   // HashRowKey parity: unseeded Hasher over the key cells, hi ^ lo.
   std::vector<uint64_t> hashes(n);
+  const std::vector<ColumnPtr> keys =
+      n > 0 ? ColumnsAt(rows, right_keys_) : std::vector<ColumnPtr>();
   auto hash_range = [&](size_t begin, size_t end) {
+    std::vector<Hasher> key_rows = HashRows(keys, begin, end, 0);
     for (size_t i = begin; i < end; ++i) {
-      Hasher h;
-      for (int k : right_keys_) {
-        rows.columns[static_cast<size_t>(k)]->HashCellInto(i, &h);
-      }
-      Hash128 out = h.Finish();
+      const Hash128 out = key_rows[i - begin].Finish();
       hashes[i] = out.hi ^ out.lo;
     }
   };
@@ -1163,6 +1315,7 @@ Status BatchHashJoinOp::BuildRight() {
 Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
                                    size_t end, ColumnBatch* out,
                                    OperatorStats* local) const {
+  if (begin == end) return Status::OK();
   local->cpu_cost +=
       CostWeights::kHashProbeRow * static_cast<double>(end - begin);
   // Pass 1: collect match candidates per probe row, in build-chain order
@@ -1170,12 +1323,10 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
   std::vector<uint32_t> cand_left;
   std::vector<uint32_t> cand_right;
   std::vector<uint32_t> cand_count(end - begin, 0);
+  const std::vector<Hasher> key_rows =
+      HashRows(ColumnsAt(probe, left_keys_), begin, end, 0);
   for (size_t i = begin; i < end; ++i) {
-    Hasher h;
-    for (int k : left_keys_) {
-      probe.columns[static_cast<size_t>(k)]->HashCellInto(i, &h);
-    }
-    Hash128 f = h.Finish();
+    const Hash128 f = key_rows[i - begin].Finish();
     const uint64_t hash = f.hi ^ f.lo;
     const PooledHashTable& partition = partitions_[hash % partitions_.size()];
     for (uint32_t e = partition.First(hash); e != PooledHashTable::kNil;
@@ -1225,9 +1376,10 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
     }
   }
   if (out_left.empty()) return Status::OK();
-  GatherJoinOutput(probe.columns, out_left, build_.columns, right_arity_,
-                   out_right, &out->columns);
-  out->num_rows = out_left.size();
+  *out = GatherJoinOutput(
+      probe, logical_->children[0]->output_schema.num_columns(), out_left,
+      build_, logical_->children[1]->output_schema.num_columns(), out_right,
+      required_);
   local->rows_out += out->num_rows;
   local->bytes_out += BatchByteSize(*out);
   return Status::OK();
@@ -1235,7 +1387,7 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
 
 Status BatchHashJoinOp::ProbeParallel() {
   BatchChunk probe;
-  CLOUDVIEWS_RETURN_NOT_OK(left_->DrainToChunk(nullptr, &probe));
+  CLOUDVIEWS_RETURN_NOT_OK(left_->DrainToChunk(&probe));
   const size_t n = probe.num_rows;
   size_t grain = runtime_.morsel_rows > 0 ? runtime_.morsel_rows : 1;
   size_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
@@ -1258,9 +1410,6 @@ Status BatchHashJoinOp::Open() {
   obs::Span span("hash-join", "operator");
   CLOUDVIEWS_RETURN_NOT_OK(left_->Open());
   CLOUDVIEWS_RETURN_NOT_OK(right_->Open());
-  if (right_arity_ == 0) {
-    right_arity_ = logical_->children[1]->output_schema.num_columns();
-  }
   {
     obs::Span build_span("join-build", "operator");
     CLOUDVIEWS_RETURN_NOT_OK(BuildRight());
@@ -1295,13 +1444,10 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
       *done = true;
       return Status::OK();
     }
-    BatchChunk probe;
-    probe.columns = std::move(input.columns);
-    probe.num_rows = input.num_rows;
     ColumnBatch out;
     OperatorStats local;
     CLOUDVIEWS_RETURN_NOT_OK(
-        ProbeRange(probe, 0, probe.num_rows, &out, &local));
+        ProbeRange(input, 0, input.num_rows, &out, &local));
     MergeStats(local);
     if (out.num_rows == 0) continue;
     *batch = std::move(out);
@@ -1314,29 +1460,29 @@ void BatchHashJoinOp::Close() {
   left_->Close();
   right_->Close();
   partitions_.clear();
-  build_.columns.clear();
-  build_.num_rows = 0;
+  build_.Clear();
   probe_out_.clear();
 }
 
 // --- BatchMergeJoinOp --------------------------------------------------------
 
 BatchMergeJoinOp::BatchMergeJoinOp(const LogicalOp* logical, BatchOpPtr left,
-                                   BatchOpPtr right, size_t batch_rows)
+                                   BatchOpPtr right, size_t batch_rows,
+                                   ColumnMask required)
     : BatchOp(logical), left_(std::move(left)), right_(std::move(right)),
-      batch_rows_(batch_rows > 0 ? batch_rows : 1) {}
+      batch_rows_(batch_rows > 0 ? batch_rows : 1),
+      required_(std::move(required)) {}
 
 Status BatchMergeJoinOp::Open() {
   CLOUDVIEWS_RETURN_NOT_OK(left_->Open());
   CLOUDVIEWS_RETURN_NOT_OK(right_->Open());
-  output_.columns.clear();
-  output_.num_rows = 0;
+  output_.Clear();
   pos_ = 0;
 
   BatchChunk left;
   BatchChunk right;
-  CLOUDVIEWS_RETURN_NOT_OK(left_->DrainToChunk(nullptr, &left));
-  CLOUDVIEWS_RETURN_NOT_OK(right_->DrainToChunk(nullptr, &right));
+  CLOUDVIEWS_RETURN_NOT_OK(left_->DrainToChunk(&left));
+  CLOUDVIEWS_RETURN_NOT_OK(right_->DrainToChunk(&right));
 
   std::vector<int> lk, rk;
   for (const auto& [l, r] : logical_->equi_keys) {
@@ -1462,10 +1608,10 @@ Status BatchMergeJoinOp::Open() {
     }
   }
   if (out_left.empty()) return Status::OK();
-  GatherJoinOutput(left.columns, out_left, right.columns,
-                   logical_->children[1]->output_schema.num_columns(),
-                   out_right, &output_.columns);
-  output_.num_rows = out_left.size();
+  output_ = GatherJoinOutput(
+      left, logical_->children[0]->output_schema.num_columns(), out_left,
+      right, logical_->children[1]->output_schema.num_columns(), out_right,
+      required_);
   return Status::OK();
 }
 
@@ -1475,7 +1621,7 @@ Status BatchMergeJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
     return Status::OK();
   }
   const size_t end = std::min(pos_ + batch_rows_, output_.num_rows);
-  ColumnBatch out = SliceChunk(output_, pos_, end);
+  ColumnBatch out = SliceBatch(output_, pos_, end);
   pos_ = end;
   CountBatch(&stats_, out, 0.0);
   *batch = std::move(out);
@@ -1486,27 +1632,24 @@ Status BatchMergeJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
 void BatchMergeJoinOp::Close() {
   left_->Close();
   right_->Close();
-  output_.columns.clear();
-  output_.num_rows = 0;
+  output_.Clear();
 }
 
 // --- BatchLoopJoinOp ---------------------------------------------------------
 
 BatchLoopJoinOp::BatchLoopJoinOp(const LogicalOp* logical, BatchOpPtr left,
-                                 BatchOpPtr right)
-    : BatchOp(logical), left_(std::move(left)), right_(std::move(right)) {}
+                                 BatchOpPtr right, ColumnMask required)
+    : BatchOp(logical), left_(std::move(left)), right_(std::move(right)),
+      required_(std::move(required)) {}
 
 Status BatchLoopJoinOp::Open() {
   CLOUDVIEWS_RETURN_NOT_OK(left_->Open());
   CLOUDVIEWS_RETURN_NOT_OK(right_->Open());
-  right_chunk_.columns.clear();
-  right_chunk_.num_rows = 0;
-  return right_->DrainToChunk(nullptr, &right_chunk_);
+  right_chunk_.Clear();
+  return right_->DrainToChunk(&right_chunk_);
 }
 
 Status BatchLoopJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
-  const size_t right_arity =
-      logical_->children[1]->output_schema.num_columns();
   const bool left_outer = logical_->join_kind == sql::JoinKind::kLeft;
   while (true) {
     ColumnBatch input;
@@ -1570,10 +1713,10 @@ Status BatchLoopJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
       }
     }
     if (out_left.empty()) continue;
-    ColumnBatch out;
-    GatherJoinOutput(input.columns, out_left, right_chunk_.columns,
-                     right_arity, out_right, &out.columns);
-    out.num_rows = out_left.size();
+    ColumnBatch out = GatherJoinOutput(
+        input, logical_->children[0]->output_schema.num_columns(), out_left,
+        right_chunk_, logical_->children[1]->output_schema.num_columns(),
+        out_right, required_);
     CountBatch(&stats_, out, 0.0);
     *batch = std::move(out);
     *done = false;
@@ -1584,8 +1727,7 @@ Status BatchLoopJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
 void BatchLoopJoinOp::Close() {
   left_->Close();
   right_->Close();
-  right_chunk_.columns.clear();
-  right_chunk_.num_rows = 0;
+  right_chunk_.Clear();
 }
 
 // --- BatchUnionAllOp ---------------------------------------------------------
@@ -1644,7 +1786,9 @@ bool BatchFusable(const LogicalOp& node) {
 
 // The columnar counterpart of PhysicalBuilder (identical error messages).
 // Scan-rooted fusable chains always become a BatchScanPipelineOp — streaming
-// at dop=1 or under a Limit, eager morsel-parallel otherwise.
+// at dop=1 or under a Limit, eager morsel-parallel otherwise. Each node is
+// built for the ColumnMask its parent reads (ChildReads); spools read, and
+// the root emits, full width.
 class BatchBuilder {
  public:
   BatchBuilder(const ExecContext* context, ParallelRuntime runtime,
@@ -1655,16 +1799,19 @@ class BatchBuilder {
   // `pipeline_ok` is false while an ancestor (a Limit with no intervening
   // fully-materializing operator) may stop pulling early: materializing
   // parallel strategies would then do — and count — work a serial run never
-  // performs, so those subtrees stay streaming.
-  Result<BatchOpPtr> Build(const LogicalOpPtr& node, bool pipeline_ok) {
-    auto op = BuildNode(node, pipeline_ok);
+  // performs, so those subtrees stay streaming. `required` is the node's
+  // output ordinals its parent reads.
+  Result<BatchOpPtr> Build(const LogicalOpPtr& node, bool pipeline_ok,
+                           ColumnMask required) {
+    auto op = BuildNode(node, pipeline_ok, std::move(required));
     if (op.ok()) registry_->push_back(op.value().get());
     return op;
   }
 
  private:
   Result<BatchOpPtr> TryBuildPipeline(const LogicalOpPtr& node,
-                                      bool pipeline_ok) {
+                                      bool pipeline_ok,
+                                      const ColumnMask& required) {
     const LogicalOp* cur = node.get();
     std::vector<const LogicalOp*> top_down;
     while (BatchFusable(*cur)) {
@@ -1687,11 +1834,19 @@ class BatchBuilder {
     const bool eager = runtime_.Enabled() && pipeline_ok;
     return BatchOpPtr(std::make_unique<BatchScanPipelineOp>(
         node.get(), std::move(chain), std::move(table).value(), is_view_scan,
-        runtime_, batch_rows_, eager));
+        runtime_, batch_rows_, eager, required));
   }
 
-  Result<BatchOpPtr> BuildNode(const LogicalOpPtr& node, bool pipeline_ok) {
-    auto pipeline = TryBuildPipeline(node, pipeline_ok);
+  // Builds child `i` of `node` for what `node` reads of it.
+  Result<BatchOpPtr> BuildChild(const LogicalOp& node, size_t i,
+                                bool pipeline_ok, const ColumnMask& required) {
+    return Build(node.children[i], pipeline_ok,
+                 ChildReads(node, required, i));
+  }
+
+  Result<BatchOpPtr> BuildNode(const LogicalOpPtr& node, bool pipeline_ok,
+                               ColumnMask required) {
+    auto pipeline = TryBuildPipeline(node, pipeline_ok, required);
     if (!pipeline.ok()) return pipeline.status();
     if (*pipeline != nullptr) return pipeline;
     switch (node->kind) {
@@ -1700,13 +1855,13 @@ class BatchBuilder {
         // TryBuildPipeline handles every scan (a bare scan is a 1-chain).
         return Status::Internal("scan not fused into a batch pipeline");
       case LogicalOpKind::kFilter: {
-        auto child = Build(node->children[0], pipeline_ok);
+        auto child = BuildChild(*node, 0, pipeline_ok, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchFilterOp>(
-            node.get(), std::move(child).value()));
+            node.get(), std::move(child).value(), std::move(required)));
       }
       case LogicalOpKind::kProject: {
-        auto child = Build(node->children[0], pipeline_ok);
+        auto child = BuildChild(*node, 0, pipeline_ok, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchProjectOp>(
             node.get(), std::move(child).value()));
@@ -1715,9 +1870,9 @@ class BatchBuilder {
         // The build (right) side is fully drained no matter what sits above
         // the join, so it may always pipeline; the probe (left) side streams
         // and inherits the ancestor constraint.
-        auto left = Build(node->children[0], pipeline_ok);
+        auto left = BuildChild(*node, 0, pipeline_ok, required);
         if (!left.ok()) return left.status();
-        auto right = Build(node->children[1], /*pipeline_ok=*/true);
+        auto right = BuildChild(*node, 1, /*pipeline_ok=*/true, required);
         if (!right.ok()) return right.status();
         switch (node->join_algorithm) {
           case JoinAlgorithm::kHash: {
@@ -1726,7 +1881,8 @@ class BatchBuilder {
                   "hash join requires at least one equi key");
             }
             auto join = std::make_unique<BatchHashJoinOp>(
-                node.get(), std::move(left).value(), std::move(right).value());
+                node.get(), std::move(left).value(), std::move(right).value(),
+                std::move(required));
             if (runtime_.Enabled()) {
               join->set_parallel(runtime_, /*probe_ok=*/pipeline_ok);
             }
@@ -1739,17 +1895,17 @@ class BatchBuilder {
             }
             return BatchOpPtr(std::make_unique<BatchMergeJoinOp>(
                 node.get(), std::move(left).value(), std::move(right).value(),
-                batch_rows_));
+                batch_rows_, std::move(required)));
           case JoinAlgorithm::kLoop:
             return BatchOpPtr(std::make_unique<BatchLoopJoinOp>(
-                node.get(), std::move(left).value(),
-                std::move(right).value()));
+                node.get(), std::move(left).value(), std::move(right).value(),
+                std::move(required)));
         }
         return Status::Internal("unknown join algorithm");
       }
       case LogicalOpKind::kAggregate: {
         // Aggregation drains its child completely regardless of ancestors.
-        auto child = Build(node->children[0], /*pipeline_ok=*/true);
+        auto child = BuildChild(*node, 0, /*pipeline_ok=*/true, required);
         if (!child.ok()) return child.status();
         auto agg = std::make_unique<BatchAggregateOp>(
             node.get(), std::move(child).value(), batch_rows_);
@@ -1757,21 +1913,22 @@ class BatchBuilder {
         return BatchOpPtr(std::move(agg));
       }
       case LogicalOpKind::kSort: {
-        auto child = Build(node->children[0], /*pipeline_ok=*/true);
+        auto child = BuildChild(*node, 0, /*pipeline_ok=*/true, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchSortOp>(
-            node.get(), std::move(child).value(), batch_rows_));
+            node.get(), std::move(child).value(), batch_rows_,
+            std::move(required)));
       }
       case LogicalOpKind::kLimit: {
-        auto child = Build(node->children[0], /*pipeline_ok=*/false);
+        auto child = BuildChild(*node, 0, /*pipeline_ok=*/false, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchLimitOp>(
             node.get(), std::move(child).value()));
       }
       case LogicalOpKind::kUnionAll: {
         std::vector<BatchOpPtr> children;
-        for (const LogicalOpPtr& child : node->children) {
-          auto built = Build(child, pipeline_ok);
+        for (size_t i = 0; i < node->children.size(); ++i) {
+          auto built = BuildChild(*node, i, pipeline_ok, required);
           if (!built.ok()) return built.status();
           children.push_back(std::move(built).value());
         }
@@ -1779,13 +1936,14 @@ class BatchBuilder {
             node.get(), std::move(children)));
       }
       case LogicalOpKind::kUdo: {
-        auto child = Build(node->children[0], pipeline_ok);
+        auto child = BuildChild(*node, 0, pipeline_ok, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchUdoOp>(
-            node.get(), std::move(child).value(), context_->job_seed));
+            node.get(), std::move(child).value(), context_->job_seed,
+            std::move(required)));
       }
       case LogicalOpKind::kSpool: {
-        auto child = Build(node->children[0], pipeline_ok);
+        auto child = BuildChild(*node, 0, pipeline_ok, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchSpoolOp>(
             node.get(), std::move(child).value(), context_->on_spool_complete,
@@ -1811,7 +1969,8 @@ Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
                                   size_t batch_rows, const LogicalOpPtr& plan,
                                   std::vector<PhysicalOp*>* registry) {
   BatchBuilder builder(&context, runtime, batch_rows, registry);
-  return builder.Build(plan, /*pipeline_ok=*/true);
+  return builder.Build(plan, /*pipeline_ok=*/true,
+                       ColumnMask(plan->output_schema.num_columns(), true));
 }
 
 }  // namespace cloudviews

@@ -47,16 +47,22 @@ Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
                         OperatorStats* stats);
 
 // A fully drained child output in columnar form (all batches concatenated).
-struct BatchChunk {
-  std::vector<ColumnPtr> columns;
-  size_t num_rows = 0;
-};
+using BatchChunk = ColumnBatch;
+
+// The output ordinals an operator's consumer reads, one flag per column.
+using ColumnMask = std::vector<bool>;
 
 // Pull-based batch operator: Open() once, NextBatch() until *done, Close().
 // Batches are dense (no selection vectors across operator boundaries) and
 // hold 1..batch_rows rows; zero-row batches may appear and consumers must
 // tolerate them. The row-granularity Next() inherited from PhysicalOp is a
 // wiring error by construction.
+//
+// Required columns: BuildBatchPlan tells each operator which of its output
+// ordinals its consumer reads. A batch carries at least those columns; a
+// slot nothing above reads may stay null, its bytes carried per row in
+// ColumnBatch::unread_bytes, so every OperatorStats::bytes_out still counts
+// the full logical row (DESIGN.md, "Columnar execution").
 class BatchOp : public PhysicalOp {
  public:
   using PhysicalOp::PhysicalOp;
@@ -65,13 +71,10 @@ class BatchOp : public PhysicalOp {
   virtual Status NextBatch(ColumnBatch* batch, bool* done) = 0;
 
   // Pulls the operator to completion and concatenates its batches into one
-  // chunk, with the stats a NextBatch() drain records. When `columns` is
-  // set, only those ordinals need be materialized and the other slots may
-  // stay null: a sparse chunk for a consumer that evaluates expressions
-  // reading just those columns. A bare serial scan overrides this to hand
-  // out its table's own columns without copying.
-  virtual Status DrainToChunk(const std::vector<int>* columns,
-                              BatchChunk* chunk);
+  // chunk, with the stats a NextBatch() drain records. A column is present
+  // in the chunk when every batch carries it. A bare serial scan overrides
+  // this to hand out its table's own columns without copying.
+  virtual Status DrainToChunk(BatchChunk* chunk);
 };
 
 using BatchOpPtr = std::unique_ptr<BatchOp>;
@@ -84,7 +87,8 @@ Result<TablePtr> BindScanTable(const ExecContext& context,
 // Builds the batch operator tree for `plan`, registering every operator in
 // `registry` for stats harvesting and verifier bracketing — the columnar
 // counterpart of the row engine's PhysicalBuilder, adding scan-pipeline
-// fusion and morsel parallelism.
+// fusion, morsel parallelism and required-column pruning. The root's
+// batches are full width.
 Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
                                   const ParallelRuntime& runtime,
                                   size_t batch_rows, const LogicalOpPtr& plan,
@@ -104,21 +108,23 @@ Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
 //    the per-morsel outputs in morsel order (DOP-invariant).
 // Per-stage stats replicate the discrete row operators; morsel telemetry is
 // attributed once, to the chain's top stage. The table's columns are never
-// copied unread: a whole-table range shares them, and a first Filter reads
-// only its predicate's columns before gathering the surviving rows.
+// copied unread: a whole-table range shares them, other ranges slice only
+// the columns a stage above reads, and a first Filter reads only its
+// predicate's columns before gathering the surviving rows.
 class BatchScanPipelineOp : public BatchOp {
  public:
   // `chain` lists the fused logical nodes from the scan upward (the last
   // element is `logical`, the chain's top; a bare scan has a 1-chain).
+  // `required` is the top's consumer's ColumnMask.
   BatchScanPipelineOp(const LogicalOp* logical,
                       std::vector<const LogicalOp*> chain, TablePtr table,
                       bool is_view_scan, ParallelRuntime runtime,
-                      size_t batch_rows, bool eager_parallel);
+                      size_t batch_rows, bool eager_parallel,
+                      ColumnMask required);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
-  Status DrainToChunk(const std::vector<int>* columns,
-                      BatchChunk* chunk) override;
+  Status DrainToChunk(BatchChunk* chunk) override;
   void Close() override;
 
   void ExportStats(
@@ -129,6 +135,7 @@ class BatchScanPipelineOp : public BatchOp {
   struct Stage {
     const LogicalOp* op = nullptr;
     uint64_t udo_seed = 0;
+    ColumnMask keep;  // the output ordinals the stage above reads
     OperatorStats stats;
   };
 
@@ -159,7 +166,8 @@ class BatchScanPipelineOp : public BatchOp {
 // pipeline, e.g. above a join).
 class BatchFilterOp : public BatchOp {
  public:
-  BatchFilterOp(const LogicalOp* logical, BatchOpPtr child);
+  BatchFilterOp(const LogicalOp* logical, BatchOpPtr child,
+                ColumnMask required);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
@@ -167,6 +175,7 @@ class BatchFilterOp : public BatchOp {
 
  private:
   BatchOpPtr child_;
+  ColumnMask required_;
 };
 
 class BatchProjectOp : public BatchOp {
@@ -195,13 +204,13 @@ class BatchLimitOp : public BatchOp {
 };
 
 // Vectorized UDO filter: same per-row (seed, row content[, arrival counter])
-// keep/drop hash as UdoOp, evaluated batch-at-a-time. Rows arrive in global
-// input order (batches stream in morsel order), so the non-deterministic
-// counter sequence matches the row engine exactly.
+// keep/drop hash as UdoOp, evaluated batch-at-a-time over full-width input.
+// Rows arrive in global input order (batches stream in morsel order), so
+// the non-deterministic counter sequence matches the row engine exactly.
 class BatchUdoOp : public BatchOp {
  public:
   BatchUdoOp(const LogicalOp* logical, BatchOpPtr child,
-             uint64_t instance_seed);
+             uint64_t instance_seed, ColumnMask required);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
@@ -209,6 +218,7 @@ class BatchUdoOp : public BatchOp {
 
  private:
   BatchOpPtr child_;
+  ColumnMask required_;
   uint64_t seed_;
   uint64_t counter_ = 0;
 };
@@ -218,7 +228,8 @@ class BatchUdoOp : public BatchOp {
 // comparator), gathers once, and emits batch_rows-row slices.
 class BatchSortOp : public BatchOp {
  public:
-  BatchSortOp(const LogicalOp* logical, BatchOpPtr child, size_t batch_rows);
+  BatchSortOp(const LogicalOp* logical, BatchOpPtr child, size_t batch_rows,
+              ColumnMask required);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
@@ -227,6 +238,7 @@ class BatchSortOp : public BatchOp {
  private:
   BatchOpPtr child_;
   size_t batch_rows_;
+  ColumnMask required_;
   BatchChunk sorted_;
   size_t pos_ = 0;
 };
@@ -322,7 +334,8 @@ class BatchSpoolOp : public BatchOp, public SpoolOpIface {
 // in morsels emitted in morsel order (parallel).
 class BatchHashJoinOp : public BatchOp {
  public:
-  BatchHashJoinOp(const LogicalOp* logical, BatchOpPtr left, BatchOpPtr right);
+  BatchHashJoinOp(const LogicalOp* logical, BatchOpPtr left, BatchOpPtr right,
+                  ColumnMask required);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
@@ -343,6 +356,7 @@ class BatchHashJoinOp : public BatchOp {
 
   BatchOpPtr left_;
   BatchOpPtr right_;
+  ColumnMask required_;
   ParallelRuntime runtime_;
   bool probe_ok_ = false;
   std::vector<int> left_keys_;
@@ -351,7 +365,6 @@ class BatchHashJoinOp : public BatchOp {
   // Hash-partitioned build tables (hash % partition count selects one): a
   // single partition when serial, `dop` when parallel.
   std::vector<PooledHashTable> partitions_;
-  size_t right_arity_ = 0;
   bool parallel_probe_ = false;
   std::vector<ColumnBatch> probe_out_;  // parallel probe, morsel order
   size_t out_index_ = 0;
@@ -360,7 +373,7 @@ class BatchHashJoinOp : public BatchOp {
 class BatchMergeJoinOp : public BatchOp {
  public:
   BatchMergeJoinOp(const LogicalOp* logical, BatchOpPtr left, BatchOpPtr right,
-                   size_t batch_rows);
+                   size_t batch_rows, ColumnMask required);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
@@ -370,13 +383,15 @@ class BatchMergeJoinOp : public BatchOp {
   BatchOpPtr left_;
   BatchOpPtr right_;
   size_t batch_rows_;
+  ColumnMask required_;
   BatchChunk output_;
   size_t pos_ = 0;
 };
 
 class BatchLoopJoinOp : public BatchOp {
  public:
-  BatchLoopJoinOp(const LogicalOp* logical, BatchOpPtr left, BatchOpPtr right);
+  BatchLoopJoinOp(const LogicalOp* logical, BatchOpPtr left, BatchOpPtr right,
+                  ColumnMask required);
 
   Status Open() override;
   Status NextBatch(ColumnBatch* batch, bool* done) override;
@@ -385,6 +400,7 @@ class BatchLoopJoinOp : public BatchOp {
  private:
   BatchOpPtr left_;
   BatchOpPtr right_;
+  ColumnMask required_;
   BatchChunk right_chunk_;
 };
 

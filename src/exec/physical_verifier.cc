@@ -197,6 +197,10 @@ Status PhysicalVerifier::VerifyBatch(const LogicalOp& root,
         std::to_string(batch.num_columns()) + " columns, plan output has " +
         std::to_string(arity));
   }
+  if (!batch.unread_bytes.empty()) {
+    return Status::Corruption(
+        "batch invariant: root emitted a batch with unread columns");
+  }
   for (size_t c = 0; c < batch.num_columns(); ++c) {
     const ColumnPtr& col = batch.columns[c];
     if (col == nullptr) {

@@ -32,7 +32,8 @@ namespace verify {
 // The columnar engine adds a third, per-batch check inside the drain loop:
 //
 //   VerifyBatch    — every output batch is structurally sound: the arity
-//                    matches the plan's output schema, every column holds
+//                    matches the plan's output schema, the batch is full
+//                    width (no column left unread), every column holds
 //                    exactly num_rows cells, and each column's null bitmap
 //                    is sized consistently with its length.
 //

@@ -124,7 +124,7 @@ Status SharedScanOp::Detach() {
         *plan, registry, runtime.dop, runtime.morsel_rows));
   }
   CLOUDVIEWS_RETURN_NOT_OK(root->Open());
-  Status drained = root->DrainToChunk(nullptr, &fallback_);
+  Status drained = root->DrainToChunk(&fallback_);
   root->Close();
   CLOUDVIEWS_RETURN_NOT_OK(drained);
   if constexpr (verify::RuntimeChecksEnabled()) {

@@ -59,10 +59,17 @@ size_t ColumnVector::CellByteSize(size_t i) const {
   return 1;
 }
 
+namespace {
+
+// What Value::HashInto feeds for a null.
+constexpr uint64_t kNullHashWord = 0xDEAD0011u;
+
+}  // namespace
+
 void ColumnVector::HashCellInto(size_t i, Hasher* hasher) const {
   switch (CellType(i)) {
     case DataType::kNull:
-      hasher->Update(uint64_t{0xDEAD0011u});
+      hasher->Update(kNullHashWord);
       break;
     case DataType::kBool:
       hasher->Update(CellBool(i));
@@ -78,6 +85,56 @@ void ColumnVector::HashCellInto(size_t i, Hasher* hasher) const {
     case DataType::kString:
       hasher->Update(std::string_view(CellString(i)));
       break;
+  }
+}
+
+void ColumnVector::HashCellsInto(size_t begin, size_t n,
+                                 Hasher* hashers) const {
+  if (mixed_) {
+    for (size_t k = 0; k < n; ++k) HashCellInto(begin + k, &hashers[k]);
+    return;
+  }
+  // Typed loops: each arm is HashCellInto's case for the column's type.
+  switch (type_) {
+    case DataType::kNull:
+      for (size_t k = 0; k < n; ++k) hashers[k].Update(kNullHashWord);
+      return;
+    case DataType::kBool:
+      for (size_t k = 0, i = begin; k < n; ++k, ++i) {
+        if (IsNull(i)) {
+          hashers[k].Update(kNullHashWord);
+        } else {
+          hashers[k].Update(bools_[i] != 0);
+        }
+      }
+      return;
+    case DataType::kInt64:
+      for (size_t k = 0, i = begin; k < n; ++k, ++i) {
+        if (IsNull(i)) {
+          hashers[k].Update(kNullHashWord);
+        } else {
+          hashers[k].Update(static_cast<double>(ints_[i]));
+        }
+      }
+      return;
+    case DataType::kDouble:
+      for (size_t k = 0, i = begin; k < n; ++k, ++i) {
+        if (IsNull(i)) {
+          hashers[k].Update(kNullHashWord);
+        } else {
+          hashers[k].Update(doubles_[i]);
+        }
+      }
+      return;
+    case DataType::kString:
+      for (size_t k = 0, i = begin; k < n; ++k, ++i) {
+        if (IsNull(i)) {
+          hashers[k].Update(kNullHashWord);
+        } else {
+          hashers[k].Update(std::string_view(strings_[i]));
+        }
+      }
+      return;
   }
 }
 
@@ -526,32 +583,61 @@ size_t ColumnVector::CountValid(size_t begin, size_t end) const {
   return present;
 }
 
+template <typename RowAt, typename Add>
+void ColumnVector::ForEachCellByteSize(size_t n, RowAt row_at,
+                                       Add add) const {
+  auto present = [&](uint32_t r) { return r != kPadIndex && !IsNull(r); };
+  if (mixed_) {
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t r = row_at(k);
+      add(k, r == kPadIndex ? 1 : CellByteSize(r));
+    }
+    return;
+  }
+  switch (type_) {
+    case DataType::kNull:
+    case DataType::kBool:
+      for (size_t k = 0; k < n; ++k) add(k, 1);
+      return;
+    case DataType::kInt64:
+    case DataType::kDouble:
+      for (size_t k = 0; k < n; ++k) add(k, present(row_at(k)) ? 8 : 1);
+      return;
+    case DataType::kString:
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t r = row_at(k);
+        add(k, present(r) ? strings_[r].size() + 4 : 1);
+      }
+      return;
+  }
+}
+
+void ColumnVector::AddCellByteSizes(const std::vector<uint32_t>& rows,
+                                    uint32_t* out) const {
+  ForEachCellByteSize(
+      rows.size(), [&](size_t k) { return rows[k]; },
+      [&](size_t k, size_t bytes) { out[k] += static_cast<uint32_t>(bytes); });
+}
+
+void ColumnVector::AddCellByteSizes(size_t begin, size_t n,
+                                    uint32_t* out) const {
+  ForEachCellByteSize(
+      n, [&](size_t k) { return static_cast<uint32_t>(begin + k); },
+      [&](size_t k, size_t bytes) { out[k] += static_cast<uint32_t>(bytes); });
+}
+
 size_t ColumnVector::ByteSize(size_t begin, size_t end) const {
   if (begin >= end) return 0;
   const size_t n = end - begin;
-  if (!mixed_) {
-    // Typed fast path: a null cell is 1 byte, a present fixed-width cell a
-    // constant; nulls are counted word-wise off the bitmap.
-    switch (type_) {
-      case DataType::kNull:
-      case DataType::kBool:
-        return n;  // 1 byte whether null or present
-      case DataType::kInt64:
-      case DataType::kDouble: {
-        const size_t present = CountValid(begin, end);
-        return (n - present) + present * 8;
-      }
-      case DataType::kString: {
-        size_t total = 0;
-        for (size_t i = begin; i < end; ++i) {
-          total += IsNull(i) ? 1 : strings_[i].size() + 4;
-        }
-        return total;
-      }
-    }
+  if (!mixed_ && (type_ == DataType::kInt64 || type_ == DataType::kDouble)) {
+    // A null cell is 1 byte, a present one 8: count nulls word-wise.
+    const size_t present = CountValid(begin, end);
+    return (n - present) + present * 8;
   }
   size_t total = 0;
-  for (size_t i = begin; i < end; ++i) total += CellByteSize(i);
+  ForEachCellByteSize(
+      n, [&](size_t k) { return static_cast<uint32_t>(begin + k); },
+      [&](size_t, size_t bytes) { total += bytes; });
   return total;
 }
 

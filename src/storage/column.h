@@ -62,6 +62,15 @@ class ColumnVector {
   // Parity helpers — exact replicas of the Value methods of the same name.
   size_t CellByteSize(size_t i) const;
   void HashCellInto(size_t i, Hasher* hasher) const;
+  // Column-at-a-time HashCellInto: feeds cell begin + k into hashers[k] for
+  // k in [0, n), the same bytes a per-cell call would feed.
+  void HashCellsInto(size_t begin, size_t n, Hasher* hashers) const;
+  // Adds CellByteSize of the cell at rows[k] to out[k] (1 for kPadIndex: a
+  // pad is a null), without copying the cells.
+  void AddCellByteSizes(const std::vector<uint32_t>& rows,
+                        uint32_t* out) const;
+  // The same over the contiguous rows [begin, begin + n).
+  void AddCellByteSizes(size_t begin, size_t n, uint32_t* out) const;
   std::string CellToString(size_t i) const;
   Value GetValue(size_t i) const;
 
@@ -116,6 +125,11 @@ class ColumnVector {
   void SetValid(size_t i) { valid_[i >> 6] |= uint64_t{1} << (i & 63); }
   // Number of non-null cells in [begin, end).
   size_t CountValid(size_t begin, size_t end) const;
+  // Calls add(k, CellByteSize(row_at(k))) for k in [0, n), counting 1 for
+  // a kPadIndex row: the one per-cell byte loop behind ByteSize and
+  // AddCellByteSizes.
+  template <typename RowAt, typename Add>
+  void ForEachCellByteSize(size_t n, RowAt row_at, Add add) const;
   void GrowBitmap(bool valid);
   // Appends `count` bits of `words` starting at bit `begin` to the bitmap,
   // advancing size_ (typed storage must be grown by the caller).
@@ -143,15 +157,21 @@ class ColumnVector {
 
 using ColumnPtr = std::shared_ptr<const ColumnVector>;
 
-// A batch of rows in columnar layout. Columns all have length num_rows.
+// A batch of rows in columnar layout. Columns all have length num_rows. In
+// the columnar engine a column no consumer reads may stay null; its bytes
+// (CellByteSize per cell) then travel per row in `unread_bytes`, so the
+// batch's byte size is still that of the full logical row.
 struct ColumnBatch {
   std::vector<ColumnPtr> columns;
   size_t num_rows = 0;
+  // Per-row bytes of the null columns; empty when every column is present.
+  std::vector<uint32_t> unread_bytes;
 
   size_t num_columns() const { return columns.size(); }
   void Clear() {
     columns.clear();
     num_rows = 0;
+    unread_bytes.clear();
   }
 };
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "exec/batch_kernels.h"
 #include "exec/batch_op.h"
 #include "exec/executor.h"
 #include "fault/fault.h"
@@ -151,6 +152,52 @@ class ColumnarExecTest : public ::testing::Test {
     }
   }
 
+  // The spool's materialized side table — the bytes that become a
+  // CloudView — must be identical across engines, not just the query
+  // output. Checksummed with the view store's integrity hash.
+  void ExpectSpoolParity(const LogicalOpPtr& root) {
+    auto run = [&](ExecEngine engine, int dop, size_t batch_rows,
+                   TablePtr* captured) {
+      ExecContext context;
+      context.catalog = &catalog_;
+      context.dop = dop;
+      context.morsel_rows = 64;
+      context.engine = engine;
+      context.batch_rows = batch_rows;
+      context.on_spool_complete = [captured](const LogicalOp&,
+                                             TablePtr contents,
+                                             const OperatorStats&) {
+        *captured = std::move(contents);
+      };
+      Executor executor(context);
+      return executor.Execute(root);
+    };
+
+    TablePtr row_side;
+    auto reference = run(ExecEngine::kRow, 1, 1, &row_side);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_NE(row_side, nullptr);
+    const Hash128 want = ComputeTableChecksum(*row_side);
+
+    for (int dop : kDops) {
+      for (size_t batch_rows : kBatchSizes) {
+        TablePtr col_side;
+        auto columnar = run(ExecEngine::kColumnar, dop, batch_rows, &col_side);
+        ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
+        ASSERT_NE(col_side, nullptr);
+        ExpectSameOutput(columnar->output, reference->output, "spool output");
+        ExpectSameOutput(col_side, row_side, "spool side table");
+        EXPECT_EQ(ComputeTableChecksum(*col_side), want)
+            << "dop=" << dop << " batch_rows=" << batch_rows;
+        EXPECT_EQ(columnar->stats.bytes_spooled,
+                  reference->stats.bytes_spooled);
+        EXPECT_NEAR(columnar->stats.spool_cpu_cost,
+                    reference->stats.spool_cpu_cost,
+                    1e-6 * (1.0 + reference->stats.spool_cpu_cost));
+      }
+    }
+  }
+
   DatasetCatalog catalog_;
   const ViewStore* view_store_ = nullptr;
 };
@@ -255,6 +302,175 @@ TEST_F(ColumnarExecTest, AggregateOverWideJoinReadsOneColumn) {
       "ON Sales.PartId = Parts.PartId GROUP BY PartType"));
 }
 
+// Joins, filters, UDOs and sorts gather only the columns their consumers
+// read; every per-node bytes_out must still count the full logical row.
+TEST_F(ColumnarExecTest, LeftJoinUnreadRightStringsUnderAggregate) {
+  // Customers 40..99 fail the residual, so their Sales rows are padded; the
+  // aggregate reads one left column, leaving Name and MktSegment unread.
+  ExpectEngineParity(Plan(
+      "SELECT Sales.PartId, COUNT(*) FROM Sales LEFT JOIN Customer "
+      "ON Sales.CustomerId = Customer.CustomerId "
+      "AND Customer.CustomerId < 40 GROUP BY Sales.PartId"));
+}
+
+TEST_F(ColumnarExecTest, JoinUnderNonDeterministicUdoUnderAggregate) {
+  // The UDO's keep/drop hash reads every cell, so its input is full width;
+  // its own output is pruned to the aggregate's key.
+  LogicalOpPtr plan = Plan(
+      "SELECT MktSegment, COUNT(*) FROM Sales JOIN Customer "
+      "ON Sales.CustomerId = Customer.CustomerId GROUP BY MktSegment");
+  ASSERT_NE(plan, nullptr);
+  LogicalOp* agg = plan->children[0].get();
+  ASSERT_EQ(agg->kind, LogicalOpKind::kAggregate);
+  agg->children[0] = LogicalOp::Udo(agg->children[0], "Random.Next",
+                                    /*deterministic=*/false, 2,
+                                    /*selectivity=*/0.5);
+  ExpectEngineParity(plan);
+}
+
+TEST_F(ColumnarExecTest, JoinUnderOrderByLimitReadsTwoColumns) {
+  // The limit never trips (the join yields 356 rows), so every per-node
+  // counter is comparable.
+  ExpectEngineParity(Plan(
+      "SELECT SaleId, Name FROM Sales JOIN Customer "
+      "ON Sales.CustomerId = Customer.CustomerId WHERE Price > 11 "
+      "ORDER BY Name DESC, SaleId LIMIT 1000"));
+}
+
+TEST_F(ColumnarExecTest, EmptyBuildSideDrainsToZeroColumns) {
+  // Every Sales row is padded; the read right column comes from a build
+  // side that drained to no columns at all.
+  ASSERT_TRUE(catalog_
+                  .Register("NoCustomer", testing_util::MakeCustomerTable(0),
+                            "guid-nocustomer-v1")
+                  .ok());
+  ExpectEngineParity(Plan(
+      "SELECT Sales.PartId, COUNT(*) FROM Sales LEFT JOIN NoCustomer "
+      "ON Sales.CustomerId = NoCustomer.CustomerId GROUP BY Sales.PartId"));
+  ExpectEngineParity(Plan(
+      "SELECT SaleId, Name FROM Sales LEFT JOIN NoCustomer "
+      "ON Sales.CustomerId = NoCustomer.CustomerId"));
+}
+
+TEST_F(ColumnarExecTest, UnionAllBuildSideChildrenCarryDifferentColumns) {
+  // The build side is a UNION ALL of a bare scan (a whole-table range keeps
+  // every column) and a filtered scan (which gathers only the two columns
+  // the join reads): the drained chunk must count MktSegment's bytes from
+  // the first child's column and the second child's unread bytes alike.
+  LogicalOpPtr plan = Plan(
+      "SELECT SaleId, Name FROM Sales JOIN Customer "
+      "ON Sales.CustomerId = Customer.CustomerId");
+  LogicalOpPtr filtered = Plan(
+      "SELECT CustomerId, Name, MktSegment FROM Customer "
+      "WHERE CustomerId < 50");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_NE(filtered, nullptr);
+  LogicalOp* join = plan->children[0].get();
+  ASSERT_EQ(join->kind, LogicalOpKind::kJoin);
+  while (filtered->kind != LogicalOpKind::kFilter) {
+    ASSERT_FALSE(filtered->children.empty());
+    filtered = filtered->children[0];
+  }
+  join->children[1] = LogicalOp::UnionAll({join->children[1], filtered});
+  ExpectEngineParity(plan);
+}
+
+TEST_F(ColumnarExecTest, JoinDrainCarriesOnlyColumnsTheAggregateReads) {
+  // Under the aggregate, the join's drained chunk holds only the columns
+  // the aggregate reads; the others stay null, yet its byte size is that
+  // of the same join drained at full width (as a root).
+  LogicalOpPtr plan = Plan(
+      "SELECT PartType, COUNT(*) FROM Sales JOIN Parts "
+      "ON Sales.PartId = Parts.PartId GROUP BY PartType");
+  ASSERT_NE(plan, nullptr);
+  const LogicalOp& agg = *plan->children[0];
+  ASSERT_EQ(agg.kind, LogicalOpKind::kAggregate);
+  const LogicalOpPtr& join = agg.children[0];
+  ASSERT_EQ(join->kind, LogicalOpKind::kJoin);
+  std::vector<int> read;
+  for (const ExprPtr& key : agg.group_by) key->CollectColumns(&read);
+  ASSERT_EQ(read.size(), 1u);
+
+  ExecContext context;
+  context.catalog = &catalog_;
+  auto drain_join = [&](const LogicalOpPtr& root, BatchChunk* chunk) {
+    std::vector<PhysicalOp*> registry;
+    auto built = BuildBatchPlan(context, ParallelRuntime(),
+                                /*batch_rows=*/64, root, &registry);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    BatchOp* join_op = nullptr;
+    for (PhysicalOp* op : registry) {
+      if (op->logical() == join.get()) join_op = static_cast<BatchOp*>(op);
+    }
+    ASSERT_NE(join_op, nullptr);
+    ASSERT_TRUE(join_op->Open().ok());
+    ASSERT_TRUE(join_op->DrainToChunk(chunk).ok());
+    join_op->Close();
+  };
+  BatchChunk pruned;
+  BatchChunk full;
+  drain_join(plan, &pruned);
+  drain_join(join, &full);
+  ASSERT_GT(full.num_rows, 0u);
+  ASSERT_EQ(pruned.num_rows, full.num_rows);
+  ASSERT_EQ(pruned.columns.size(), join->output_schema.num_columns());
+  ASSERT_EQ(full.columns.size(), pruned.columns.size());
+  for (size_t c = 0; c < pruned.columns.size(); ++c) {
+    EXPECT_EQ(pruned.columns[c] != nullptr, static_cast<int>(c) == read[0])
+        << "column " << c;
+    EXPECT_NE(full.columns[c], nullptr) << "column " << c;
+  }
+  EXPECT_TRUE(full.unread_bytes.empty());
+  EXPECT_EQ(BatchByteSize(pruned), BatchByteSize(full));
+}
+
+TEST_F(ColumnarExecTest, LiteralComparisonsMatchRowEngine) {
+  // Typed columns against literals compare as scalars, the literal on
+  // either side; a null literal and a mixed column take the broadcast path.
+  Schema schema({{"Id", DataType::kInt64}, {"Val", DataType::kInt64}});
+  auto mixed = std::make_shared<Table>("Mixed", schema);
+  for (int i = 0; i < 150; ++i) {
+    Value val = i % 4 == 0   ? Value(static_cast<int64_t>(i % 9))
+                : i % 4 == 1 ? Value(0.5 * (i % 13))
+                : i % 4 == 2 ? Value::Null()
+                             : Value("s" + std::to_string(i));
+    ASSERT_TRUE(mixed->Append({Value(static_cast<int64_t>(i)), val}).ok());
+  }
+  ASSERT_TRUE(catalog_.Register("Mixed", mixed, "guid-mixed-v1").ok());
+  for (const char* where :
+       {"3 < Quantity", "Quantity > 2.5", "12.5 >= Price", "Price <> 13",
+        "'Europe' <= MktSegment", "MktSegment = 'Asia'", "Quantity = NULL"}) {
+    ExpectEngineParity(Plan(
+        std::string("SELECT SaleId, MktSegment FROM Sales JOIN Customer "
+                    "ON Sales.CustomerId = Customer.CustomerId WHERE ") +
+        where));
+  }
+  ExpectEngineParity(Plan("SELECT Id, Val FROM Mixed WHERE Val > 3"));
+  ExpectEngineParity(Plan("SELECT Id FROM Mixed WHERE 4.5 <= Val"));
+  // Typed columns with nulls: under NOT a null comparison drops the row
+  // while a false one keeps it, so the result must carry the column's
+  // bitmap.
+  Schema typed_schema({{"Id", DataType::kInt64},
+                       {"Qty", DataType::kInt64},
+                       {"Tag", DataType::kString}});
+  auto nullable = std::make_shared<Table>("Nullable", typed_schema);
+  for (int i = 0; i < 150; ++i) {
+    Value qty =
+        i % 5 == 0 ? Value::Null() : Value(static_cast<int64_t>(i % 7));
+    Value tag =
+        i % 3 == 0 ? Value::Null() : Value("t" + std::to_string(i % 11));
+    ASSERT_TRUE(
+        nullable->Append({Value(static_cast<int64_t>(i)), qty, tag}).ok());
+  }
+  ASSERT_TRUE(catalog_.Register("Nullable", nullable, "guid-nullable-v1").ok());
+  for (const char* where :
+       {"NOT (Qty > 3)", "NOT (2.5 >= Qty)", "NOT (Tag < 't5')",
+        "NOT ('t3' = Tag)"}) {
+    ExpectEngineParity(
+        Plan(std::string("SELECT Id FROM Nullable WHERE ") + where));
+  }
+}
+
 TEST_F(ColumnarExecTest, BareSerialScanDrainSharesTableColumns) {
   // Draining a bare serial scan hands out the table's own columns, and
   // charges exactly the stats a batch-by-batch drain would.
@@ -265,12 +481,13 @@ TEST_F(ColumnarExecTest, BareSerialScanDrainSharesTableColumns) {
       LogicalOp::Scan("Sales", dataset->guid, table->schema());
   for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
     const std::string label = "batch_rows=" + std::to_string(batch_rows);
+    const ColumnMask all(table->num_columns(), true);
     BatchScanPipelineOp drained(scan.get(), {scan.get()}, table,
                                 /*is_view_scan=*/false, ParallelRuntime(),
-                                batch_rows, /*eager_parallel=*/false);
+                                batch_rows, /*eager_parallel=*/false, all);
     ASSERT_TRUE(drained.Open().ok()) << label;
     BatchChunk chunk;
-    ASSERT_TRUE(drained.DrainToChunk(nullptr, &chunk).ok()) << label;
+    ASSERT_TRUE(drained.DrainToChunk(&chunk).ok()) << label;
     ASSERT_EQ(chunk.num_rows, table->num_rows()) << label;
     ASSERT_EQ(chunk.columns.size(), table->num_columns()) << label;
     for (size_t c = 0; c < table->num_columns(); ++c) {
@@ -279,7 +496,7 @@ TEST_F(ColumnarExecTest, BareSerialScanDrainSharesTableColumns) {
 
     BatchScanPipelineOp streamed(scan.get(), {scan.get()}, table,
                                  /*is_view_scan=*/false, ParallelRuntime(),
-                                 batch_rows, /*eager_parallel=*/false);
+                                 batch_rows, /*eager_parallel=*/false, all);
     ASSERT_TRUE(streamed.Open().ok()) << label;
     size_t rows = 0;
     while (true) {
@@ -375,55 +592,25 @@ TEST_F(ColumnarExecTest, JoinAggregateSortEndToEnd) {
 }
 
 TEST_F(ColumnarExecTest, SpoolSideTableIdentical) {
-  // The spool's materialized side table — the bytes that become a
-  // CloudView — must be identical across engines, not just the query
-  // output. Checksummed with the view store's integrity hash.
   PlanBuilder builder(&catalog_);
   auto base = builder.BuildFromSql(
       "SELECT Name FROM Customer WHERE MktSegment = 'Asia'");
   ASSERT_TRUE(base.ok());
-  LogicalOpPtr spooled = LogicalOp::Spool((*base)->children[0]);
   LogicalOpPtr root = (*base)->Clone();
-  root->children[0] = spooled;
+  root->children[0] = LogicalOp::Spool((*base)->children[0]);
+  ExpectSpoolParity(root);
+}
 
-  auto run = [&](ExecEngine engine, int dop, size_t batch_rows,
-                 TablePtr* captured) {
-    ExecContext context;
-    context.catalog = &catalog_;
-    context.dop = dop;
-    context.morsel_rows = 64;
-    context.engine = engine;
-    context.batch_rows = batch_rows;
-    context.on_spool_complete = [captured](const LogicalOp&, TablePtr contents,
-                                           const OperatorStats&) {
-      *captured = std::move(contents);
-    };
-    Executor executor(context);
-    return executor.Execute(root);
-  };
-
-  TablePtr row_side;
-  auto reference = run(ExecEngine::kRow, 1, 1, &row_side);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_NE(row_side, nullptr);
-  const Hash128 want = ComputeTableChecksum(*row_side);
-
-  for (int dop : kDops) {
-    for (size_t batch_rows : kBatchSizes) {
-      TablePtr col_side;
-      auto columnar = run(ExecEngine::kColumnar, dop, batch_rows, &col_side);
-      ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
-      ASSERT_NE(col_side, nullptr);
-      ExpectSameOutput(columnar->output, reference->output, "spool output");
-      ExpectSameOutput(col_side, row_side, "spool side table");
-      EXPECT_EQ(ComputeTableChecksum(*col_side), want)
-          << "dop=" << dop << " batch_rows=" << batch_rows;
-      EXPECT_EQ(columnar->stats.bytes_spooled, reference->stats.bytes_spooled);
-      EXPECT_NEAR(columnar->stats.spool_cpu_cost,
-                  reference->stats.spool_cpu_cost,
-                  1e-6 * (1.0 + reference->stats.spool_cpu_cost));
-    }
-  }
+TEST_F(ColumnarExecTest, SpoolAboveJoinStaysFullWidth) {
+  // The Project above reads one column, but the spool materializes the
+  // join's every column: side table and bytes_spooled match the row engine.
+  LogicalOpPtr root = Plan(
+      "SELECT Name FROM Sales JOIN Customer "
+      "ON Sales.CustomerId = Customer.CustomerId WHERE Price > 12");
+  ASSERT_NE(root, nullptr);
+  root->children[0] = LogicalOp::Spool(root->children[0]);
+  ExpectSpoolParity(root);
+  ExpectEngineParity(root);
 }
 
 TEST_F(ColumnarExecTest, ViewScanParity) {

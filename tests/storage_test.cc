@@ -207,6 +207,56 @@ TEST(ColumnVectorTest, PadAwareGatherMatchesPerCellAppends) {
   }
 }
 
+TEST(ColumnVectorTest, ColumnAtATimeHashEqualsPerCellHash) {
+  // Two columns fed in turn, as a key of two columns would be: each row's
+  // Hasher must end in the state per-cell HashCellInto calls leave.
+  const size_t begins[] = {0, 1, 63, 64, 65, 130, 199, 200};
+  std::vector<ColumnVector> cols = StorageModeColumns();
+  for (size_t a = 0; a < cols.size(); ++a) {
+    const ColumnVector& second = cols[(a + 3) % cols.size()];
+    for (size_t begin : begins) {
+      const size_t n = cols[a].size() - begin;
+      std::vector<Hasher> got(n, Hasher(begin));
+      cols[a].HashCellsInto(begin, n, got.data());
+      second.HashCellsInto(begin, n, got.data());
+      for (size_t k = 0; k < n; ++k) {
+        Hasher want(begin);
+        cols[a].HashCellInto(begin + k, &want);
+        second.HashCellInto(begin + k, &want);
+        EXPECT_EQ(got[k].Finish(), want.Finish())
+            << "column " << a << " begin " << begin << " row " << k;
+      }
+    }
+  }
+}
+
+TEST(ColumnVectorTest, PerRowByteSizesEqualCellByteSize) {
+  constexpr uint32_t kPad = ColumnVector::kPadIndex;
+  const std::vector<uint32_t> rows = {kPad, 3,  kPad, 64, 63,  0,
+                                      199,  kPad, 128, 127, 65, kPad};
+  std::vector<ColumnVector> cols = StorageModeColumns();
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const ColumnVector& col = cols[c];
+    // The counts are added to what the slots already hold.
+    std::vector<uint32_t> got(rows.size());
+    for (size_t k = 0; k < got.size(); ++k) got[k] = static_cast<uint32_t>(k);
+    col.AddCellByteSizes(rows, got.data());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const size_t want =
+          k + (rows[k] == kPad ? 1 : col.CellByteSize(rows[k]));
+      EXPECT_EQ(got[k], want) << "column " << c << " slot " << k;
+    }
+    for (size_t begin : {size_t{0}, size_t{1}, size_t{63}, size_t{130}}) {
+      std::vector<uint32_t> range(col.size() - begin, 5);
+      col.AddCellByteSizes(begin, range.size(), range.data());
+      for (size_t k = 0; k < range.size(); ++k) {
+        EXPECT_EQ(range[k], 5 + col.CellByteSize(begin + k))
+            << "column " << c << " begin " << begin << " row " << k;
+      }
+    }
+  }
+}
+
 // --- Table -------------------------------------------------------------------
 
 TEST(TableTest, AppendAndRead) {

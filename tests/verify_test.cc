@@ -342,6 +342,22 @@ TEST_F(VerifyTest, BatchNullColumnRejected) {
       << status.ToString();
 }
 
+TEST_F(VerifyTest, BatchWithUnreadColumnsRejected) {
+  // A pruned batch (a column left null, its bytes carried per row) is fine
+  // between operators but never at the root.
+  LogicalOpPtr scan = CustomerScan();
+  auto col = std::make_shared<ColumnVector>();
+  col->AppendInt64(1);
+  ColumnBatch batch;
+  batch.columns = {col, nullptr, col};
+  batch.num_rows = 1;
+  batch.unread_bytes = {9};
+  Status status = verify::PhysicalVerifier::VerifyBatch(*scan, batch);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unread columns"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(VerifyTest, BatchColumnLengthMismatchRejected) {
   LogicalOpPtr scan = CustomerScan();
   auto two = std::make_shared<ColumnVector>();
