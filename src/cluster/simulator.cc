@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
-#include "plan/signature.h"
 
 namespace cloudviews {
 
@@ -143,10 +142,8 @@ ClusterSimulator::StageAnalysis ClusterSimulator::AnalyzeStages(
 void ClusterSimulator::RecordJoins(const LogicalOp& node, int day,
                                    double start, double end) {
   if (node.kind == LogicalOpKind::kJoin) {
-    SignatureComputer computer(
-        engine_->options().optimizer.signature_options);
     JoinExecutionRecord record;
-    record.signature = computer.Compute(node).strict;
+    record.signature = node.strict_signature;  // executed plans are sealed
     record.algorithm = node.join_algorithm;
     record.day = day;
     record.start = start;

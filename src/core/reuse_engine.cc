@@ -61,6 +61,7 @@ Result<LogicalOpPtr> ReuseEngine::BindPlan(const JobRequest& request) const {
   if (options_.prune_columns) {
     normalized = PlanNormalizer::PruneColumns(normalized);
   }
+  optimizer_->signatures().SealTree(normalized.get());
   return normalized;
 }
 
@@ -93,11 +94,10 @@ Result<OptimizationOutcome> ReuseEngine::CompileBound(
   if (reuse_enabled) {
     // Extract the job's tags (recurring signatures of its subexpressions)
     // and fetch the matching annotations from the insights service.
-    std::vector<NodeSignature> sigs =
-        optimizer_->signatures().ComputeAll(*plan);
     std::vector<Hash128> recurring;
-    recurring.reserve(sigs.size());
-    for (const NodeSignature& sig : sigs) recurring.push_back(sig.recurring);
+    for (const NodeSignature& sig : SealedSignatures(*plan)) {
+      recurring.push_back(sig.recurring);
+    }
     for (const AnnotationEntry& entry : insights_.FetchAnnotations(recurring)) {
       annotations.materialize_candidates.insert(entry.recurring_signature);
     }
@@ -156,7 +156,6 @@ Result<ReuseEngine::PreparedJob> ReuseEngine::PrepareJob(
   }();
   if (!bound.ok()) return bound.status();
   job.bound_plan = std::move(*bound);
-  job.compiled_sigs = optimizer_->signatures().ComputeAll(*job.bound_plan);
   job.profile.phases.push_back({"bind", SecondsSince(bind_start)});
 
   auto compile_start = std::chrono::steady_clock::now();
@@ -177,6 +176,7 @@ Result<ReuseEngine::PreparedJob> ReuseEngine::PrepareJob(
   exec.estimated_cost_without_reuse =
       job.outcome.estimated_cost_without_reuse;
   exec.executed_plan = job.outcome.plan;
+  exec.compiled_plan = job.bound_plan;
   if (job.reuse_enabled) {
     exec.compile_overhead_seconds = InsightsService::kFetchLatencySeconds;
   }
@@ -189,20 +189,19 @@ Result<ReuseEngine::PreparedJob> ReuseEngine::PrepareJob(
       LogicalOp* op = stack.back();
       stack.pop_back();
       if (op->kind == LogicalOpKind::kSpool && op->view_signature == strict) {
-        NodeSignature child_sig =
-            optimizer_->signatures().Compute(*op->children[0]);
+        const LogicalOpPtr& definition = op->children[0];
         view_manager_
-            .BeginMaterialize(strict, child_sig.recurring,
+            .BeginMaterialize(strict, definition->recurring_signature,
                               request.virtual_cluster,
-                              op->children[0]->InputDatasets(),
-                              request.job_id, request.submit_time)
+                              definition->InputDatasets(), request.job_id,
+                              request.submit_time)
             .ok();
         if (options_.optimizer.enable_generalized_matching) {
           // Index the definition for containment matching: later queries in
           // the same match class can be answered by this view even when
           // their strict signatures differ.
           repository_.generalized_index().Register(
-              strict, child_sig.recurring, op->children[0]->Clone());
+              strict, definition->recurring_signature, definition);
         }
         break;
       }
@@ -339,12 +338,12 @@ JobExecution ReuseEngine::FinalizeJob(PreparedJob job) {
   {
     obs::Span span("ingest", "engine");
     std::vector<NodeSignature> executed_sigs =
-        optimizer_->signatures().ComputeAll(*exec.executed_plan);
+        SealedSignatures(*exec.executed_plan);
     MetricsBySignature metrics =
         WorkloadRepository::CollectMetrics(executed_sigs, exec.stats);
     repository_.IngestJob(request.job_id, request.virtual_cluster,
-                          request.day, request.submit_time, job.compiled_sigs,
-                          metrics);
+                          request.day, request.submit_time,
+                          SealedSignatures(*job.bound_plan), metrics);
 
     // Feed the cardinality micro-models with what executed.
     if (options_.enable_cardinality_feedback) {
@@ -360,6 +359,9 @@ JobExecution ReuseEngine::FinalizeJob(PreparedJob job) {
   profile.phases.push_back({"ingest", SecondsSince(ingest_start)});
 
   // Assemble the per-query profile and hand it to the insights service.
+  static obs::Counter& hashed_counter = obs::MetricsRegistry::Global().counter(
+      obs::metric_names::kEngineNodesHashed);
+  hashed_counter.Add(optimizer_->signatures().TakeNodesHashed());
   matched_counter.Add(static_cast<uint64_t>(exec.views_matched));
   built_counter.Add(static_cast<uint64_t>(exec.views_built));
   profile.views_matched = exec.views_matched;
@@ -433,8 +435,7 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
   plans.reserve(jobs.size());
   for (PreparedJob& job : jobs) {
     plans.push_back(&job.outcome.plan);
-    for (const NodeSignature& sig :
-         optimizer_->signatures().ComputeAll(*job.outcome.plan)) {
+    for (const NodeSignature& sig : SealedSignatures(*job.outcome.plan)) {
       if (sig.eligible &&
           sig.subtree_size >= policy.options().min_subtree_size) {
         registry.Admit(job.request.job_id, sig.strict);
@@ -448,6 +449,13 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
   }
   sharing::RewriteResult rewrite = sharing::RewriteForSharing(
       plans, optimizer_->signatures(), policy, &decision_sinks);
+  // A job whose whole plan became one SharedScan keeps its pre-rewrite plan
+  // as executed_plan, a known defect (that plan never ran; see ROADMAP.md).
+  for (PreparedJob& job : jobs) {
+    if (job.outcome.plan->kind != LogicalOpKind::kSharedScan) {
+      job.exec.executed_plan = job.outcome.plan;
+    }
+  }
 
   // Spools that vanished in the rewrite (nested inside a replaced subtree,
   // or stripped by a share-now decision) will never seal: withdraw their
@@ -464,7 +472,7 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
 
   // Launch one producer thread per elected stream. Producers see sealed
   // views (for ViewScans in the shared subtree) but no spool hooks and no
-  // stream directory — their plans are spool- and SharedScan-free clones.
+  // stream directory — their plans are spool- and SharedScan-free copies.
   static obs::Counter& fanout_counter = obs::MetricsRegistry::Global().counter(
       obs::metric_names::kSharingFanout);
   std::vector<sharing::ProducerStats> producer_stats(rewrite.streams.size());

@@ -102,6 +102,10 @@ struct JobExecution {
   TablePtr output;
   ExecutionStats stats;
   LogicalOpPtr executed_plan;
+  // The sealed, annotated plan as bound, before any reuse rewrite: what the
+  // workload repository ingests. The executed plan shares its untouched
+  // subtrees (and is this plan itself after a fallback).
+  LogicalOpPtr compiled_plan;
   int views_matched = 0;
   int views_matched_subsumed = 0;  // generalized (containment) hits
   int views_built = 0;
@@ -215,15 +219,16 @@ class ReuseEngine {
   struct PreparedJob {
     JobRequest request;
     bool reuse_enabled = false;
-    // Owns the as-compiled plan that compiled_sigs point into; must outlive
-    // FinalizeJob, which walks those nodes when ingesting the workload.
+    // The sealed as-compiled plan, which FinalizeJob ingests into the
+    // workload repository (and outcome.plan_without_reuse when set).
     LogicalOpPtr bound_plan;
-    std::vector<NodeSignature> compiled_sigs;
     OptimizationOutcome outcome;
     JobExecution exec;  // skeleton; completed by Execute/Finalize
     obs::QueryProfile profile;
   };
 
+  // Parses or takes the job's plan, normalizes it into fresh nodes and
+  // seals them: the one signature computation per node of a compile.
   Result<LogicalOpPtr> BindPlan(const JobRequest& request) const;
   Result<OptimizationOutcome> CompileBound(const JobRequest& request,
                                            const LogicalOpPtr& bound,

@@ -54,9 +54,6 @@ void WorkloadRepository::IngestJob(int64_t job_id,
     instance.submit_time = submit_time;
     instance.subtree_size = sig.subtree_size;
     instance.eligible = sig.eligible;
-    if (sig.node != nullptr) {
-      instance.input_datasets = sig.node->InputDatasets();
-    }
     auto it = metrics.find(sig.strict);
     if (it != metrics.end()) {
       instance.rows = it->second.rows;
@@ -67,11 +64,12 @@ void WorkloadRepository::IngestJob(int64_t job_id,
       // Answered from a view (or otherwise skipped): counted, no metrics.
       instance.has_metrics = false;
     }
-    Ingest(instance);
+    Ingest(instance, sig.node);
   }
 }
 
-void WorkloadRepository::Ingest(const SubexpressionInstance& instance) {
+void WorkloadRepository::Ingest(const SubexpressionInstance& instance,
+                                const LogicalOp* node) {
   total_instances_ += 1;
 
   DayOverlapStats& day_stats = by_day_[instance.day];
@@ -86,7 +84,8 @@ void WorkloadRepository::Ingest(const SubexpressionInstance& instance) {
     group.subtree_size = instance.subtree_size;
     group.eligible = instance.eligible;
     group.first_day = instance.day;
-    group.input_datasets = instance.input_datasets;
+    group.input_datasets =
+        node != nullptr ? node->InputDatasets() : instance.input_datasets;
     it = groups_.emplace(instance.strict_signature, std::move(group)).first;
   } else {
     day_stats.repeated_subexpressions += 1;

@@ -114,7 +114,11 @@ class WorkloadRepository {
                  const MetricsBySignature& metrics);
 
   // Ingests a single pre-assembled instance (used by tests and generators).
-  void Ingest(const SubexpressionInstance& instance);
+  // A new group takes its input datasets from `node` when given (IngestJob
+  // passes the compiled node, so only a new group walks its subtree), else
+  // from the instance.
+  void Ingest(const SubexpressionInstance& instance,
+              const LogicalOp* node = nullptr);
 
   int64_t total_instances() const { return total_instances_; }
   size_t num_groups() const { return groups_.size(); }

@@ -100,7 +100,7 @@ Status SharedScanOp::Detach() {
 
   // Run the fallback plan privately: no sharing directory (a nested
   // SharedScan would deadlock on its own stream), no spool hooks (the
-  // fallback clone is spool-free by construction).
+  // fallback plan is spool-free by construction).
   ExecContext context = *context_;
   context.sharing = nullptr;
   context.on_spool_complete = nullptr;

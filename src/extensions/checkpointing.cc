@@ -1,5 +1,7 @@
 #include "extensions/checkpointing.h"
 
+#include <utility>
+
 #include "optimizer/cardinality.h"
 #include "optimizer/cost_model.h"
 
@@ -21,67 +23,67 @@ bool Checkpointable(const LogicalOp& node) {
 }  // namespace
 
 LogicalOpPtr CheckpointManager::PlanWithCheckpoints(const LogicalOpPtr& plan) {
+  // Placement reads estimates; annotating a copy keeps them out of the
+  // caller's plan.
   LogicalOpPtr annotated = plan->Clone();
   CardinalityEstimator estimator(catalog_);
   estimator.Annotate(annotated.get());
   CostModel cost_model;
   double total_cost = cost_model.SubtreeCost(*annotated);
 
-  int placed = 0;
+  std::vector<std::pair<const LogicalOp*, NodeSignature>> chosen;
   // Top-down: checkpoint the largest expensive prefixes first, skipping the
   // root (checkpointing the final result is just... the result).
-  std::function<void(LogicalOpPtr*, bool)> place = [&](LogicalOpPtr* node,
-                                                       bool is_root) {
-    if (placed >= policy_.max_checkpoints) return;
-    LogicalOp& op = **node;
+  std::function<void(const LogicalOp&, bool)> place = [&](const LogicalOp& op,
+                                                          bool is_root) {
+    if (static_cast<int>(chosen.size()) >= policy_.max_checkpoints) return;
     if (!is_root && Checkpointable(op)) {
       double cost = cost_model.SubtreeCost(op);
       NodeSignature sig = signatures_.Compute(op);
       if (sig.eligible && cost >= policy_.min_cost_fraction * total_cost) {
-        LogicalOpPtr spool = LogicalOp::Spool(*node);
-        spool->view_signature = sig.strict;
-        spool->view_recurring_signature = sig.recurring;
-        *node = std::move(spool);
-        placed += 1;
+        chosen.emplace_back(&op, std::move(sig));
         return;  // do not nest checkpoints inside this one
       }
     }
-    for (LogicalOpPtr& child : op.children) {
-      place(&child, false);
-    }
+    for (const LogicalOpPtr& child : op.children) place(*child, false);
   };
-  place(&annotated, true);
-  return annotated;
+  place(*annotated, true);
+  return RewritePaths(
+      annotated, [&](const LogicalOpPtr& original, LogicalOpPtr rebuilt) {
+        for (const auto& [node, sig] : chosen) {
+          if (node != original.get()) continue;
+          LogicalOpPtr spool = LogicalOp::Spool(std::move(rebuilt));
+          spool->view_signature = sig.strict;
+          spool->view_recurring_signature = sig.recurring;
+          return spool;
+        }
+        return rebuilt;
+      });
 }
 
 Result<CheckpointedRun> CheckpointManager::Execute(
     const LogicalOpPtr& plan, int fail_after_checkpoints) {
   CheckpointedRun run;
-  LogicalOpPtr working = plan->Clone();
 
   // Restore: replace checkpoint spools whose signature already sealed in a
-  // previous attempt with scans over the checkpoint contents.
-  std::function<void(LogicalOpPtr*)> restore = [&](LogicalOpPtr* node) {
-    LogicalOp& op = **node;
-    if (op.kind == LogicalOpKind::kSpool) {
-      const MaterializedView* view =
-          store_.Find(op.view_signature, /*now=*/0.0);
-      if (view != nullptr && view->table != nullptr) {
+  // previous attempt with scans over the checkpoint contents (a path copy;
+  // `plan` stays as it is).
+  LogicalOpPtr working = RewritePaths(
+      plan, [&](const LogicalOpPtr& original, LogicalOpPtr rebuilt) {
+        if (original->kind != LogicalOpKind::kSpool) return rebuilt;
+        const MaterializedView* view =
+            store_.Find(original->view_signature, /*now=*/0.0);
+        if (view == nullptr || view->table == nullptr) return rebuilt;
         LogicalOpPtr scan =
-            LogicalOp::ViewScan(op.view_signature, view->output_path,
-                                op.output_schema);
+            LogicalOp::ViewScan(original->view_signature, view->output_path,
+                                original->output_schema);
         scan->view_recurring_signature = view->recurring_signature;
         scan->estimated_rows = static_cast<double>(view->observed_rows);
         scan->estimated_bytes = static_cast<double>(view->observed_bytes);
         scan->stats_from_view = true;
-        *node = std::move(scan);
         run.checkpoints_restored += 1;
-        return;
-      }
-    }
-    for (LogicalOpPtr& child : op.children) restore(&child);
-  };
-  restore(&working);
+        return scan;
+      });
 
   // Register pending materializations.
   std::function<void(const LogicalOp&)> begin = [&](const LogicalOp& op) {

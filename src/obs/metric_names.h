@@ -21,6 +21,8 @@ inline constexpr char kEngineJobs[] = "engine.jobs";
 inline constexpr char kEngineViewsMatched[] = "engine.views_matched";
 inline constexpr char kEngineViewsBuilt[] = "engine.views_built";
 inline constexpr char kEngineFallbacks[] = "engine.fallbacks";
+// Plan-node signatures the engine's compile path computed (sealing included).
+inline constexpr char kEngineNodesHashed[] = "engine.nodes_hashed";
 
 // --- Executor (exec/) ------------------------------------------------------
 inline constexpr char kExecQueries[] = "exec.queries";

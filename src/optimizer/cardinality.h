@@ -31,11 +31,14 @@ class CardinalityEstimator {
   // Annotates the whole plan bottom-up; returns the root estimate.
   double Annotate(LogicalOp* node) const;
 
+  // Annotates `node` alone from its children's estimates (a path copy's new
+  // parent); returns its estimate.
+  double AnnotateNode(LogicalOp* node) const;
+
   const Options& options() const { return options_; }
 
  private:
-  double EstimateNode(LogicalOp* node,
-                      const std::vector<double>& child_rows) const;
+  double EstimateNode(const LogicalOp& node) const;
   static int CountConjuncts(const ExprPtr& predicate);
 
   const DatasetCatalog* catalog_;

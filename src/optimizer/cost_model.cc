@@ -113,10 +113,7 @@ double CostModel::ViewScanCost(double observed_rows,
          std::max(1.0, observed_bytes) * CostWeights::kViewScanByte;
 }
 
-void CostModel::ChooseJoinAlgorithms(LogicalOp* node) const {
-  for (const LogicalOpPtr& child : node->children) {
-    ChooseJoinAlgorithms(child.get());
-  }
+void CostModel::ChooseJoinAlgorithm(LogicalOp* node) const {
   if (node->kind != LogicalOpKind::kJoin) return;
   if (node->equi_keys.empty()) {
     node->join_algorithm = JoinAlgorithm::kLoop;

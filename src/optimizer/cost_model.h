@@ -49,8 +49,9 @@ class CostModel {
   // recomputing it (`observed_bytes` from the view's statistics).
   double ViewScanCost(double observed_rows, double observed_bytes) const;
 
-  // Chooses join_algorithm for every join in the plan based on estimates.
-  void ChooseJoinAlgorithms(LogicalOp* node) const;
+  // Chooses a join's join_algorithm from its children's estimates (a no-op
+  // for other operators).
+  void ChooseJoinAlgorithm(LogicalOp* node) const;
 
  private:
   double NodeCost(const LogicalOp& node) const;

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -71,9 +72,9 @@ struct MatchedViewDetail {
 };
 
 // One generalized hit, kept so the SignatureAuditor can independently
-// re-verify the subsumption claim from its own serialization path. The
-// query subtree is cloned pre-rewrite; the view definition comes from the
-// candidate index (itself a clone of the spooled subtree).
+// re-verify the subsumption claim from its own serialization path. Both
+// subtrees are sealed and shared: the pre-rewrite query subtree, and the
+// view definition the candidate index holds.
 struct SubsumedMatchAudit {
   Hash128 view_strict;
   LogicalOpPtr query_subtree;
@@ -85,8 +86,8 @@ struct SubsumedMatchAudit {
 // telemetry (paper Figure 5: "modified query plans are surfaced to users").
 struct OptimizationOutcome {
   LogicalOpPtr plan;
-  // The optimized plan with NO reuse rewrites (no view scans, no spools) —
-  // join algorithms chosen, estimates annotated, executable as-is. Kept
+  // The optimized plan with NO reuse rewrites (no view scans, no spools):
+  // the annotated input plan, which the rewrites path-copied around. Kept
   // whenever the reuse phases could have rewritten the plan, so the engine
   // can degrade to base scans when a matched view turns out to be corrupt,
   // vanished, or otherwise unreadable at execution time. Null when reuse
@@ -124,7 +125,9 @@ class Optimizer {
         cost_model_(options.cost_options),
         signatures_(options.signature_options) {}
 
-  // Optimizes `plan` in place (the plan is cloned; the input is untouched).
+  // Optimizes `plan`, freshly sealed by SealTree with these signature
+  // options: its nodes are annotated in place, once, and rewrites path-copy
+  // around them (to compile one plan twice, seal a copy for each compile).
   // `view_store` may be null (no reuse); `try_lock` may be null (no
   // materialization). `now` gates view expiry. `decisions` receives one
   // DecisionEvent per reuse-relevant choice (exact lookup, generalized
@@ -140,38 +143,52 @@ class Optimizer {
   const SignatureComputer& signatures() const { return signatures_; }
 
  private:
-  // Installs micro-model estimates on repeated subexpressions, then runs
-  // the static estimator over the rest.
-  void AnnotateWithFeedback(LogicalOp* node) const;
+  // Subtrees MatchViews replaces by view-scan fragments.
+  using Replacements = std::vector<std::pair<const LogicalOp*, LogicalOpPtr>>;
 
-  // Top-down view matching; returns the number of replacements. In
-  // verification builds the whole plan is re-validated after every rewrite,
-  // so a schema-breaking match fails at the rule that introduced it.
-  Result<int> MatchViews(LogicalOpPtr* node, const ViewStore* view_store,
-                         double now, OptimizationOutcome* outcome,
-                         const obs::DecisionSink& decisions) const;
+  // Installs micro-model estimates on repeated subexpressions, runs the
+  // static estimator over the rest and chooses join algorithms, bottom-up;
+  // AnnotateNode does it for one node whose children are annotated.
+  void AnnotateWithFeedback(LogicalOp* node) const;
+  void AnnotateNode(LogicalOp* node) const;
+
+  // Applies `replacements` to `root` in one path copy, sealing and
+  // annotating the new parents.
+  LogicalOpPtr Splice(const LogicalOpPtr& root,
+                      const Replacements& replacements) const;
+
+  // Top-down view matching: records a replacement for every matched
+  // subtree. In verification builds each fragment is validated as it is
+  // made, so a malformed match fails at the rule that introduced it.
+  Status MatchViews(const LogicalOpPtr& node, const ViewStore* view_store,
+                    double now, OptimizationOutcome* outcome,
+                    const obs::DecisionSink& decisions,
+                    Replacements* replacements) const;
 
   // Generalized fallback for one subtree after an exact-signature miss:
   // class-key candidate lookup, stage-1 feature pruning (with the
   // no-false-prune assertion in verification builds), exact containment
-  // check, compensation splice. Returns 1 when the subtree was rewritten.
-  Result<int> TryGeneralizedMatch(LogicalOpPtr* node,
-                                  const NodeSignature& sig,
-                                  const ViewStore* view_store, double now,
+  // check, compensation splice. Returns the sealed, annotated replacement
+  // fragment, or null when no candidate qualified.
+  Result<LogicalOpPtr> TryGeneralizedMatch(
+      const LogicalOpPtr& node, const ViewStore* view_store, double now,
+      OptimizationOutcome* outcome, const obs::DecisionSink& decisions) const;
+
+  // Bottom-up spool injection: returns `node` rebuilt over the spools it
+  // adds (listed in `spools`, sealed but not yet annotated); increments
+  // *total_added (bounded by the per-job cap).
+  Result<LogicalOpPtr> BuildViews(const LogicalOpPtr& node,
+                                  const QueryAnnotations& annotations,
+                                  const ViewStore* view_store,
+                                  const TryLockFn& try_lock, double now,
                                   OptimizationOutcome* outcome,
-                                  const obs::DecisionSink& decisions) const;
+                                  int* total_added,
+                                  const obs::DecisionSink& decisions,
+                                  std::vector<LogicalOp*>* spools) const;
 
-  // Bottom-up spool injection; increments *total_added (bounded by the
-  // per-job cap). Re-validates after every injection in verification builds.
-  Status BuildViews(LogicalOpPtr* node, const QueryAnnotations& annotations,
-                    const ViewStore* view_store, const TryLockFn& try_lock,
-                    double now, OptimizationOutcome* outcome,
-                    int* total_added,
-                    const obs::DecisionSink& decisions) const;
-
-  // Re-validates the full plan after optimizer stage `rule`; compiled to a
-  // no-op unless CLOUDVIEWS_VERIFY_RUNTIME is defined.
-  Status VerifyAfterRule(const char* rule, const OptimizationOutcome& outcome,
+  // Re-validates `plan` (sealed signatures included) after optimizer stage
+  // `rule`; compiled to a no-op unless CLOUDVIEWS_VERIFY_RUNTIME is defined.
+  Status VerifyAfterRule(const char* rule, const LogicalOp& plan,
                          bool algorithms_chosen) const;
 
   const DatasetCatalog* catalog_;

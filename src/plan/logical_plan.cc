@@ -257,6 +257,26 @@ LogicalOpPtr LogicalOp::Clone() const {
   return copy;
 }
 
+LogicalOpPtr LogicalOp::WithChildren(std::vector<LogicalOpPtr> children) const {
+  auto copy = std::make_shared<LogicalOp>(*this);
+  copy->children = std::move(children);
+  return copy;
+}
+
+LogicalOpPtr RewritePaths(const LogicalOpPtr& root,
+                          const PathRewriteFn& rewrite) {
+  std::vector<LogicalOpPtr> children;
+  for (size_t i = 0; i < root->children.size(); ++i) {
+    LogicalOpPtr child = RewritePaths(root->children[i], rewrite);
+    if (child != root->children[i] && children.empty()) {
+      children = root->children;
+    }
+    if (!children.empty()) children[i] = std::move(child);
+  }
+  return rewrite(root, children.empty() ? root
+                                        : root->WithChildren(std::move(children)));
+}
+
 std::string LogicalOp::ToString(int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string out = pad + LogicalOpKindName(kind);

@@ -2,6 +2,7 @@
 #define CLOUDVIEWS_PLAN_LOGICAL_PLAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +59,11 @@ using LogicalOpPtr = std::shared_ptr<LogicalOp>;
 // A node of the logical plan DAG. Nodes are built by the plan builder,
 // rewritten by the optimizer, and interpreted by the executor. Fields are
 // grouped by the operator kinds that use them.
+//
+// A compiled plan is sealed (DESIGN.md "Sealed plans"): every node carries
+// its signature, the optimizer annotates the freshly bound nodes once, and
+// from then on no node changes. Rewrites copy the path to the root and share
+// every untouched subtree, so one node may sit in several plans at once.
 class LogicalOp {
  public:
   LogicalOpKind kind = LogicalOpKind::kScan;
@@ -84,7 +90,7 @@ class LogicalOp {
   Hash128 view_recurring_signature;
   std::string view_path;
 
-  // kSharedScan only: a spool-free clone of the subtree this subscription
+  // kSharedScan only: a spool-free copy of the subtree this subscription
   // replaced. NOT a child — it stays invisible to children-based traversals
   // (signatures, verification, costing) and is executed independently only
   // when the subscriber detaches (producer abort / batch-wait timeout).
@@ -128,6 +134,16 @@ class LogicalOp {
   double estimated_bytes = 0.0;
   bool stats_from_view = false;  // statistics were fed back from a view
 
+  // Sealed signature, written by SignatureComputer::Seal from the children's
+  // sealed values: what SignatureComputer::ComputeAll reports for this node.
+  // subtree_size 0 means the node is not sealed.
+  Hash128 strict_signature;
+  Hash128 recurring_signature;
+  bool eligible = false;
+  size_t subtree_size = 0;
+
+  bool sealed() const { return subtree_size != 0; }
+
   // --- Factory helpers -----------------------------------------------------
   static LogicalOpPtr Scan(std::string dataset_name, std::string guid,
                            Schema schema);
@@ -159,8 +175,25 @@ class LogicalOp {
   // Deep structural copy (expressions are shared; they are immutable).
   LogicalOpPtr Clone() const;
 
+  // A copy of this one node over `children`: every other field, sealed
+  // signature and annotations included, is carried over. Re-seal the copy
+  // (SignatureComputer::Seal) unless the children it gained or lost are
+  // spools, which signatures and estimates see through.
+  LogicalOpPtr WithChildren(std::vector<LogicalOpPtr> children) const;
+
   std::string ToString(int indent = 0) const;
 };
+
+// Path-copy rewrite. Visits the subtree under `root` bottom-up and calls
+// `rewrite(original, rebuilt)` at every node: `rebuilt` is `original` itself
+// while none of its children changed, else a WithChildren copy over the
+// rewritten children. What `rewrite` returns takes the node's place in its
+// parent. Untouched subtrees come back as the same pointers, so the input
+// plan is never written.
+using PathRewriteFn = std::function<LogicalOpPtr(const LogicalOpPtr& original,
+                                                 LogicalOpPtr rebuilt)>;
+LogicalOpPtr RewritePaths(const LogicalOpPtr& root,
+                          const PathRewriteFn& rewrite);
 
 // Extracts equi-join key pairs from `condition` given the left child's output
 // arity. Returns residual predicate parts that are not simple equality

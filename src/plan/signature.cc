@@ -84,21 +84,28 @@ void HashNodeParams(const LogicalOp& node, bool strict, Hasher* hasher) {
 
 }  // namespace
 
-NodeSignature SignatureComputer::ComputeNode(
-    const LogicalOp& node, std::vector<NodeSignature>* out) const {
-  // Reuse-infrastructure operators are signature-TRANSPARENT: a spool's
-  // signature is its child's, and a view scan's is the signature of the
-  // subexpression it replaced. Ancestors therefore hash identically whether
-  // or not reuse machinery sits below them, which is what lets a bigger
-  // candidate materialize on top of a smaller reused view.
+// Signs `node` over its children's signatures as ancestors see them, which
+// `child_sig(child)` supplies. Returns what `node` contributes to its parent
+// and writes what ComputeAll reports for the node itself into `*own`.
+//
+// The two differ only for reuse-infrastructure operators, which are
+// signature-TRANSPARENT: a spool's signature is its child's, and a view
+// scan's is the signature of the subexpression it replaced. Ancestors
+// therefore hash identically whether or not reuse machinery sits below
+// them, which is what lets a bigger candidate materialize on top of a
+// smaller reused view.
+template <typename ChildSig>
+NodeSignature SignatureComputer::Combine(const LogicalOp& node,
+                                         const ChildSig& child_sig,
+                                         NodeSignature* own) const {
+  nodes_hashed_ += 1;
   if (node.kind == LogicalOpKind::kSpool) {
-    NodeSignature inner = ComputeNode(*node.children[0], out);
-    NodeSignature marker = inner;
-    marker.node = &node;
-    marker.eligible = false;
-    marker.ineligible_reason = "reuse infrastructure operator";
-    marker.subtree_size = 1;  // never a reuse unit of its own
-    if (out != nullptr) out->push_back(marker);
+    NodeSignature inner = child_sig(*node.children[0]);
+    *own = inner;
+    own->node = &node;
+    own->eligible = false;
+    own->ineligible_reason = "reuse infrastructure operator";
+    own->subtree_size = 1;  // never a reuse unit of its own
     return inner;
   }
   if (node.kind == LogicalOpKind::kViewScan ||
@@ -112,12 +119,9 @@ NodeSignature SignatureComputer::ComputeNode(
     // reuse.
     sig.eligible = true;
     sig.subtree_size = 1;
-    if (out != nullptr) {
-      NodeSignature marker = sig;
-      marker.eligible = false;
-      marker.ineligible_reason = "reuse infrastructure operator";
-      out->push_back(marker);
-    }
+    *own = sig;
+    own->eligible = false;
+    own->ineligible_reason = "reuse infrastructure operator";
     return sig;
   }
 
@@ -129,13 +133,13 @@ NodeSignature SignatureComputer::ComputeNode(
 
   // Children first (post-order).
   for (const LogicalOpPtr& child : node.children) {
-    NodeSignature child_sig = ComputeNode(*child, out);
-    strict_hasher.Update(child_sig.strict);
-    recurring_hasher.Update(child_sig.recurring);
-    sig.subtree_size += child_sig.subtree_size;
-    if (!child_sig.eligible) {
+    NodeSignature child_sig_value = child_sig(*child);
+    strict_hasher.Update(child_sig_value.strict);
+    recurring_hasher.Update(child_sig_value.recurring);
+    sig.subtree_size += child_sig_value.subtree_size;
+    if (!child_sig_value.eligible) {
       sig.eligible = false;
-      sig.ineligible_reason = child_sig.ineligible_reason;
+      sig.ineligible_reason = std::move(child_sig_value.ineligible_reason);
     }
   }
 
@@ -159,7 +163,17 @@ NodeSignature SignatureComputer::ComputeNode(
           std::to_string(options_.max_udo_dependency_depth) + ")";
     }
   }
-  if (out != nullptr) out->push_back(sig);
+  *own = sig;
+  return sig;
+}
+
+NodeSignature SignatureComputer::ComputeNode(
+    const LogicalOp& node, std::vector<NodeSignature>* out) const {
+  NodeSignature own;
+  NodeSignature sig = Combine(
+      node, [&](const LogicalOp& child) { return ComputeNode(child, out); },
+      &own);
+  if (out != nullptr) out->push_back(std::move(own));
   return sig;
 }
 
@@ -173,6 +187,57 @@ std::vector<NodeSignature> SignatureComputer::ComputeAll(
 
 NodeSignature SignatureComputer::Compute(const LogicalOp& node) const {
   return ComputeNode(node, nullptr);
+}
+
+namespace {
+
+// What a parent folds in from the sealed `child`: the transparent view
+// Combine returns, rebuilt from the stored (ComputeAll-style) values.
+NodeSignature Folded(const LogicalOp& child) {
+  if (child.kind == LogicalOpKind::kSpool) return Folded(*child.children[0]);
+  NodeSignature sig = SealedSignature(child);
+  if (child.kind == LogicalOpKind::kViewScan ||
+      child.kind == LogicalOpKind::kSharedScan) {
+    sig.eligible = true;
+  }
+  return sig;
+}
+
+void AppendSealed(const LogicalOp& node, std::vector<NodeSignature>* out) {
+  for (const LogicalOpPtr& child : node.children) AppendSealed(*child, out);
+  out->push_back(SealedSignature(node));
+}
+
+}  // namespace
+
+void SignatureComputer::Seal(LogicalOp* node) const {
+  NodeSignature own;
+  Combine(*node, Folded, &own);
+  node->strict_signature = own.strict;
+  node->recurring_signature = own.recurring;
+  node->eligible = own.eligible;
+  node->subtree_size = own.subtree_size;
+}
+
+void SignatureComputer::SealTree(LogicalOp* root) const {
+  for (const LogicalOpPtr& child : root->children) SealTree(child.get());
+  Seal(root);
+}
+
+NodeSignature SealedSignature(const LogicalOp& node) {
+  NodeSignature sig;
+  sig.node = &node;
+  sig.strict = node.strict_signature;
+  sig.recurring = node.recurring_signature;
+  sig.eligible = node.eligible;
+  sig.subtree_size = node.subtree_size;
+  return sig;
+}
+
+std::vector<NodeSignature> SealedSignatures(const LogicalOp& root) {
+  std::vector<NodeSignature> out;
+  AppendSealed(root, &out);
+  return out;
 }
 
 namespace {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -43,6 +44,14 @@ struct NodeSignature {
 // Computes strict + recurring signatures for every node of a plan,
 // bottom-up. The returned vector is in post-order (children before parents);
 // the final element is the plan root.
+//
+// Two paths produce the same values. Seal stores a node's signature on the
+// node from its children's stored ones, so a compiled plan hashes each node
+// once (DESIGN.md "Sealed plans"); ComputeAll and Compute recompute from
+// scratch and stay the reference that tests and verification compare with.
+//
+// Not internally synchronized: like the optimizer that owns one, a computer
+// is used by one thread at a time.
 class SignatureComputer {
  public:
   explicit SignatureComputer(SignatureOptions options = {})
@@ -52,6 +61,18 @@ class SignatureComputer {
 
   // Signature of a single subtree root (convenience; recomputes children).
   NodeSignature Compute(const LogicalOp& node) const;
+
+  // Stores `node`'s signature on it from its children's sealed signatures,
+  // which must already be in place. O(node parameters).
+  void Seal(LogicalOp* node) const;
+
+  // Seals every node under `root`, children first (freshly bound plans).
+  void SealTree(LogicalOp* root) const;
+
+  // Node signatures computed, by either path, since the last call; restarts
+  // the count. Compile-path cost accounting reads it; it never feeds a
+  // decision.
+  uint64_t TakeNodesHashed() const { return std::exchange(nodes_hashed_, 0); }
 
   // Match-class key for generalized (containment) matching: a strict-style
   // hash of the filter-stripped operator skeleton. Filters and spools are
@@ -67,9 +88,21 @@ class SignatureComputer {
  private:
   NodeSignature ComputeNode(const LogicalOp& node,
                             std::vector<NodeSignature>* out) const;
+  template <typename ChildSig>
+  NodeSignature Combine(const LogicalOp& node, const ChildSig& child_sig,
+                        NodeSignature* own) const;
 
   SignatureOptions options_;
+  mutable uint64_t nodes_hashed_ = 0;
 };
+
+// A sealed node's stored signature, as ComputeAll reports it (without the
+// ineligibility reason, which is not stored).
+NodeSignature SealedSignature(const LogicalOp& node);
+
+// ComputeAll's post-order list for a sealed plan, read from the stored
+// signatures without hashing anything.
+std::vector<NodeSignature> SealedSignatures(const LogicalOp& root);
 
 }  // namespace cloudviews
 

@@ -29,7 +29,7 @@ class GeneralizedViewIndex {
     Hash128 recurring;
     Hash128 class_key;
     SubsumptionFeatures features;
-    LogicalOpPtr definition;    // cloned, spool-free view definition subtree
+    LogicalOpPtr definition;    // the spooled subtree (sealed, shared)
   };
 
   explicit GeneralizedViewIndex(SignatureOptions options = {})

@@ -19,7 +19,7 @@ struct ProducerStats {
   double cpu_cost = 0.0;
 };
 
-// Executes `plan` (the spool-free clone of the elected shared subtree) once
+// Executes `plan` (the spool-free copy of the elected shared subtree) once
 // on the calling thread, publishing every non-empty batch to `stream`.
 // Drives stream lifecycle to a terminal state no matter what: Complete() on
 // a clean drain, Abort(cause) on any failure — including an injected

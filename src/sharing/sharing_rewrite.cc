@@ -14,7 +14,9 @@ namespace {
 
 struct Instance {
   size_t job = 0;
-  const LogicalOp* node = nullptr;
+  LogicalOpPtr node;
+  // The spool directly above that materializes this very subtree, if any.
+  const LogicalOp* spool = nullptr;
 };
 
 struct Candidate {
@@ -24,13 +26,17 @@ struct Candidate {
   std::vector<Instance> instances;  // job order, post-order within a job
 };
 
-// Parent pointers for every node of one plan (the root has none).
-void MapParents(LogicalOp* node,
-                std::unordered_map<const LogicalOp*, LogicalOp*>* parents) {
+// Every node of one plan, in post-order (the order ComputeAll lists
+// signatures in).
+void CollectInstances(size_t job, const LogicalOpPtr& node,
+                      const LogicalOp* parent, std::vector<Instance>* out) {
   for (const LogicalOpPtr& child : node->children) {
-    (*parents)[child.get()] = node;
-    MapParents(child.get(), parents);
+    CollectInstances(job, child, node.get(), out);
   }
+  const bool spooled = parent != nullptr &&
+                       parent->kind == LogicalOpKind::kSpool &&
+                       parent->view_signature == node->strict_signature;
+  out->push_back({job, node, spooled ? parent : nullptr});
 }
 
 void CollectNodes(const LogicalOp* node,
@@ -60,28 +66,16 @@ void CollectSpoolSignatures(const LogicalOp* node,
   }
 }
 
-// Removes every spool from an already-cloned subtree (a spool forwards its
-// single child unchanged, so this never alters the rows produced).
-LogicalOpPtr StripSpools(LogicalOpPtr node) {
-  while (node->kind == LogicalOpKind::kSpool) {
-    node = node->children[0];
-  }
-  for (LogicalOpPtr& child : node->children) {
-    child = StripSpools(std::move(child));
-  }
-  return node;
-}
-
-// The SharedScan replacing `instance`, carrying a spool-free fallback clone.
-LogicalOpPtr MakeSharedScan(const Candidate& candidate,
-                            const LogicalOp& instance) {
-  LogicalOpPtr shared = LogicalOp::SharedScan(
-      candidate.strict, candidate.recurring, instance.output_schema,
-      StripSpools(instance.Clone()));
-  shared->estimated_rows = instance.estimated_rows;
-  shared->estimated_bytes = instance.estimated_bytes;
-  shared->stats_from_view = true;  // inherited estimates are authoritative
-  return shared;
+// `node` without its spools — a spool forwards its single child unchanged,
+// so this never alters the rows produced. A path copy; a spool is
+// transparent to signatures and estimates, so copied parents keep theirs.
+LogicalOpPtr StripSpools(const LogicalOpPtr& node) {
+  return RewritePaths(node,
+                      [](const LogicalOpPtr& original, LogicalOpPtr rebuilt) {
+                        return original->kind == LogicalOpKind::kSpool
+                                   ? rebuilt->children[0]
+                                   : rebuilt;
+                      });
 }
 
 }  // namespace
@@ -95,24 +89,25 @@ RewriteResult RewriteForSharing(
   // Enumerate eligible subtree instances across the window's plans.
   std::vector<Hash128> order;  // first-seen candidate order
   std::unordered_map<Hash128, Candidate, Hash128Hasher> candidates;
-  std::vector<std::unordered_map<const LogicalOp*, LogicalOp*>> parents(
-      plans.size());
+  std::vector<Instance> nodes;
   for (size_t job = 0; job < plans.size(); ++job) {
-    MapParents(plans[job]->get(), &parents[job]);
-    for (const NodeSignature& sig : signatures.ComputeAll(**plans[job])) {
-      if (!sig.eligible ||
-          sig.subtree_size < policy.options().min_subtree_size) {
+    nodes.clear();
+    CollectInstances(job, *plans[job], nullptr, &nodes);
+    for (Instance& instance : nodes) {
+      const LogicalOp& node = *instance.node;
+      if (!node.eligible ||
+          node.subtree_size < policy.options().min_subtree_size) {
         continue;
       }
-      auto [it, inserted] = candidates.try_emplace(sig.strict);
+      auto [it, inserted] = candidates.try_emplace(node.strict_signature);
       Candidate& candidate = it->second;
       if (inserted) {
-        candidate.strict = sig.strict;
-        candidate.recurring = sig.recurring;
-        candidate.subtree_size = sig.subtree_size;
-        order.push_back(sig.strict);
+        candidate.strict = node.strict_signature;
+        candidate.recurring = node.recurring_signature;
+        candidate.subtree_size = node.subtree_size;
+        order.push_back(node.strict_signature);
       }
-      candidate.instances.push_back({job, sig.node});
+      candidate.instances.push_back(std::move(instance));
     }
   }
 
@@ -129,8 +124,7 @@ RewriteResult RewriteForSharing(
                    });
 
   // Claim pass: pick the instances to share, never overlapping a region
-  // already claimed by a larger signature. No plan is mutated yet, so every
-  // instance pointer collected above stays valid for the conflict walks.
+  // already claimed by a larger signature.
   struct Claim {
     const Candidate* candidate = nullptr;
     std::vector<Instance> instances;
@@ -145,14 +139,8 @@ RewriteResult RewriteForSharing(
     claim.candidate = &candidate;
     bool has_spool = false;
     for (const Instance& instance : candidate.instances) {
-      if (Overlaps(instance.node, covered[instance.job])) continue;
-      const LogicalOp* parent = nullptr;
-      auto pit = parents[instance.job].find(instance.node);
-      if (pit != parents[instance.job].end()) parent = pit->second;
-      if (parent != nullptr && parent->kind == LogicalOpKind::kSpool &&
-          parent->view_signature == strict) {
-        has_spool = true;
-      }
+      if (Overlaps(instance.node.get(), covered[instance.job])) continue;
+      has_spool = has_spool || instance.spool != nullptr;
       claim.instances.push_back(instance);
     }
     std::unordered_set<size_t> jobs;
@@ -186,13 +174,16 @@ RewriteResult RewriteForSharing(
     }
     if (claim.mode == ShareMode::kMaterializeOnly) continue;
     for (const Instance& instance : claim.instances) {
-      CollectNodes(instance.node, &covered[instance.job]);
+      CollectNodes(instance.node.get(), &covered[instance.job]);
     }
     claims.push_back(std::move(claim));
   }
 
-  // Replacement pass: swap every claimed instance for a SharedScan and clone
-  // the elected instance (spool-free) as the producer pipeline.
+  // Replacement pass: swap every claimed instance for a SharedScan, and run
+  // the elected instance (spool-free) as the producer pipeline. Each plan is
+  // path-copied once around its SharedScans.
+  std::vector<std::unordered_map<const LogicalOp*, LogicalOpPtr>> replaced(
+      plans.size());
   for (const Claim& claim : claims) {
     const Candidate& candidate = *claim.candidate;
     const Instance& elected = claim.instances.front();
@@ -201,7 +192,7 @@ RewriteResult RewriteForSharing(
     stream.strict = candidate.strict;
     stream.recurring = candidate.recurring;
     stream.elected_job = elected.job;
-    stream.producer_plan = StripSpools(elected.node->Clone());
+    stream.producer_plan = StripSpools(elected.node);
     stream.fanout = claim.instances.size();
     stream.mode = claim.mode;
     stream.saved_cost = cost_model.SubtreeCost(*elected.node) *
@@ -211,41 +202,41 @@ RewriteResult RewriteForSharing(
       // Spools nested inside the replaced region have no executor left to
       // run them; report them so the engine withdraws the materializations.
       std::vector<Hash128> nested;
-      CollectSpoolSignatures(instance.node, &nested);
+      CollectSpoolSignatures(instance.node.get(), &nested);
       for (const Hash128& sig : nested) {
         result.dropped_spools.emplace_back(instance.job, sig);
       }
 
-      LogicalOpPtr shared = MakeSharedScan(candidate, *instance.node);
-      LogicalOp* parent = nullptr;
-      auto pit = parents[instance.job].find(instance.node);
-      if (pit != parents[instance.job].end()) parent = pit->second;
-
-      const LogicalOp* replace_target = instance.node;
-      if (parent != nullptr && parent->kind == LogicalOpKind::kSpool &&
-          parent->view_signature == candidate.strict &&
-          claim.mode == ShareMode::kShareNow) {
+      // The elected instance's detach path runs the producer's own nodes.
+      LogicalOpPtr shared = LogicalOp::SharedScan(
+          candidate.strict, candidate.recurring, instance.node->output_schema,
+          &instance == &elected ? stream.producer_plan
+                                : StripSpools(instance.node));
+      shared->estimated_rows = instance.node->estimated_rows;
+      shared->estimated_bytes = instance.node->estimated_bytes;
+      shared->stats_from_view = true;  // inherited estimates are authoritative
+      signatures.Seal(shared.get());
+      const LogicalOp* replace_target = instance.node.get();
+      if (instance.spool != nullptr && claim.mode == ShareMode::kShareNow) {
         // Policy says the view is not worth rebuilding: drop the spool and
         // subscribe its parent directly.
         result.dropped_spools.emplace_back(instance.job,
-                                           parent->view_signature);
-        replace_target = parent;
-        auto git = parents[instance.job].find(parent);
-        parent = git == parents[instance.job].end() ? nullptr : git->second;
+                                           instance.spool->view_signature);
+        replace_target = instance.spool;
       }
-      if (parent == nullptr) {
-        *plans[instance.job] = std::move(shared);
-        continue;
-      }
-      for (LogicalOpPtr& child :
-           const_cast<LogicalOp*>(parent)->children) {
-        if (child.get() == replace_target) {
-          child = std::move(shared);
-          break;
-        }
-      }
+      replaced[instance.job].emplace(replace_target, std::move(shared));
     }
     result.streams.push_back(std::move(stream));
+  }
+  for (size_t job = 0; job < plans.size(); ++job) {
+    if (replaced[job].empty()) continue;
+    *plans[job] = RewritePaths(
+        *plans[job], [&](const LogicalOpPtr& original, LogicalOpPtr rebuilt) {
+          auto it = replaced[job].find(original.get());
+          if (it != replaced[job].end()) return it->second;
+          if (rebuilt != original) signatures.Seal(rebuilt.get());
+          return rebuilt;
+        });
   }
   return result;
 }

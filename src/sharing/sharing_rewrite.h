@@ -18,8 +18,9 @@ namespace sharing {
 struct StreamPlan {
   Hash128 strict;
   Hash128 recurring;
-  // Spool-free deep clone of the elected instance's subtree; executed once
-  // on a stream thread, publishing batches to every subscriber.
+  // The elected instance's subtree with its spools stripped (a path copy);
+  // executed once on a stream thread, publishing batches to every
+  // subscriber.
   LogicalOpPtr producer_plan;
   // Index (into the window's job list) of the job whose instance was
   // elected as the producer source.
@@ -41,14 +42,15 @@ struct RewriteResult {
   std::vector<std::pair<size_t, Hash128>> dropped_spools;
 };
 
-// The shared-subexpression scheduler's plan rewrite. Scans the optimized
-// plans of one window's jobs for eligible subtrees whose strict signature is
-// covered by >= 2 in-flight jobs, elects one producer per signature
-// (largest subtrees first; overlapping or nested regions are never shared
-// twice), and replaces every instance with a SharedScan subscribed to the
-// producer's stream. Each SharedScan carries a spool-free fallback clone of
-// the subtree it replaced, so a subscriber can always detach and answer the
-// query alone.
+// The shared-subexpression scheduler's plan rewrite. Scans the sealed,
+// optimized plans of one window's jobs for eligible subtrees whose strict
+// signature is covered by >= 2 in-flight jobs, elects one producer per
+// signature (largest subtrees first; overlapping or nested regions are never
+// shared twice), and replaces every instance with a SharedScan subscribed to
+// the producer's stream. Each SharedScan carries a spool-free fallback of the
+// subtree it replaced (for the elected instance, the producer plan itself),
+// so a subscriber can always detach and answer the query alone. No node is
+// written: `*plans[i]` becomes a sealed path copy.
 //
 // Spools interact per the policy decision:
 //  - kBoth: a spool directly above an instance stays in its job's plan, fed
@@ -57,7 +59,7 @@ struct RewriteResult {
 //  - kShareNow: that spool is stripped (and reported in dropped_spools);
 //  - kMaterializeOnly: the signature is not shared at all.
 // Spools nested strictly inside a replaced subtree always drop (the
-// producer clone is spool-free), and are reported likewise.
+// producer plan is spool-free), and are reported likewise.
 //
 // Deterministic: iteration follows job order and post-order signature
 // enumeration; ties in candidate ordering break on the signature hex.

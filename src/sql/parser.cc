@@ -67,6 +67,11 @@ Status Parser::ErrorAt(const Token& tok, const std::string& message) const {
                                  ")");
 }
 
+Status Parser::TooDeep() const {
+  return ErrorAt(Peek(), "nesting deeper than " + std::to_string(kMaxDepth) +
+                             " levels");
+}
+
 Result<TableRef> Parser::ParseTableRef() {
   if (Peek().type != TokenType::kIdentifier) {
     return ErrorAt(Peek(), "expected table name");
@@ -85,6 +90,8 @@ Result<TableRef> Parser::ParseTableRef() {
 }
 
 Result<std::unique_ptr<SelectStatement>> Parser::ParseSelect() {
+  Nesting nesting(&depth_);
+  if (depth_ > kMaxDepth) return TooDeep();
   CLOUDVIEWS_RETURN_NOT_OK(Expect(TokenType::kSelect, "query"));
   auto stmt = std::make_unique<SelectStatement>();
   stmt->distinct = Match(TokenType::kDistinct);
@@ -197,7 +204,11 @@ Result<std::unique_ptr<SelectStatement>> Parser::ParseSelect() {
   return stmt;
 }
 
-Result<AstExprPtr> Parser::ParseExpr() { return ParseOr(); }
+Result<AstExprPtr> Parser::ParseExpr() {
+  Nesting nesting(&depth_);
+  if (depth_ > kMaxDepth) return TooDeep();
+  return ParseOr();
+}
 
 Result<AstExprPtr> Parser::ParseOr() {
   auto lhs = ParseAnd();
@@ -227,6 +238,8 @@ Result<AstExprPtr> Parser::ParseAnd() {
 
 Result<AstExprPtr> Parser::ParseNot() {
   if (Match(TokenType::kNot)) {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxDepth) return TooDeep();
     auto operand = ParseNot();
     if (!operand.ok()) return operand.status();
     return AstExpr::Unary(UnaryOp::kNot, std::move(operand).value());
@@ -376,15 +389,14 @@ Result<AstExprPtr> Parser::ParseMultiplicative() {
 }
 
 Result<AstExprPtr> Parser::ParseUnary() {
-  if (Match(TokenType::kMinus)) {
-    auto operand = ParseUnary();
-    if (!operand.ok()) return operand.status();
-    return AstExpr::Unary(UnaryOp::kNegate, std::move(operand).value());
-  }
-  if (Match(TokenType::kPlus)) {
-    return ParseUnary();
-  }
-  return ParsePrimary();
+  const bool negate = Peek().type == TokenType::kMinus;
+  if (!negate && Peek().type != TokenType::kPlus) return ParsePrimary();
+  Advance();
+  Nesting nesting(&depth_);
+  if (depth_ > kMaxDepth) return TooDeep();
+  auto operand = ParseUnary();
+  if (!operand.ok() || !negate) return operand;
+  return AstExpr::Unary(UnaryOp::kNegate, std::move(operand).value());
 }
 
 Result<AstExprPtr> Parser::ParsePrimary() {

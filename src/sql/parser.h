@@ -24,14 +24,37 @@ namespace sql {
 // Expression grammar (precedence low to high):
 //   or, and, not, comparison (=, <>, <, <=, >, >=, BETWEEN, IN, IS NULL,
 //   LIKE), additive, multiplicative, unary, primary.
+//
+// Recursion is bounded like obs/json_reader's: every statement (each UNION
+// ALL branch nests one deeper), every expression (parenthesized, argument
+// or clause), and every NOT and unary sign takes one nesting level, and
+// input deeper than kMaxDepth levels fails with InvalidArgument at the
+// offending token's offset instead of overflowing the stack.
 class Parser {
  public:
+  static constexpr int kMaxDepth = 256;
+
   // Parses one statement; trailing tokens after the statement are an error.
   static Result<std::unique_ptr<SelectStatement>> Parse(
       const std::string& sql);
 
  private:
+  // One nesting level, held for the scope of a recursive parse step.
+  class Nesting {
+   public:
+    explicit Nesting(int* depth) : depth_(depth) { *depth_ += 1; }
+    ~Nesting() { *depth_ -= 1; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    int* depth_;
+  };
+
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+
+  // The error for input nested deeper than kMaxDepth.
+  Status TooDeep() const;
 
   Result<std::unique_ptr<SelectStatement>> ParseSelect();
   Result<AstExprPtr> ParseExpr();
@@ -53,6 +76,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace sql

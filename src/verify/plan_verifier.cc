@@ -92,7 +92,46 @@ int ExpectedChildren(LogicalOpKind kind) {
 
 Status PlanVerifier::Verify(const LogicalOp& root) const {
   std::vector<const LogicalOp*> stack;
-  return VerifyNode(root, "", &stack);
+  CLOUDVIEWS_RETURN_NOT_OK(VerifyNode(root, "", &stack));
+  if (!options_.require_reuse_signatures || options_.signatures == nullptr) {
+    return Status::OK();
+  }
+  // A fresh computer, so verification never counts as compile-path hashing.
+  // The structural pass above ruled out cycles, so recomputing terminates.
+  const std::vector<NodeSignature> expected =
+      SignatureComputer(options_.signatures->options()).ComputeAll(root);
+  size_t next = 0;
+  return VerifySealed(root, "", expected, &next);
+}
+
+Status PlanVerifier::VerifySealed(const LogicalOp& node,
+                                  const std::string& path,
+                                  const std::vector<NodeSignature>& expected,
+                                  size_t* next) const {
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    std::string child_path =
+        path.empty() ? std::to_string(i) : path + "." + std::to_string(i);
+    CLOUDVIEWS_RETURN_NOT_OK(
+        VerifySealed(*node.children[i], child_path, expected, next));
+  }
+  const NodeSignature& want = expected[(*next)++];
+  if (!node.sealed()) return Corrupt(node, path, "node is not sealed");
+  if (!(node.strict_signature == want.strict) ||
+      !(node.recurring_signature == want.recurring) ||
+      node.eligible != want.eligible ||
+      node.subtree_size != want.subtree_size) {
+    return Corrupt(
+        node, path,
+        "sealed signature (strict " + node.strict_signature.ToHex() +
+            ", recurring " + node.recurring_signature.ToHex() +
+            ", eligible " + std::to_string(node.eligible) + ", size " +
+            std::to_string(node.subtree_size) +
+            ") does not match its recomputation (strict " +
+            want.strict.ToHex() + ", recurring " + want.recurring.ToHex() +
+            ", eligible " + std::to_string(want.eligible) + ", size " +
+            std::to_string(want.subtree_size) + ")");
+  }
+  return Status::OK();
 }
 
 Status PlanVerifier::VerifyAfterRule(const char* rule,
@@ -403,7 +442,8 @@ Status PlanVerifier::VerifySchemaContract(const LogicalOp& node,
         // Exactly-once sealing keys the view store on this signature; a
         // forged or stale one would seal the wrong (or no) view.
         NodeSignature child_sig =
-            options_.signatures->Compute(*node.children[0]);
+            SignatureComputer(options_.signatures->options())
+                .Compute(*node.children[0]);
         if (!(child_sig.strict == node.view_signature)) {
           return Status::Corruption(
               where + ": spool signature " + node.view_signature.ToHex() +

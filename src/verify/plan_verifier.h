@@ -28,12 +28,15 @@ struct PlanVerifyOptions {
   // same SignatureOptions the optimizer used.
   const SignatureComputer* signatures = nullptr;
 
-  // Require spool/view-scan signatures to be non-zero. On for optimizer
-  // output (the rules always stamp signatures); off for hand-built plans in
-  // tests and benches that exercise bare spools.
+  // Require spool/view-scan signatures to be non-zero and, when
+  // `signatures` is set, every node's sealed signature (SignatureComputer::
+  // Seal) to equal a fresh recomputation, so a node re-parented or given a
+  // new child without being re-sealed is rejected. On for optimizer output
+  // (the rules always stamp and seal); off for hand-built plans in tests
+  // and benches that exercise bare spools.
   bool require_reuse_signatures = false;
 
-  // After CostModel::ChooseJoinAlgorithms has run, every non-loop join must
+  // After the optimizer has chosen join algorithms, every non-loop join must
   // carry at least one equi key (keyless joins fall back to loop). Off for
   // builder output, where the default algorithm is a placeholder.
   bool algorithms_chosen = false;
@@ -49,8 +52,8 @@ struct PlanVerifyOptions {
 // arity, column-reference resolution against child schemas, output-schema
 // contracts (filter/sort/limit/UDO/spool preserve, project matches its
 // expression list, join concatenates, aggregate is keys-then-aggregates,
-// union branches agree), expression type consistency, and reuse-operator
-// signature integrity. Every failure is a Status::Corruption whose message
+// union branches agree), expression type consistency, reuse-operator
+// signature integrity, sealed signatures included. Every failure is a Status::Corruption whose message
 // names the offending operator and its path from the root.
 class PlanVerifier {
  public:
@@ -67,6 +70,11 @@ class PlanVerifier {
  private:
   Status VerifyNode(const LogicalOp& node, const std::string& path,
                     std::vector<const LogicalOp*>* stack) const;
+  // Compares each node's sealed signature with `expected` (ComputeAll's
+  // post-order list, consumed through `*next`).
+  Status VerifySealed(const LogicalOp& node, const std::string& path,
+                      const std::vector<NodeSignature>& expected,
+                      size_t* next) const;
   Status VerifySchemaContract(const LogicalOp& node,
                               const std::string& where) const;
   Status VerifyExpressions(const LogicalOp& node,

@@ -71,8 +71,17 @@ TEST_F(FeedbackOptimizerTest, MicroModelDisplacesStaticEstimate) {
   Optimizer naive(&catalog_);
   QueryAnnotations annotations;
   ViewStore store;
-  auto smart_out = smart.Optimize(plan, annotations, &store, nullptr, 0.0);
-  auto naive_out = naive.Optimize(plan, annotations, &store, nullptr, 0.0);
+  // Optimize annotates the sealed plan it is given, so each optimizer gets
+  // its own sealed copy: one's estimates must not leak into the other's.
+  const auto sealed_copy = [&] {
+    LogicalOpPtr copy = plan->Clone();
+    signatures.SealTree(copy.get());
+    return copy;
+  };
+  auto smart_out =
+      smart.Optimize(sealed_copy(), annotations, &store, nullptr, 0.0);
+  auto naive_out =
+      naive.Optimize(sealed_copy(), annotations, &store, nullptr, 0.0);
   ASSERT_TRUE(smart_out.ok());
   ASSERT_TRUE(naive_out.ok());
 

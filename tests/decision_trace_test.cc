@@ -185,8 +185,12 @@ class DecisionTraceTest : public ::testing::Test {
       options.generalized_index = index;
     }
     Optimizer optimizer(&catalog_, options);
+    // The suite optimizes one plan repeatedly; Optimize annotates the sealed
+    // plan it is given, so each call gets its own sealed copy.
+    LogicalOpPtr sealed = plan->Clone();
+    SignatureComputer().SealTree(sealed.get());
     auto outcome =
-        optimizer.Optimize(plan, annotations, store, try_lock, 0.0,
+        optimizer.Optimize(sealed, annotations, store, try_lock, 0.0,
                            obs::DecisionSink(ledger, job_id));
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   }
@@ -321,6 +325,7 @@ TEST_F(DecisionTraceTest, EveryReasonReachable) {
           spool->view_signature = sig.strict;
           subtree = std::move(spool);
         }
+        computer.SealTree(subtree.get());
         plans.push_back(std::move(subtree));
       }
       std::vector<LogicalOpPtr*> plan_ptrs;

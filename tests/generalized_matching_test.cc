@@ -13,15 +13,20 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "core/reuse_engine.h"
 #include "core/view_selection.h"
 #include "exec/executor.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "plan/containment.h"
+#include "plan/normalizer.h"
 #include "plan/signature.h"
 #include "plan/view_index.h"
 #include "storage/catalog.h"
@@ -223,6 +228,7 @@ void ExpectNoMatchThroughOptimizer(DatasetCatalog* catalog,
   Optimizer optimizer(catalog, options);
   QueryAnnotations annotations;
   LogicalOpPtr plan = query->Clone();
+  computer.SealTree(plan.get());
   auto outcome = optimizer.Optimize(plan, annotations, &store, nullptr, 0.0);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->views_matched, 0);
@@ -379,6 +385,96 @@ TEST_F(GeneralizedMatchingTest, NarrowedTemplateReusesWideViewByteExact) {
     EXPECT_EQ(exact_only.outputs.at(id), expected)
         << "exact reuse changed job " << id;
   }
+}
+
+// --- Engine-level: a compile signs each plan node once ---------------------
+
+void CollectNodes(const LogicalOpPtr& node,
+                  std::set<const LogicalOp*>* out) {
+  out->insert(node.get());
+  for (const LogicalOpPtr& child : node->children) CollectNodes(child, out);
+}
+
+TEST_F(GeneralizedMatchingTest, EngineSignsEachCompiledNodeOnce) {
+  ReuseEngineOptions options;
+  options.optimizer.enable_generalized_matching = true;
+  ReuseEngine engine(&catalog_, options);
+  engine.insights().controls().opt_out_model = true;
+  const SignatureComputer computer(options.optimizer.signature_options);
+
+  // Seals the normalized `subtree`'s rows into the engine's view store, as
+  // an earlier job's spool would have.
+  auto materialize = [&](const LogicalOpPtr& subtree) {
+    LogicalOpPtr definition = PlanNormalizer::Normalize(subtree);
+    NodeSignature sig = computer.Compute(*definition);
+    EXPECT_TRUE(engine.view_store()
+                    .BeginMaterialize(sig.strict, sig.recurring, "vc0", 0, 0.0)
+                    .ok());
+    ExecContext context;
+    context.catalog = &catalog_;
+    auto rows = Executor(context).Execute(definition);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    uint64_t bytes = 0;
+    for (const Row& row : rows->output->rows()) {
+      for (const Value& v : row) bytes += v.ByteSize();
+    }
+    EXPECT_TRUE(engine.view_store()
+                    .Seal(sig.strict, rows->output, rows->output->num_rows(),
+                          bytes, 0.0)
+                    .ok());
+    return std::make_pair(definition, sig);
+  };
+  auto agg = [](LogicalOpPtr child, int group_col) {
+    AggregateSpec spec;
+    spec.func = AggFunc::kSum;
+    spec.arg = Col(kColMetric2, "metric2");
+    spec.output_name = "agg0";
+    return LogicalOp::Aggregate(std::move(child), {Col(group_col, "dim1")},
+                                {spec});
+  };
+
+  // An exact view of the (dim2 < 70) join, and a wide (dim2 < 60) view,
+  // indexed for containment, that answers the (dim2 < 40) join.
+  materialize(FilteredJoin(DimLt(70)));
+  auto [wide, wide_sig] = materialize(FilteredJoin(DimLt(60)));
+  engine.repository().generalized_index().Register(wide_sig.strict,
+                                                   wide_sig.recurring, wide);
+  // Selection picked the exact-hit branch's aggregate: the job spools it.
+  LogicalOpPtr exact_branch =
+      agg(FilteredJoin(DimLt(70)), kNumCols + kColDim1);
+  ViewCandidate candidate;
+  candidate.recurring_signature =
+      computer.Compute(*PlanNormalizer::Normalize(exact_branch)).recurring;
+  SelectionResult selection;
+  selection.selected.push_back(candidate);
+  engine.insights().PublishSelection(selection);
+
+  JobRequest request;
+  request.job_id = 1;
+  request.submit_time = 1000.0;
+  request.plan = LogicalOp::UnionAll(
+      {agg(FilteredJoin(DimLt(40)), kNumCols + kColDim1), exact_branch,
+       agg(Scan("users"), kColDim1)});
+  const obs::Counter& hashed = obs::MetricsRegistry::Global().counter(
+      obs::metric_names::kEngineNodesHashed);
+  const uint64_t before = hashed.Value();
+  auto exec = engine.RunJob(request);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_FALSE(exec->fell_back);
+  EXPECT_EQ(exec->views_matched, 2);
+  EXPECT_EQ(exec->views_matched_subsumed, 1);
+  EXPECT_EQ(exec->built_signatures.size(), 1u);
+
+  // One signature computation per node the job created: the bound plan's
+  // nodes, then the view-scan fragments, the spool and the parents copied
+  // above them. The untouched third branch is shared, not copied.
+  std::set<const LogicalOp*> nodes;
+  CollectNodes(exec->compiled_plan, &nodes);
+  CollectNodes(exec->executed_plan, &nodes);
+  EXPECT_EQ(hashed.Value() - before, nodes.size());
+  EXPECT_EQ(exec->executed_plan->children[2],
+            exec->compiled_plan->children[2]);
+  EXPECT_EQ(exec->executed_plan->children[1]->kind, LogicalOpKind::kSpool);
 }
 
 }  // namespace

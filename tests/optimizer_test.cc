@@ -5,6 +5,7 @@
 #include "optimizer/cost_model.h"
 #include "optimizer/optimizer.h"
 #include "plan/builder.h"
+#include "sharing/sharing_rewrite.h"
 #include "tests/test_util.h"
 #include "verify/plan_verifier.h"
 
@@ -17,7 +18,8 @@ class OptimizerTest : public ::testing::Test {
 
   // Every plan built by the suite is verified for free: a builder or test
   // regression producing a malformed plan fails here with a diagnostic
-  // instead of a downstream mystery.
+  // instead of a downstream mystery. Plans come back sealed, as the
+  // optimizer takes them.
   LogicalOpPtr Build(const std::string& sql) {
     PlanBuilder builder(&catalog_);
     auto plan = builder.BuildFromSql(sql);
@@ -27,6 +29,7 @@ class OptimizerTest : public ::testing::Test {
     options.catalog = &catalog_;
     Status verified = verify::PlanVerifier(options).Verify(**plan);
     EXPECT_TRUE(verified.ok()) << verified.ToString();
+    SignatureComputer().SealTree(plan->get());
     return *plan;
   }
 
@@ -100,14 +103,14 @@ TEST_F(OptimizerTest, JoinAlgorithmChoice) {
   CardinalityEstimator estimator(&catalog_);
   estimator.Annotate(plan.get());
   CostModel model;
-  model.ChooseJoinAlgorithms(plan.get());
   LogicalOp* join = plan->children[0]->children[0].get();
+  model.ChooseJoinAlgorithm(join);
   EXPECT_EQ(join->join_algorithm, JoinAlgorithm::kHash);
 
   // Genuinely tiny sides -> loop join beats building a hash table.
   join->children[0]->estimated_rows = 20.0;
   join->children[1]->estimated_rows = 3.0;
-  model.ChooseJoinAlgorithms(join);
+  model.ChooseJoinAlgorithm(join);
   EXPECT_EQ(join->join_algorithm, JoinAlgorithm::kLoop);
 
   // Huge build side blows the hash memory budget -> merge join.
@@ -117,7 +120,7 @@ TEST_F(OptimizerTest, JoinAlgorithmChoice) {
   small_hash.loop_join_threshold = 1.0;
   small_hash.hash_build_limit = 10.0;
   CostModel mergey(small_hash);
-  mergey.ChooseJoinAlgorithms(join);
+  mergey.ChooseJoinAlgorithm(join);
   EXPECT_EQ(join->join_algorithm, JoinAlgorithm::kMerge);
 }
 
@@ -328,6 +331,102 @@ TEST_F(OptimizerTest, DisabledMatchingLeavesPlanAlone) {
   auto outcome = optimizer.Optimize(plan, annotations, &store, nullptr, 0.0);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->views_matched, 0);
+}
+
+TEST_F(OptimizerTest, UnsealedPlanRejected) {
+  PlanBuilder builder(&catalog_);
+  auto plan = builder.BuildFromSql(kAsiaJoinSql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ViewStore store;
+  auto outcome = Optimizer(&catalog_).Optimize(*plan, QueryAnnotations(),
+                                               &store, nullptr, 0.0);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+}
+
+std::vector<std::pair<Hash128, Hash128>> Signatures(const LogicalOp& plan) {
+  std::vector<std::pair<Hash128, Hash128>> out;
+  for (const NodeSignature& sig : SignatureComputer().ComputeAll(plan)) {
+    out.emplace_back(sig.strict, sig.recurring);
+  }
+  return out;
+}
+
+// View matching, spool injection and the sharing rewrite copy the path to
+// the root and share everything else: the bound plan (which is also
+// plan_without_reuse) prints and signs exactly as it did before them.
+TEST_F(OptimizerTest, RewritesLeaveTheBoundPlanAlone) {
+  auto union_plan = [&](std::vector<const char*> segments) {
+    std::vector<LogicalOpPtr> branches;
+    for (const char* segment : segments) {
+      branches.push_back(
+          Build(std::string("SELECT Name, Price FROM Sales JOIN Customer ON "
+                            "Sales.CustomerId = Customer.CustomerId WHERE "
+                            "MktSegment = '") +
+                segment + "'"));
+    }
+    LogicalOpPtr plan = LogicalOp::UnionAll(std::move(branches));
+    SignatureComputer().SealTree(plan.get());
+    return plan;
+  };
+  // The Asia branch's filtered join has a view; selection picked the
+  // branches' common projection template, so every branch gets a spool.
+  ViewStore store;
+  LogicalOpPtr asia = union_plan({"Asia"})->children[0];
+  NodeSignature view_sig = SignatureComputer().Compute(*asia->children[0]);
+  MaterializeSubtree(asia->children[0], &store, view_sig.strict,
+                     view_sig.recurring);
+  QueryAnnotations annotations;
+  annotations.materialize_candidates.insert(asia->recurring_signature);
+  auto always = [](const Hash128&) { return true; };
+  Optimizer optimizer(&catalog_);
+
+  // What the bound plan looks like annotated, before any rewrite.
+  OptimizerOptions no_reuse;
+  no_reuse.enable_view_matching = false;
+  no_reuse.enable_view_building = false;
+  auto reference = Optimizer(&catalog_, no_reuse)
+                       .Optimize(union_plan({"Asia", "Europe"}), annotations,
+                                 &store, always, 0.0);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string printed = reference->plan->ToString();
+  const auto signed_as = Signatures(*reference->plan);
+
+  LogicalOpPtr bound = union_plan({"Asia", "Europe"});
+  auto outcome = optimizer.Optimize(bound, annotations, &store, always, 0.0);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->views_matched, 1);
+  EXPECT_EQ(outcome->spools_added, 2);
+  EXPECT_EQ(outcome->plan_without_reuse, bound);
+  EXPECT_EQ(bound->ToString(), printed);
+  EXPECT_EQ(Signatures(*bound), signed_as);
+  // The Europe branch was not rewritten: its spool sits over the bound node.
+  const LogicalOp& europe_spool = *outcome->plan->children[1];
+  ASSERT_EQ(europe_spool.kind, LogicalOpKind::kSpool);
+  EXPECT_EQ(europe_spool.children[0], bound->children[1]);
+
+  // A second job with one more branch shares both branches with the first.
+  LogicalOpPtr bound2 = union_plan({"Asia", "Europe", "Japan"});
+  auto outcome2 = optimizer.Optimize(bound2, annotations, &store, always, 0.0);
+  ASSERT_TRUE(outcome2.ok()) << outcome2.status().ToString();
+  const std::vector<LogicalOpPtr> optimized = {outcome->plan, outcome2->plan};
+  const std::vector<std::string> optimized_printed = {
+      optimized[0]->ToString(), optimized[1]->ToString()};
+  const std::vector<std::vector<std::pair<Hash128, Hash128>>>
+      optimized_signed = {Signatures(*optimized[0]),
+                          Signatures(*optimized[1])};
+  std::vector<LogicalOpPtr> plans = optimized;
+  sharing::RewriteResult rewrite = sharing::RewriteForSharing(
+      {&plans[0], &plans[1]}, optimizer.signatures(), sharing::SharingPolicy());
+  EXPECT_FALSE(rewrite.streams.empty());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_NE(plans[i], optimized[i]);
+    EXPECT_EQ(optimized[i]->ToString(), optimized_printed[i]);
+    EXPECT_EQ(Signatures(*optimized[i]), optimized_signed[i]);
+  }
+  EXPECT_EQ(bound->ToString(), printed);
+  // The Japan branch is the second job's alone: untouched, so shared.
+  EXPECT_EQ(plans[1]->children[2], optimized[1]->children[2]);
 }
 
 TEST_F(OptimizerTest, ExpiredViewNotMatched) {

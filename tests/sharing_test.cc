@@ -20,6 +20,9 @@
 #include "fault/fault.h"
 #include "fault/fault_sites.h"
 #include "obs/provenance.h"
+#include "plan/builder.h"
+#include "plan/normalizer.h"
+#include "sharing/producer.h"
 #include "sharing/sharing_policy.h"
 #include "sharing/sharing_registry.h"
 #include "sharing/sharing_rewrite.h"
@@ -339,6 +342,71 @@ TEST_F(SharingWindowTest, ProducerAbortFallsBackByteIdentical) {
   EXPECT_EQ(stats.hits, 0);
   EXPECT_EQ(stats.detaches, stats.fanout);
   EXPECT_EQ(stats.saved_cost, 0.0);  // aborted streams earn nothing
+}
+
+// The rewrite path-copies instead of cloning: the elected instance's
+// fallback is the producer plan itself, and a detached subscriber runs it on
+// the job's thread while the producer thread reads the same nodes.
+TEST_F(SharingWindowTest, DetachedFallbackSharesProducerNodesByteIdentical) {
+  DatasetCatalog catalog;
+  testing_util::RegisterFigure4Tables(&catalog);
+  PlanBuilder builder(&catalog);
+  SignatureComputer computer;
+  std::vector<LogicalOpPtr> plans;
+  for (int i = 0; i < 2; ++i) {
+    auto built = builder.BuildFromSql(kAsiaSql);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    plans.push_back(PlanNormalizer::Normalize(*built));
+    computer.SealTree(plans.back().get());
+  }
+  ExecContext context;
+  context.catalog = &catalog;
+  std::vector<std::string> expected;
+  for (const LogicalOpPtr& plan : plans) {
+    auto run = Executor(context).Execute(plan);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    expected.push_back(Render(run->output));
+  }
+
+  const std::vector<LogicalOpPtr> bound = plans;
+  std::vector<LogicalOpPtr*> rewritten = {&plans[0], &plans[1]};
+  sharing::RewriteResult rewrite =
+      sharing::RewriteForSharing(rewritten, computer, SharingPolicy());
+  ASSERT_EQ(rewrite.streams.size(), 1u);
+  const sharing::StreamPlan& stream_plan = rewrite.streams[0];
+  const size_t elected = stream_plan.elected_job;
+  // The two jobs are the same query, so each whole plan became a SharedScan
+  // over a spool-free fallback: the bound plan itself, not a clone.
+  for (size_t i = 0; i < plans.size(); ++i) {
+    ASSERT_EQ(plans[i]->kind, LogicalOpKind::kSharedScan);
+    EXPECT_EQ(plans[i]->shared_fallback_plan, bound[i]);
+  }
+  EXPECT_EQ(stream_plan.producer_plan, bound[elected]);
+
+  // Kill the producer before its first batch: every subscriber detaches to
+  // its fallback, the elected one onto the producer's own nodes.
+  auto faults = fault::FaultPlan::Parse("sharing.producer_abort=p:1.0");
+  ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+  fault::FaultInjector::Global().Arm(*faults);
+  sharing::SharingRegistry registry;
+  sharing::SharedStream* stream =
+      registry.CreateStream(stream_plan.strict, stream_plan.fanout);
+  sharing::ProducerStats producer_stats;
+  std::thread producer([&] {
+    sharing::RunProducer(context, stream_plan.producer_plan, stream,
+                         &producer_stats)
+        .ok();
+  });
+  ExecContext subscriber = context;
+  subscriber.sharing = &registry;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    auto run = Executor(subscriber).Execute(plans[i]);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(Render(run->output), expected[i]) << "job " << i;
+  }
+  producer.join();
+  EXPECT_EQ(stream->state(), SharedStream::State::kAborted);
+  EXPECT_EQ(stream->subscribers_detached(), plans.size());
 }
 
 TEST_F(SharingWindowTest, SubscriberTimeoutFallsBackByteIdentical) {

@@ -229,5 +229,65 @@ TEST(ParserTest, UnaryMinusAndPlus) {
   EXPECT_EQ((*stmt)->select_list[1].expr->kind, AstExprKind::kColumnRef);
 }
 
+// --- Recursion bound ------------------------------------------------------------
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+// The statement and the expression holding the nesting take two of the
+// parser's kMaxDepth levels; each paren, NOT or sign takes one more.
+constexpr int kMaxExprNesting = Parser::kMaxDepth - 2;
+
+std::string NestedParens(int n) {
+  return "SELECT " + Repeat("(", n) + "1" + Repeat(")", n) + " FROM t";
+}
+std::string NotChain(int n) {
+  return "SELECT a FROM t WHERE " + Repeat("NOT ", n) + "TRUE";
+}
+std::string MinusChain(int n) { return "SELECT " + Repeat("- ", n) + "1 FROM t"; }
+// n statements: the i-th nests i levels deep and its select list one more.
+std::string UnionChain(int n) {
+  return Repeat("SELECT a FROM t UNION ALL ", n - 1) + "SELECT a FROM t";
+}
+
+void ExpectTooDeep(const std::string& sql) {
+  auto stmt = Parser::Parse(sql);
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stmt.status().message().find("nesting deeper than 256 levels"),
+            std::string::npos)
+      << stmt.status().ToString();
+  EXPECT_NE(stmt.status().message().find("at offset "), std::string::npos);
+}
+
+TEST(ParserTest, HostileNestingFailsInsteadOfOverflowingTheStack) {
+  ExpectTooDeep(NestedParens(200000));
+  ExpectTooDeep(NotChain(200000));
+  ExpectTooDeep(MinusChain(200000));
+  ExpectTooDeep(UnionChain(200000));
+  // The error names the token where the bound was crossed: the paren after
+  // "SELECT " and the 255 parens that opened levels 3 to 257.
+  auto stmt = Parser::Parse(NestedParens(200000));
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_NE(stmt.status().message().find("( at offset 262"),
+            std::string::npos)
+      << stmt.status().ToString();
+}
+
+TEST(ParserTest, NestingExactlyAtTheBoundParses) {
+  EXPECT_TRUE(Parser::Parse(NestedParens(kMaxExprNesting)).ok());
+  EXPECT_TRUE(Parser::Parse(NotChain(kMaxExprNesting)).ok());
+  EXPECT_TRUE(Parser::Parse(MinusChain(kMaxExprNesting)).ok());
+  EXPECT_TRUE(Parser::Parse(UnionChain(Parser::kMaxDepth - 1)).ok());
+  ExpectTooDeep(NestedParens(kMaxExprNesting + 1));
+  ExpectTooDeep(NotChain(kMaxExprNesting + 1));
+  ExpectTooDeep(MinusChain(kMaxExprNesting + 1));
+  ExpectTooDeep(UnionChain(Parser::kMaxDepth));
+}
+
 }  // namespace
 }  // namespace cloudviews

@@ -143,6 +143,57 @@ TEST_F(VerifyTest, ForgedSpoolSignatureRejected) {
   EXPECT_TRUE(PlanVerifier(options).Verify(*spool).ok());
 }
 
+TEST_F(VerifyTest, ChildSwappedAfterSealingRejected) {
+  LogicalOpPtr plan = PlanNormalizer::Normalize(
+      Build("SELECT Name FROM Customer WHERE MktSegment = 'Asia'"));
+  SignatureComputer computer;
+  computer.SealTree(plan.get());
+  PlanVerifyOptions options;
+  options.catalog = &catalog_;
+  options.signatures = &computer;
+  options.require_reuse_signatures = true;
+  ASSERT_TRUE(PlanVerifier(options).Verify(*plan).ok());
+
+  // Swap the filter's input after sealing for a sealed scan of another
+  // version of the same dataset: every node is still well formed, but the
+  // filter's stored signature describes the plan it used to be.
+  std::vector<LogicalOpPtr> spine = {plan};
+  std::string path;
+  while (spine.back()->kind != LogicalOpKind::kFilter) {
+    ASSERT_FALSE(spine.back()->children.empty());
+    spine.push_back(spine.back()->children[0]);
+    path += path.empty() ? "0" : ".0";
+  }
+  LogicalOpPtr filter = spine.back();
+  const LogicalOp& scan = *filter->children[0];
+  ASSERT_EQ(scan.kind, LogicalOpKind::kScan);
+  LogicalOpPtr other_version =
+      LogicalOp::Scan(scan.dataset_name, "guid-customer-v2",
+                      scan.output_schema);
+  computer.Seal(other_version.get());
+  filter->children[0] = other_version;
+  Status status = PlanVerifier(options).Verify(*plan);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("Filter at plan path " + path + ":"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("does not match its recomputation"),
+            std::string::npos)
+      << status.ToString();
+  // Re-sealing the changed node and its ancestors makes it consistent.
+  for (auto it = spine.rbegin(); it != spine.rend(); ++it) {
+    computer.Seal(it->get());
+  }
+  EXPECT_TRUE(PlanVerifier(options).Verify(*plan).ok());
+
+  // An unsealed node is rejected outright.
+  plan->subtree_size = 0;
+  status = PlanVerifier(options).Verify(*plan);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("not sealed"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(VerifyTest, ZeroSignatureSpoolsRejectedForOptimizerOutput) {
   LogicalOpPtr spool = LogicalOp::Spool(CustomerScan());
   // Bare spools are fine by default (tests and benches hand-build them)...

@@ -47,6 +47,11 @@ CASES = [
     (LINT, "compensation_bad", 1,
      ["[compensation]", "BuildCompensation"]),
     (LINT, "compensation_clean", 0, []),
+    (LINT, "plan_immutable_bad", 1,
+     ["[plan-immutable]", "const_cast of a LogicalOp",
+      "assignment into a node's children",
+      "mutable child slot bound in a range-for", "WithChildren"]),
+    (LINT, "plan_immutable_clean", 0, []),
     (LINT, "decision_reason_bad", 1,
      ["[decision-reason]", '"EXACT_HIT"', "DecisionReasonName"]),
     (LINT, "decision_reason_clean", 0, []),

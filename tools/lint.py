@@ -40,6 +40,14 @@ Checks, over src/, tests/, bench/, examples/, and tools/:
              splices through BuildCompensation so residual filters,
              re-aggregation, and observed-statistics wiring happen in one
              audited place
+  plan-immutable compiled plans share sealed nodes (path-copy rewrites), so
+             outside the node-construction code in src/plan/ nothing
+             casts a LogicalOp's constness away (const_cast<LogicalOp...>)
+             or writes into a node's children (assigning `children` or a
+             child slot, mutating the vector, or binding a child slot by
+             mutable LogicalOpPtr& in a range-for); rewrites build new
+             parents with LogicalOp::WithChildren / RewritePaths instead.
+             src/sql/ is exempt: its `children` are AST expressions
   decision-reason the reuse-decision reason registry is closed: no string
              literal in src/ outside src/obs/decision_reasons.h may spell a
              decision-reason name (EXACT_HIT, STAGE2_NOT_CONTAINED, ...) —
@@ -49,7 +57,8 @@ Checks, over src/, tests/, bench/, examples/, and tools/:
 
 `--root DIR` lints an alternate tree laid out like the repo (DIR/src/...)
 instead of the repo itself — analyzer_test.py uses this to drive the
-compensation fixtures; in that mode success is silent.
+compensation, plan-immutable and decision-reason fixtures; in that mode
+success is silent.
 
 It also runs the dedicated analyzers as sub-checks, so `python3
 tools/lint.py` is the one-stop local gate:
@@ -431,6 +440,49 @@ def check_compensation(src_root):
                        "stay in one place")
 
 
+PLAN_WRITES = [
+    (re.compile(r"\bconst_cast\s*<\s*(?:const\s+)?LogicalOp\b"),
+     "const_cast of a LogicalOp"),
+    (re.compile(r"(?:->|\.)\s*children\s*(?:\[[^\]]*\]\s*)?=(?!=)"),
+     "assignment into a node's children"),
+    (re.compile(r"(?:->|\.)\s*children\s*\.\s*(?:push_back|emplace_back|"
+                r"emplace|insert|erase|clear|assign|resize|swap|pop_back)"
+                r"\s*\("),
+     "mutation of a node's children"),
+    (re.compile(r"(?<!const )\b(?:LogicalOpPtr\s*&\s*\w+\s*:|"
+                r"auto\s*&\s*\w+\s*:\s*[\w.>()-]*children\b)"),
+     "mutable child slot bound in a range-for"),
+]
+
+
+def check_plan_immutable(src_root):
+    """Cross-file rule: sealed plan nodes are never written.
+
+    A compiled plan is sealed (DESIGN.md "Sealed plans"): rewrites copy the
+    path to the root and share every untouched subtree, so a node can sit in
+    the optimized plan, the fallback plan, a producer plan and the view
+    index at once. Outside the node-construction code in src/plan/, no code
+    may cast a LogicalOp's constness away or write into a node's children;
+    a write there would change every plan sharing the node. src/sql/ sits
+    below src/plan/ and never sees a LogicalOp; its `children` are AST
+    expressions, so it is not scanned.
+    """
+    if not src_root.exists():
+        return
+    exempt = [src_root / "plan", src_root / "sql"]
+    for path in sorted(src_root.rglob("*.h")) + sorted(src_root.rglob("*.cc")):
+        if any(path.is_relative_to(d) for d in exempt):
+            continue
+        code = strip_comments_and_strings(path.read_text())
+        for no, line in enumerate(code.splitlines(), 1):
+            for pattern, what in PLAN_WRITES:
+                if pattern.search(line):
+                    report(path, no, "plan-immutable",
+                           f"{what} outside src/plan/; plan nodes are "
+                           "shared once sealed, so build new parents with "
+                           "LogicalOp::WithChildren / RewritePaths")
+
+
 def check_decision_reasons(src_root):
     """Cross-file rule: the reuse-decision reason registry is closed.
 
@@ -552,8 +604,8 @@ def main():
     args = parser.parse_args()
 
     if args.root is not None:
-        # Fixture mode: file rules plus the compensation and
-        # decision-reason cross-file rules over the given tree; the other
+        # Fixture mode: file rules plus the compensation, plan-immutable
+        # and decision-reason cross-file rules over the given tree; the other
         # registry checks and the sub-analyzers stay tied to the real
         # repository. Success is silent (analyzer_test.py
         # asserts clean fixtures produce no output).
@@ -562,6 +614,7 @@ def main():
         for path in targets:
             lint_file(path)
         check_compensation(root / "src")
+        check_plan_immutable(root / "src")
         check_decision_reasons(root / "src")
         for v in violations:
             print(v)
@@ -579,6 +632,7 @@ def main():
     check_fault_sites()
     check_metric_names()
     check_compensation(REPO / "src")
+    check_plan_immutable(REPO / "src")
     check_decision_reasons(REPO / "src")
     analyzers_failed = run_analyzers()
     for v in violations:
