@@ -179,7 +179,11 @@ ThreadPool& ThreadPool::Shared() {
 }
 
 int ThreadPool::DefaultDop() {
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  // hardware_concurrency() asks the OS on every call (several microseconds
+  // here); the answer does not change while the process runs.
+  static const int dop =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return dop;
 }
 
 void TaskGroup::Spawn(std::function<Status()> fn) {

@@ -1,6 +1,7 @@
 #ifndef CLOUDVIEWS_CORE_REUSE_ENGINE_H_
 #define CLOUDVIEWS_CORE_REUSE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -152,13 +153,19 @@ class ReuseEngine {
   // sharing. All jobs are compiled first (in submit order, exactly as
   // serial RunJob calls would); the shared-subexpression rewrite then
   // elects one producer per subexpression covered by >= 2 jobs and wires
-  // every other occurrence to its stream. Producers run on their own
-  // threads while the jobs execute serially on the calling thread, so the
-  // shared subtree is computed once per window. Per-job outputs are
+  // every other occurrence to its stream, so the shared subtree is computed
+  // once per window. The producers and then the jobs run in parallel on
+  // ThreadPool::Shared() (at most DefaultDop() threads, the calling thread
+  // among them; a window of a few jobs runs on the calling thread alone).
+  // The view-store and lock effects of the jobs' executions are applied
+  // after the join, in submit order, so views, locks and both ledgers see
+  // the same sequence as serial RunJob calls. Per-job outputs are
   // byte-identical to serial RunJob at every DOP and batch size — including
   // under producer aborts, where subscribers detach to private fallback
-  // execution. With sharing disabled (or on the row engine) this degrades
-  // to serial RunJob calls.
+  // execution. A hard failure returns the first failing job's status in
+  // submit order and withdraws the materializations of every job that did
+  // not complete. With sharing disabled (or on the row engine) this
+  // degrades to serial RunJob calls.
   Result<std::vector<JobExecution>> RunSharedWindow(
       const std::vector<JobRequest>& requests);
 
@@ -235,18 +242,27 @@ class ReuseEngine {
                                            bool reuse_enabled);
   bool ReuseEnabledFor(const JobRequest& request) const;
 
+  // The view-store and lock calls one job's execution makes inside a
+  // sharing window, recorded for RunSharedWindow to apply after the join.
+  struct DeferredEffects {
+    // Spool seals and aborts and AbandonJob, in the order the job made them.
+    std::vector<std::function<void()>> in_order;
+    // Fallback invalidations, applied after every job's in-order effects.
+    std::vector<std::pair<Hash128, double>> invalidations;
+  };
+
   // Bind + compile + register proposed materializations.
   Result<PreparedJob> PrepareJob(const JobRequest& request);
   // Execute (with the sealing hooks), falling back to the unrewritten plan
   // on failure. `directory` wires SharedScans to in-flight streams (null
-  // outside a sharing window). When `deferred_invalidations` is non-null,
-  // view invalidations triggered by fallbacks are queued there instead of
-  // applied — during a window, producer threads still hold pointers into
-  // the view store, so erasure must wait until they join.
+  // outside a sharing window). When `effects` is non-null, the execution's
+  // view-store and lock calls (spool seals and aborts, AbandonJob, fallback
+  // invalidations) are recorded there instead of made: a window's jobs run
+  // concurrently, and the view manager's and insights service's maps are
+  // unsynchronized. Only `job` is written, so jobs may run concurrently.
   Status ExecutePrepared(PreparedJob* job,
                          const sharing::StreamDirectory* directory,
-                         std::vector<std::pair<Hash128, double>>*
-                             deferred_invalidations);
+                         DeferredEffects* effects);
   // Reuse-hit provenance + repository ingest + insights profile.
   JobExecution FinalizeJob(PreparedJob job);
 

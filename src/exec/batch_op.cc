@@ -402,13 +402,13 @@ Result<TablePtr> BindScanTable(const ExecContext& context,
   if (context.view_store == nullptr) {
     return Status::Internal("plan reads a view but no view store set");
   }
-  const MaterializedView* view =
-      context.view_store->Find(node.view_signature, context.now);
-  if (view == nullptr || view->table == nullptr) {
+  TablePtr table =
+      context.view_store->ReadTable(node.view_signature, context.now);
+  if (table == nullptr) {
     return Status::Aborted("materialized view vanished: " +
                            node.view_signature.ToHex());
   }
-  return view->table;
+  return table;
 }
 
 // --- BatchScanPipelineOp -----------------------------------------------------

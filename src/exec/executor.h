@@ -35,12 +35,15 @@ enum class ExecEngine {
 // Everything an executing job can touch.
 //
 // Threading contract: Execute() may fan work out to `dop` pool threads, so
-// every member below must stay immutable (and the pointed-to catalog /
-// view store unmodified) for the duration of the call. `on_spool_complete`
-// itself is only ever invoked from the driver thread that called Execute(),
-// but when a caller runs several Executors concurrently the callback fires
-// concurrently across jobs and must synchronize any state it shares between
-// them.
+// every member below must stay immutable (and the pointed-to catalog
+// unmodified) for the duration of the call. The view store is read only
+// through ViewStore::ReadTable, which is safe against concurrent reads that
+// quarantine the view. `on_spool_complete` and `on_spool_abort` are only
+// ever invoked from the driver thread that called Execute(). A caller may
+// run several Executors concurrently (a sharing window runs its jobs so);
+// the callbacks then fire concurrently across jobs and must synchronize any
+// state they share or, as ReuseEngine's do inside a window, only record
+// what to apply once every job has joined.
 struct ExecContext {
   const DatasetCatalog* catalog = nullptr;
   // View store for ViewScan reads. May be null when reuse is disabled.

@@ -40,9 +40,9 @@ struct SharingStats {
 // signatures elected for sharing.
 //
 // Threading contract: admission and stream creation happen serially on the
-// engine driver before any producer thread starts; during the concurrent
-// phase the registry is frozen and FindStream() is a read of immutable
-// state. Clear() must not be called until every stream thread has joined.
+// engine driver before any producer starts; during the concurrent phase the
+// registry is frozen and FindStream() is a read of immutable state. Clear()
+// must not be called until every task of the window has joined.
 class SharingRegistry : public StreamDirectory {
  public:
   SharingRegistry() = default;

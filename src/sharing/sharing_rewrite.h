@@ -19,8 +19,8 @@ struct StreamPlan {
   Hash128 strict;
   Hash128 recurring;
   // The elected instance's subtree with its spools stripped (a path copy);
-  // executed once on a stream thread, publishing batches to every
-  // subscriber.
+  // executed once by the window's producer task, publishing batches to
+  // every subscriber.
   LogicalOpPtr producer_plan;
   // Index (into the window's job list) of the job whose instance was
   // elected as the producer source.
@@ -55,7 +55,7 @@ struct RewriteResult {
 // Spools interact per the policy decision:
 //  - kBoth: a spool directly above an instance stays in its job's plan, fed
 //    by the SharedScan — the single shared execution doubles as the view
-//    writer, on the lock-holder's own driver thread;
+//    writer, inside the lock-holder's own job;
 //  - kShareNow: that spool is stripped (and reported in dropped_spools);
 //  - kMaterializeOnly: the signature is not shared at all.
 // Spools nested strictly inside a replaced subtree always drop (the

@@ -113,6 +113,18 @@ Status ViewStore::Seal(const Hash128& strict_signature, TablePtr contents,
 const MaterializedView* ViewStore::Find(const Hash128& strict_signature,
                                         double now) const {
   MutexLock lock(mu_);
+  return FindLocked(strict_signature, now);
+}
+
+TablePtr ViewStore::ReadTable(const Hash128& strict_signature,
+                              double now) const {
+  MutexLock lock(mu_);
+  const MaterializedView* view = FindLocked(strict_signature, now);
+  return view != nullptr ? view->table : nullptr;
+}
+
+const MaterializedView* ViewStore::FindLocked(
+    const Hash128& strict_signature, double now) const {
   static obs::Counter& hits = obs::MetricsRegistry::Global().counter(
       obs::metric_names::kViewsLookupHit);
   static obs::Counter& misses = obs::MetricsRegistry::Global().counter(

@@ -65,12 +65,14 @@ Hash128 ComputeTableChecksum(const Table& table);
 // when their inputs or the engine's signature version change.
 //
 // Thread safety: every method is internally mutex-guarded, so concurrent
-// Find/Seal from shared-producer stream threads and the engine driver are
-// safe. Returned MaterializedView pointers stay valid across concurrent
-// inserts (the map is node-based) but NOT across erasure — callers that run
-// concurrently with the store (sharing windows) must not interleave with
+// reads from the tasks of a sharing window are safe. Executors read through
+// ReadTable, which copies the table out under the lock. Returned
+// MaterializedView pointers stay valid across concurrent inserts (the map is
+// node-based) but NOT across erasure, and their table may be reset by a
+// concurrent read that quarantines the view — callers that hold one while
+// other threads read the store must not interleave with
 // Invalidate/PurgeExpired/InvalidateAll, which the engine guarantees by
-// deferring those to after every stream thread has joined.
+// deferring those to after a window's tasks have joined.
 class ViewStore {
  public:
   // `ttl_seconds`: views expire this long after creation (paper: one week).
@@ -102,6 +104,13 @@ class ViewStore {
   // miss, so callers fall back to the base-scan plan.
   const MaterializedView* Find(const Hash128& strict_signature,
                                double now) const EXCLUDES(mu_);
+
+  // The executor's read: the table of the view Find would return, copied
+  // under the lock, or null on a miss. A pointer from Find is only safe
+  // while no other thread reads the view: a concurrent read may quarantine
+  // it and reset its table the moment the lock drops.
+  TablePtr ReadTable(const Hash128& strict_signature, double now) const
+      EXCLUDES(mu_);
 
   // Returns the entry regardless of state (for tests / the view manager).
   const MaterializedView* FindAny(const Hash128& strict_signature) const
@@ -156,6 +165,10 @@ class ViewStore {
   }
 
  private:
+  // Find's lookup, validation and hit/miss count, under the caller's lock.
+  const MaterializedView* FindLocked(const Hash128& strict_signature,
+                                     double now) const REQUIRES(mu_);
+
   // Validates `view` against its footer, quarantining on mismatch (or on an
   // injected read fault). Returns true if the view is safe to serve. `now`
   // tags the quarantine provenance event.
@@ -163,8 +176,8 @@ class ViewStore {
       REQUIRES(mu_);
 
   double ttl_seconds_;
-  // Guards every member below (Find from stream threads races Seal from the
-  // driver during sharing windows).
+  // Guards every member below (the tasks of a sharing window read, and may
+  // quarantine, views concurrently).
   mutable Mutex mu_;
   // `mutable`: Find() is logically const (a lookup) but quarantines corrupt
   // entries as a side effect; every caller holds the store via const

@@ -16,6 +16,7 @@
 #include "common/hash.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "fault/fault.h"
 #include "obs/trace.h"
 #include "plan/builder.h"
 #include "plan/normalizer.h"
@@ -379,6 +380,77 @@ TEST_F(ParallelExecTest, ConcurrentScansOfSharedSpooledView) {
     }
   }
   EXPECT_EQ(store.FindAny(sig)->reuse_count, 0);
+}
+
+TEST_F(ParallelExecTest, ConcurrentScansRaceQuarantineOfOneView) {
+  // The jobs of a sharing window scan one view concurrently while injected
+  // read faults quarantine it (which resets the entry's table) and readers
+  // that missed re-seal it. A reader must copy the table under the store's
+  // lock: it gets either the whole table or a miss. Run under TSan, this is
+  // the canary for reads that race a quarantine.
+  LogicalOpPtr source = Plan("SELECT SaleId, Price, Quantity FROM Sales");
+  ASSERT_NE(source, nullptr);
+  auto produced = Run(source, /*dop=*/1, /*morsel_rows=*/4096);
+  ASSERT_TRUE(produced.ok()) << produced.status().ToString();
+  const TablePtr contents = produced->output;
+  const Hash128 checksum = ComputeTableChecksum(*contents);
+
+  ViewStore store;
+  const Hash128 sig = HashString("quarantine-race");
+  auto reseal = [&] {
+    // Either call may lose to another reader's reseal; both are no-ops then.
+    store.BeginMaterialize(sig, sig, "vc0", 1, 50.0).ok();
+    store.Seal(sig, contents, contents->num_rows(), contents->byte_size(), 60.0)
+        .ok();
+  };
+  reseal();
+
+  auto faults = fault::FaultPlan::Parse("storage.view.read=p:0.3:corruption");
+  ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+  fault::FaultInjector::Global().Arm(*faults);
+
+  LogicalOpPtr view_scan =
+      LogicalOp::ViewScan(sig, "views/quarantine", contents->schema());
+  constexpr int kReaders = 8;
+  constexpr int kReads = 40;
+  std::atomic<int> hits{0};
+  std::atomic<int> misses{0};
+  std::vector<std::string> errors(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      ExecContext context;
+      context.catalog = &catalog_;
+      context.view_store = &store;
+      context.now = 100.0;
+      context.dop = 1;
+      context.engine = (i % 2 == 0) ? ExecEngine::kColumnar : ExecEngine::kRow;
+      for (int read = 0; read < kReads && errors[i].empty(); ++read) {
+        auto r = Executor(context).Execute(view_scan);
+        if (r.ok()) {
+          if (ComputeTableChecksum(*r->output) != checksum) {
+            errors[i] = "read " + std::to_string(read) + " got a torn table";
+          }
+          hits.fetch_add(1);
+        } else if (r.status().code() == StatusCode::kAborted) {
+          misses.fetch_add(1);
+          reseal();
+        } else {
+          errors[i] = r.status().ToString();
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  fault::FaultInjector::Global().Disarm();
+  for (int i = 0; i < kReaders; ++i) {
+    EXPECT_TRUE(errors[i].empty()) << "reader " << i << ": " << errors[i];
+  }
+  // Both outcomes happened, so reads really raced quarantines.
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_GT(misses.load(), 0);
+  EXPECT_GT(store.total_views_quarantined(), 0);
 }
 
 TEST_F(ParallelExecTest, SpoolSealsExactlyOnceUnderConcurrency) {

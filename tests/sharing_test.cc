@@ -14,11 +14,13 @@
 #include "common/hash.h"
 
 #include "common/sim_clock.h"
+#include "common/thread_pool.h"
 #include "core/reuse_engine.h"
 #include "core/view_selection.h"
 #include "exec/shared_stream.h"
 #include "fault/fault.h"
 #include "fault/fault_sites.h"
+#include "obs/decision.h"
 #include "obs/provenance.h"
 #include "plan/builder.h"
 #include "plan/normalizer.h"
@@ -245,7 +247,11 @@ std::string Render(const TablePtr& table) {
 
 class SharingWindowTest : public ::testing::Test {
  protected:
-  void TearDown() override { fault::FaultInjector::Global().Disarm(); }
+  void TearDown() override {
+    fault::FaultInjector::Global().Disarm();
+    obs::ProvenanceLedger::Disable();
+    obs::DecisionLedger::Disable();
+  }
 
   static ReuseEngineOptions EngineOptions(bool enable_sharing) {
     ReuseEngineOptions options;
@@ -473,6 +479,174 @@ TEST_F(SharingWindowTest, ComposesWithMaterializedViews) {
   // The elected producer's job kept its spool (kBoth): the shared execution
   // doubled as the view writer unless the policy stripped it.
   EXPECT_GE(engine.sharing_stats().streams, 1);
+}
+
+// More producer streams than the window runs loops: the loops may all be
+// busy with producers before any job starts, and since every producer is
+// claimed before any job, each subscriber still finds its producer running.
+TEST_F(SharingWindowTest, MoreStreamsThanWorkersServesEverySubscriber) {
+  const int distinct = 2 * ThreadPool::DefaultDop() + 1;
+  std::vector<JobRequest> requests;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int q = 0; q < distinct; ++q) {
+      const std::string sql =
+          "SELECT Name, Price FROM Sales JOIN Customer "
+          "ON Sales.CustomerId = Customer.CustomerId WHERE SaleId < " +
+          std::to_string(10 * (q + 1));
+      requests.push_back(
+          MakeJob(static_cast<int64_t>(requests.size()) + 1, sql,
+                  100.0 + static_cast<double>(requests.size())));
+    }
+  }
+  DatasetCatalog catalog;
+  testing_util::RegisterFigure4Tables(&catalog);
+  ReuseEngine engine(&catalog, EngineOptions(true));
+  engine.insights().controls().enabled_vcs.insert("vc0");
+  auto window = engine.RunSharedWindow(requests);
+  ASSERT_TRUE(window.ok()) << window.status().ToString();
+
+  const sharing::SharingStats& stats = engine.sharing_stats();
+  EXPECT_EQ(stats.streams, distinct);
+  EXPECT_EQ(stats.hits, stats.fanout);
+  EXPECT_EQ(stats.detaches, 0);
+  EXPECT_EQ(stats.producer_aborts, 0);
+  std::vector<std::string> expected = SerialOutputs(requests);
+  ASSERT_EQ(window->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(Render((*window)[i].output), expected[i])
+        << "job " << requests[i].job_id;
+  }
+}
+
+// A window's jobs seal in whatever order they finish, but the seals, like
+// every other view effect, apply after the join in submit order. An
+// `exec.spool.seal=nth:1` fault makes the order visible: it must always
+// abort the first job's view, although that job's large join finishes after
+// the two shared streams' small ones have sealed theirs. (On a one-core host
+// the window runs serially, and the two orders coincide.)
+TEST_F(SharingWindowTest, WindowEffectsApplyInSubmitOrder) {
+  DatasetCatalog catalog;
+  testing_util::RegisterFigure4Tables(&catalog);
+  ASSERT_TRUE(catalog
+                  .Register("BigSales", testing_util::MakeSalesTable(8000),
+                            "guid-big-sales-v1")
+                  .ok());
+  // No filter: its views, the join and the projection over it, seal as the
+  // job's last operators drain.
+  const std::string big_sql =
+      "SELECT Name, Price FROM BigSales JOIN Customer "
+      "ON BigSales.CustomerId = Customer.CustomerId";
+  obs::ProvenanceLedger::Enable();
+  obs::DecisionLedger::Enable();
+
+  constexpr int kCopies = 7;
+  struct Outcome {
+    std::string provenance;
+    std::string decisions;
+    std::vector<int> views_built;
+    std::vector<std::vector<Hash128>> built_signatures;
+  };
+  auto run_once = [&]() -> Outcome {
+    ReuseEngine engine(&catalog, EngineOptions(true));
+    engine.insights().controls().enabled_vcs.insert("vc0");
+    for (double t : {0.0, 1000.0}) {
+      EXPECT_TRUE(engine.RunJob(MakeJob(1, big_sql, t)).ok());
+      EXPECT_TRUE(engine.RunJob(MakeJob(2, kAsiaSql, t + 1.0)).ok());
+      EXPECT_TRUE(engine.RunJob(MakeJob(3, kEuropeSql, t + 2.0)).ok());
+    }
+    engine.RunViewSelection();
+    auto faults = fault::FaultPlan::Parse("exec.spool.seal=nth:1");
+    EXPECT_TRUE(faults.ok());
+    fault::FaultInjector::Global().Arm(*faults);
+    // Enough tasks (2 producers and 15 jobs) for the window to wake a
+    // second loop.
+    std::vector<JobRequest> burst = {MakeJob(10, big_sql, 2000.0)};
+    for (const char* sql : {kAsiaSql, kEuropeSql}) {
+      for (int copy = 0; copy < kCopies; ++copy) {
+        burst.push_back(MakeJob(static_cast<int64_t>(burst.size()) + 10, sql,
+                                2000.0 + static_cast<double>(burst.size())));
+      }
+    }
+    auto window = engine.RunSharedWindow(burst);
+    fault::FaultInjector::Global().Disarm();
+    EXPECT_TRUE(window.ok()) << window.status().ToString();
+    EXPECT_EQ(engine.sharing_stats().streams, 2);
+    Outcome outcome;
+    outcome.provenance = engine.provenance().ExportJson(/*now=*/3000.0);
+    outcome.decisions = engine.decisions().ExportJson();
+    if (window.ok()) {
+      for (const JobExecution& exec : *window) {
+        outcome.views_built.push_back(exec.views_built);
+        outcome.built_signatures.push_back(exec.built_signatures);
+      }
+    }
+    return outcome;
+  };
+
+  const Outcome first = run_once();
+  // The big job and each stream's elected job (its first copy) proposed a
+  // view; the fault aborted the big job's, the first seal in submit order.
+  std::vector<int> expected(1 + 2 * kCopies, 0);
+  expected[1] = 1;
+  expected[1 + kCopies] = 1;
+  EXPECT_EQ(first.views_built, expected);
+  ASSERT_EQ(first.built_signatures.size(), expected.size());
+  EXPECT_EQ(first.built_signatures[0].size(), 1u);
+  for (int run = 1; run < 20; ++run) {
+    const Outcome again = run_once();
+    EXPECT_EQ(again.provenance, first.provenance) << "run " << run;
+    EXPECT_EQ(again.decisions, first.decisions) << "run " << run;
+    EXPECT_EQ(again.views_built, first.views_built) << "run " << run;
+    EXPECT_EQ(again.built_signatures, first.built_signatures)
+        << "run " << run;
+    if (HasFailure()) break;
+  }
+}
+
+// A failed window withdraws the materializations of its jobs that did not
+// complete. Creation locks never expire, so a leaked lock would keep every
+// later job of the engine from building the view.
+TEST_F(SharingWindowTest, FailedWindowReleasesCreationLocks) {
+  DatasetCatalog catalog;
+  testing_util::RegisterFigure4Tables(&catalog);
+  ASSERT_TRUE(catalog
+                  .Register("Stale", testing_util::MakeCustomerTable(),
+                            "guid-stale-v1")
+                  .ok());
+  PlanBuilder builder(&catalog);
+  auto stale_plan = builder.BuildFromSql("SELECT Name FROM Stale");
+  ASSERT_TRUE(stale_plan.ok()) << stale_plan.status().ToString();
+  // The plan pins v1; the catalog now serves v2, so the job fails to run.
+  ASSERT_TRUE(catalog
+                  .BulkUpdate("Stale", testing_util::MakeCustomerTable(),
+                              "guid-stale-v2")
+                  .ok());
+  JobRequest stale;
+  stale.job_id = 99;
+  stale.virtual_cluster = "vc0";
+  stale.plan = *stale_plan;
+  stale.submit_time = 2500.0;
+
+  // The job holding the lock is prepared before a job that fails to bind,
+  // and queued behind a job that fails to run.
+  const std::vector<std::vector<JobRequest>> failing = {
+      {MakeJob(3, kAsiaSql, 2000.0), MakeJob(4, "SELECT Name FROM Missing",
+                                             2001.0)},
+      {stale, MakeJob(5, kAsiaSql, 2600.0)}};
+  for (const std::vector<JobRequest>& requests : failing) {
+    ReuseEngine engine(&catalog, EngineOptions(true));
+    engine.insights().controls().enabled_vcs.insert("vc0");
+    ASSERT_TRUE(engine.RunJob(MakeJob(1, kAsiaSql, 0.0)).ok());
+    ASSERT_TRUE(engine.RunJob(MakeJob(2, kAsiaSql, 1000.0)).ok());
+    ASSERT_GT(engine.RunViewSelection().selected.size(), 0u);
+
+    auto window = engine.RunSharedWindow(requests);
+    EXPECT_FALSE(window.ok());
+    EXPECT_EQ(engine.insights().num_locks_held(), 0u);
+    auto later = engine.RunJob(MakeJob(6, kAsiaSql, 3000.0));
+    ASSERT_TRUE(later.ok()) << later.status().ToString();
+    EXPECT_GT(later->views_built, 0);
+  }
 }
 
 }  // namespace
