@@ -64,11 +64,15 @@ TablePtr CookEvents(const DatasetCatalog& catalog) {
   context.catalog = &catalog;
   Executor executor(context);
   auto result = executor.Execute(*plan);
+  const Table& output = *result->output;
+  ColumnBatch batch;
+  batch.num_rows = output.num_rows();
+  for (size_t c = 0; c < output.num_columns(); ++c) {
+    batch.columns.push_back(output.column(c));
+  }
   auto cooked = std::make_shared<Table>("cooked_events",
                                         (*plan)->output_schema);
-  for (const Row& row : result->output->rows()) {
-    cooked->Append(row).ok();
-  }
+  cooked->AppendBatch(batch).ok();
   return cooked;
 }
 

@@ -227,7 +227,7 @@ Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
         bool done = false;
         CLOUDVIEWS_RETURN_NOT_OK(root->Next(&row, &done));
         if (done) break;
-        CLOUDVIEWS_RETURN_NOT_OK(output->Append(std::move(row)));
+        CLOUDVIEWS_RETURN_NOT_OK(output->Append(row));
       }
     }
   }

@@ -54,7 +54,7 @@ Status TableScanOp::Next(Row* row, bool* done) {
     *done = true;
     return Status::OK();
   }
-  const Row& source = table_->row(index_);
+  Row source = table_->row(index_);
   if (logical_->kind == LogicalOpKind::kScan &&
       !logical_->scan_columns.empty()) {
     // Pruned scan: emit only the selected columns.
@@ -70,7 +70,7 @@ Status TableScanOp::Next(Row* row, bool* done) {
     }
     *row = std::move(narrow);
   } else {
-    *row = source;
+    *row = std::move(source);
   }
   index_ += 1;
   *done = false;

@@ -20,24 +20,32 @@ void BloomFilter::Indices(uint64_t h, size_t out[kNumHashes]) const {
   }
 }
 
-void BloomFilter::Add(const Value& value) {
+namespace {
+
+uint64_t ValueHash(const Value& value) {
   Hasher hasher;
   value.HashInto(&hasher);
-  size_t idx[kNumHashes];
-  Indices(hasher.Finish().lo, idx);
-  for (size_t i : idx) {
-    bits_[i / 64] |= uint64_t{1} << (i % 64);
-  }
-  items_ += 1;
+  return hasher.Finish().lo;
 }
 
-void BloomFilter::AddKey(const Row& row, const std::vector<int>& key_columns) {
-  Hasher hasher;
+// One Hasher per row of `table`, fed its key cells a column at a time.
+std::vector<Hasher> KeyHashers(const Table& table,
+                               const std::vector<int>& key_columns) {
+  std::vector<Hasher> hashers(table.num_rows());
   for (int col : key_columns) {
-    row[static_cast<size_t>(col)].HashInto(&hasher);
+    table.column(static_cast<size_t>(col))
+        ->HashCellsInto(0, hashers.size(), hashers.data());
   }
+  return hashers;
+}
+
+}  // namespace
+
+void BloomFilter::Add(const Value& value) { AddHash(ValueHash(value)); }
+
+void BloomFilter::AddHash(uint64_t key_hash) {
   size_t idx[kNumHashes];
-  Indices(hasher.Finish().lo, idx);
+  Indices(key_hash, idx);
   for (size_t i : idx) {
     bits_[i / 64] |= uint64_t{1} << (i % 64);
   }
@@ -45,24 +53,12 @@ void BloomFilter::AddKey(const Row& row, const std::vector<int>& key_columns) {
 }
 
 bool BloomFilter::MayContain(const Value& value) const {
-  Hasher hasher;
-  value.HashInto(&hasher);
-  size_t idx[kNumHashes];
-  Indices(hasher.Finish().lo, idx);
-  for (size_t i : idx) {
-    if ((bits_[i / 64] & (uint64_t{1} << (i % 64))) == 0) return false;
-  }
-  return true;
+  return MayContainHash(ValueHash(value));
 }
 
-bool BloomFilter::MayContainKey(const Row& row,
-                                const std::vector<int>& key_columns) const {
-  Hasher hasher;
-  for (int col : key_columns) {
-    row[static_cast<size_t>(col)].HashInto(&hasher);
-  }
+bool BloomFilter::MayContainHash(uint64_t key_hash) const {
   size_t idx[kNumHashes];
-  Indices(hasher.Finish().lo, idx);
+  Indices(key_hash, idx);
   for (size_t i : idx) {
     if ((bits_[i / 64] & (uint64_t{1} << (i % 64))) == 0) return false;
   }
@@ -80,8 +76,8 @@ Status BitVectorFilterStore::Register(const Hash128& build_signature,
     }
   }
   auto filter = std::make_unique<BloomFilter>(build_side.num_rows());
-  for (const Row& row : build_side.rows()) {
-    filter->AddKey(row, key_columns);
+  for (const Hasher& key : KeyHashers(build_side, key_columns)) {
+    filter->AddHash(key.Finish().lo);
   }
   filters_[build_signature] = std::move(filter);
   return Status::OK();
@@ -114,18 +110,22 @@ Result<int64_t> SemiJoinReduce(const BloomFilter& filter,
                                      std::to_string(col));
     }
   }
-  auto out = std::make_shared<Table>(probe_side.name() + "_reduced",
-                                     probe_side.schema());
-  int64_t eliminated = 0;
-  for (const Row& row : probe_side.rows()) {
-    if (filter.MayContainKey(row, probe_key_columns)) {
-      CLOUDVIEWS_RETURN_NOT_OK(out->Append(row));
-    } else {
-      eliminated += 1;
+  std::vector<Hasher> keys = KeyHashers(probe_side, probe_key_columns);
+  std::vector<uint32_t> kept;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (filter.MayContainHash(keys[i].Finish().lo)) {
+      kept.push_back(static_cast<uint32_t>(i));
     }
   }
+  std::vector<ColumnVector> columns(probe_side.num_columns());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns[c].AppendGatherFrom(*probe_side.column(c), kept);
+  }
+  auto out = std::make_shared<Table>(probe_side.name() + "_reduced",
+                                     probe_side.schema());
+  CLOUDVIEWS_RETURN_NOT_OK(out->AdoptColumns(std::move(columns)));
   *reduced = std::move(out);
-  return eliminated;
+  return static_cast<int64_t>(keys.size() - kept.size());
 }
 
 }  // namespace cloudviews

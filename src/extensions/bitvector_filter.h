@@ -25,12 +25,14 @@ class BloomFilter {
   explicit BloomFilter(size_t expected_items);
 
   void Add(const Value& value);
-  void AddKey(const Row& row, const std::vector<int>& key_columns);
+  // Adds a key by its hash: the low word of a Hasher fed the key's cells in
+  // key-column order.
+  void AddHash(uint64_t key_hash);
 
   // May return true for values never added (false positives); never returns
   // false for added values.
   bool MayContain(const Value& value) const;
-  bool MayContainKey(const Row& row, const std::vector<int>& key_columns) const;
+  bool MayContainHash(uint64_t key_hash) const;
 
   size_t bit_count() const { return bits_.size() * 64; }
   size_t byte_size() const { return bits_.size() * 8; }

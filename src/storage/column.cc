@@ -174,13 +174,14 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
-void ColumnVector::Reserve(size_t n) {
+void ColumnVector::Reserve(size_t n, DataType expected) {
   valid_.reserve((n + 63) / 64);
   if (mixed_) {
     cells_.reserve(n);
     return;
   }
-  switch (type_) {
+  // The first non-null append's assign() keeps this capacity.
+  switch (type_ == DataType::kNull ? expected : type_) {
     case DataType::kBool:
       bools_.reserve(n);
       break;

@@ -74,8 +74,9 @@ class ColumnVector {
   std::string CellToString(size_t i) const;
   Value GetValue(size_t i) const;
 
-  // Builders.
-  void Reserve(size_t n);
+  // Builders. Reserve makes room for n cells; an untyped column reserves
+  // typed storage for `expected`, the type it will adopt.
+  void Reserve(size_t n, DataType expected = DataType::kNull);
   void AppendNull();
   void AppendBool(bool v);
   void AppendInt64(int64_t v);

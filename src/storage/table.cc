@@ -4,99 +4,89 @@
 
 namespace cloudviews {
 
-Status Table::Append(Row row) {
-  if (column_primary_) {
-    return Status::Internal("row-wise Append on column-primary table " +
-                            name_);
+Table::Table(std::string name, Schema schema)
+    : name_(std::move(name)), schema_(std::move(schema)) {
+  columns_.reserve(schema_.num_columns());
+  for (size_t c = 0; c < schema_.num_columns(); ++c) {
+    columns_.push_back(std::make_shared<ColumnVector>());
   }
-  if (row.size() != schema_.num_columns()) {
+}
+
+Row Table::row(size_t i) const {
+  Row out;
+  out.reserve(columns_.size());
+  for (const auto& col : columns_) out.push_back(col->GetValue(i));
+  return out;
+}
+
+std::vector<Row> Table::rows() const {
+  std::vector<Row> out;
+  out.reserve(num_rows_);
+  for (size_t i = 0; i < num_rows_; ++i) out.push_back(row(i));
+  return out;
+}
+
+Status Table::Append(const Row& row) {
+  if (row.size() != columns_.size()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) + " does not match schema " +
         schema_.ToString() + " of table " + name_);
   }
-  for (const Value& v : row) byte_size_ += v.ByteSize();
-  rows_.push_back(std::move(row));
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c]->AppendValue(row[c]);
+    byte_size_ += row[c].ByteSize();
+  }
+  num_rows_ += 1;
   return Status::OK();
 }
 
 Status Table::AppendBatch(const ColumnBatch& batch) {
-  if (!column_primary_) {
-    if (!rows_.empty()) {
-      return Status::Internal("AppendBatch on row-primary table " + name_);
-    }
-    column_primary_ = true;
-    columns_.clear();
-    columns_.reserve(schema_.num_columns());
-    for (size_t i = 0; i < schema_.num_columns(); ++i) {
-      columns_.push_back(std::make_shared<ColumnVector>());
-    }
-  }
-  if (batch.num_columns() != schema_.num_columns()) {
+  if (batch.num_columns() != columns_.size()) {
     return Status::InvalidArgument(
         "batch arity " + std::to_string(batch.num_columns()) +
         " does not match schema " + schema_.ToString() + " of table " + name_);
+  }
+  if (!batch.unread_bytes.empty()) {
+    return Status::InvalidArgument("batch with unread columns appended to " +
+                                   name_);
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const ColumnPtr& src = batch.columns[c];
+    if (src == nullptr || src->size() != batch.num_rows) {
+      return Status::InvalidArgument("batch column " + std::to_string(c) +
+                                     " is missing or not " +
+                                     std::to_string(batch.num_rows) +
+                                     " rows long in append to " + name_);
+    }
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
     const ColumnVector& src = *batch.columns[c];
     columns_[c]->AppendRangeFrom(src, 0, batch.num_rows);
     byte_size_ += src.TotalByteSize();
   }
-  col_num_rows_ += batch.num_rows;
+  num_rows_ += batch.num_rows;
   return Status::OK();
 }
 
-const std::vector<Row>& Table::rows() const {
-  if (column_primary_) EnsureRows();
-  return rows_;
-}
-
-ColumnPtr Table::column(size_t i) const {
-  if (!column_primary_) EnsureColumns();
-  return columns_[i];
-}
-
-void Table::EnsureColumns() const {
-  std::call_once(columns_once_, [this] {
-    std::vector<std::shared_ptr<ColumnVector>> cols;
-    cols.reserve(schema_.num_columns());
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      auto col = std::make_shared<ColumnVector>();
-      col->Reserve(rows_.size());
-      for (const Row& row : rows_) col->AppendValue(row[c]);
-      cols.push_back(std::move(col));
-    }
-    columns_ = std::move(cols);
-  });
-}
-
-void Table::EnsureRows() const {
-  std::call_once(rows_once_, [this] {
-    std::vector<Row> rows;
-    rows.reserve(col_num_rows_);
-    for (size_t i = 0; i < col_num_rows_; ++i) {
-      Row row;
-      row.reserve(columns_.size());
-      for (const auto& col : columns_) row.push_back(col->GetValue(i));
-      rows.push_back(std::move(row));
-    }
-    rows_ = std::move(rows);
-  });
-}
-
-std::string Table::ToString(size_t max_rows) const {
-  const std::vector<Row>& all = rows();
-  std::string out = name_ + " " + schema_.ToString() + " [" +
-                    std::to_string(all.size()) + " rows]\n";
-  for (size_t i = 0; i < all.size() && i < max_rows; ++i) {
-    out += "  ";
-    for (size_t j = 0; j < all[i].size(); ++j) {
-      if (j > 0) out += " | ";
-      out += all[i][j].ToString();
-    }
-    out += "\n";
+Status Table::AdoptColumns(std::vector<ColumnVector> columns) {
+  if (num_rows_ != 0 || columns.size() != columns_.size()) {
+    return Status::InvalidArgument(
+        std::to_string(columns.size()) + " columns adopted by " + name_ +
+        ", which needs " + std::to_string(columns_.size()) + " and no rows");
   }
-  if (all.size() > max_rows) out += "  ...\n";
-  return out;
+  const size_t n = columns.empty() ? 0 : columns[0].size();
+  for (const ColumnVector& col : columns) {
+    if (col.size() != n) {
+      return Status::InvalidArgument("columns of unequal length adopted by " +
+                                     name_);
+    }
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    byte_size_ += columns[c].TotalByteSize();
+    columns_[c] = std::make_shared<ColumnVector>(std::move(columns[c]));
+  }
+  num_rows_ = n;
+  return Status::OK();
 }
 
 }  // namespace cloudviews

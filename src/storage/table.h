@@ -2,7 +2,6 @@
 #define CLOUDVIEWS_STORAGE_TABLE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -17,67 +16,49 @@ namespace cloudviews {
 // read many times; bulk updates replace the whole table (see DatasetCatalog),
 // so Table itself has no fine-grained update path.
 //
-// A table is either row-primary (loaded via Append) or column-primary
-// (loaded via AppendBatch — spool side tables and columnar query outputs).
-// Whichever representation is primary, the other is materialized lazily and
-// cached on first access; both views report identical num_rows/byte_size,
-// and the conversion is guarded by std::call_once so concurrent readers
-// (e.g. parallel scans of a shared materialized view) are race-free.
+// A table is one typed column per schema column and nothing else. It is
+// appended to only while it is built (a generated dataset, a spool side
+// table, a query output), before any scan can read it; scans then share the
+// columns without copying them, so a built table is safe to read from any
+// number of threads. No state is built lazily on a read.
 class Table {
  public:
-  Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+  Table(std::string name, Schema schema);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  size_t num_rows() const {
-    return column_primary_ ? col_num_rows_ : rows_.size();
-  }
+  size_t num_rows() const { return num_rows_; }
   size_t byte_size() const { return byte_size_; }
 
-  // Row view. For column-primary tables the first call materializes rows.
-  const Row& row(size_t i) const { return rows()[i]; }
-  const std::vector<Row>& rows() const;
+  // Column i, shared zero-copy into scans.
+  ColumnPtr column(size_t i) const { return columns_[i]; }
+  size_t num_columns() const { return columns_.size(); }
 
-  // Columnar view. For row-primary tables the first call materializes the
-  // per-column arrays. Column i is shared zero-copy into scans.
-  ColumnPtr column(size_t i) const;
-  size_t num_columns() const { return schema_.num_columns(); }
-  bool column_primary() const { return column_primary_; }
+  // Row adapter: row i's cells as Values, built on every call. Only the
+  // row-at-a-time reference engine and tests read tables this way.
+  Row row(size_t i) const;
+  std::vector<Row> rows() const;
 
-  // Appends a row; the row arity must match the schema. Type checking is
-  // loose (nulls allowed anywhere) to mirror semi-structured extracted logs.
-  // Invalid on a column-primary table.
-  Status Append(Row row);
+  // Cell-append builder: appends a row's cells to the typed columns. The row
+  // arity must match the schema. Type checking is loose (nulls allowed
+  // anywhere) to mirror semi-structured extracted logs.
+  Status Append(const Row& row);
 
-  // Appends a batch of rows column-wise. Only valid before any row-wise
-  // Append (the first AppendBatch switches the table to column-primary).
-  // Scans share the columns instead of copying them, so a table is appended
-  // to only while it is built, before any scan can read it.
+  // Appends a batch column-wise. Every column must be present, hold exactly
+  // num_rows cells and carry no unread bytes.
   Status AppendBatch(const ColumnBatch& batch);
 
-  void Reserve(size_t n) { rows_.reserve(n); }
-
-  std::string ToString(size_t max_rows = 10) const;
+  // Fills an empty table with whole columns, one per schema column and all
+  // of one length, adopting them without a copy.
+  Status AdoptColumns(std::vector<ColumnVector> columns);
 
  private:
-  void EnsureColumns() const;
-  void EnsureRows() const;
-
   std::string name_;
   Schema schema_;
+  size_t num_rows_ = 0;
   size_t byte_size_ = 0;
-  bool column_primary_ = false;
-
-  // Row-primary storage, or the lazily materialized row view.
-  mutable std::vector<Row> rows_;
-  mutable std::once_flag rows_once_;
-
-  // Column-primary storage, or the lazily materialized columnar view.
-  mutable std::vector<std::shared_ptr<ColumnVector>> columns_;
-  mutable std::once_flag columns_once_;
-  size_t col_num_rows_ = 0;
+  std::vector<std::shared_ptr<ColumnVector>> columns_;
 };
 
 using TablePtr = std::shared_ptr<const Table>;

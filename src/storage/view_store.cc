@@ -1,5 +1,7 @@
 #include "storage/view_store.h"
 
+#include <algorithm>
+
 #include "fault/fault.h"
 #include "fault/fault_sites.h"
 #include "obs/log.h"
@@ -9,26 +11,18 @@
 namespace cloudviews {
 
 Hash128 ComputeTableChecksum(const Table& table) {
+  // The row count, then per row the arity and each cell in column order.
+  // ColumnVector::HashCellInto feeds the hasher the same bytes as
+  // Value::HashInto, so this is the hash of the table's rows.
   Hasher hasher;
   hasher.Update(static_cast<uint64_t>(table.num_rows()));
-  if (table.column_primary()) {
-    // Columnar path: hash cells straight out of the column arrays in row
-    // order, without materializing rows. ColumnVector::HashCellInto feeds
-    // the hasher the same byte sequence as Value::HashInto, so both paths
-    // produce the same checksum for the same contents.
-    const size_t num_columns = table.num_columns();
-    std::vector<ColumnPtr> columns;
-    columns.reserve(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) columns.push_back(table.column(c));
-    for (size_t i = 0; i < table.num_rows(); ++i) {
-      hasher.Update(static_cast<uint64_t>(num_columns));
-      for (const ColumnPtr& col : columns) col->HashCellInto(i, &hasher);
-    }
-    return hasher.Finish();
-  }
-  for (const Row& row : table.rows()) {
-    hasher.Update(static_cast<uint64_t>(row.size()));
-    for (const Value& v : row) v.HashInto(&hasher);
+  const size_t num_columns = table.num_columns();
+  std::vector<ColumnPtr> columns;
+  columns.reserve(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) columns.push_back(table.column(c));
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    hasher.Update(static_cast<uint64_t>(num_columns));
+    for (const ColumnPtr& col : columns) col->HashCellInto(i, &hasher);
   }
   return hasher.Finish();
 }
@@ -194,11 +188,14 @@ Status ViewStore::CorruptForTest(const Hash128& strict_signature,
                             strict_signature.ToHex());
   }
   MaterializedView& view = it->second;
-  auto truncated =
-      std::make_shared<Table>(view.table->name(), view.table->schema());
-  for (size_t i = 0; i < keep_rows && i < view.table->num_rows(); ++i) {
-    CLOUDVIEWS_RETURN_NOT_OK(truncated->Append(view.table->row(i)));
+  const Table& full = *view.table;
+  const size_t keep = std::min(keep_rows, full.num_rows());
+  std::vector<ColumnVector> columns(full.num_columns());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns[c].AppendRangeFrom(*full.column(c), 0, keep);
   }
+  auto truncated = std::make_shared<Table>(full.name(), full.schema());
+  CLOUDVIEWS_RETURN_NOT_OK(truncated->AdoptColumns(std::move(columns)));
   view.table = std::move(truncated);
   view.validated = false;  // force re-validation on the next read
   return Status::OK();

@@ -172,25 +172,31 @@ std::vector<int> WorkloadGenerator::ConsumersOfDataset(int i) const {
   return out;
 }
 
-TablePtr WorkloadGenerator::GenerateDataset(int index, int day) {
+TablePtr WorkloadGenerator::GenerateDataset(int index, int day) const {
   // Content depends only on (profile seed, index, day): regenerating the
   // same day twice yields identical data, keeping paired simulations fair.
   Random rng(profile_.seed ^ Mix64(static_cast<uint64_t>(index) * 1000003 +
                                    static_cast<uint64_t>(day)));
-  int rows = dataset_rows_[static_cast<size_t>(index)];
-  auto table = std::make_shared<Table>(DatasetName(index), CookedSchema());
-  table->Reserve(static_cast<size_t>(rows));
-  for (int r = 0; r < rows; ++r) {
-    Row row;
-    row.reserve(kNumCols);
-    row.push_back(Value(static_cast<int64_t>(r)));
-    row.push_back(Value(static_cast<int64_t>(rng.Uniform(kFkDomain))));
-    row.push_back(Value("cat" + std::to_string(rng.Uniform(kDim1Cardinality))));
-    row.push_back(Value(static_cast<int64_t>(rng.Uniform(kDim2Cardinality))));
-    row.push_back(Value(rng.NextDouble() * 100.0));
-    row.push_back(Value(rng.UniformRange(0, 1000)));
-    table->Append(std::move(row)).ok();
+  const size_t rows =
+      static_cast<size_t>(dataset_rows_[static_cast<size_t>(index)]);
+  Schema schema = CookedSchema();
+  std::vector<ColumnVector> columns(kNumCols);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns[c].Reserve(rows, schema.column(c).type);
   }
+  // Each row draws its cells in column order.
+  for (size_t r = 0; r < rows; ++r) {
+    columns[kColId].AppendInt64(static_cast<int64_t>(r));
+    columns[kColFk].AppendInt64(static_cast<int64_t>(rng.Uniform(kFkDomain)));
+    columns[kColDim1].AppendString(
+        "cat" + std::to_string(rng.Uniform(kDim1Cardinality)));
+    columns[kColDim2].AppendInt64(
+        static_cast<int64_t>(rng.Uniform(kDim2Cardinality)));
+    columns[kColMetric1].AppendDouble(rng.NextDouble() * 100.0);
+    columns[kColMetric2].AppendInt64(rng.UniformRange(0, 1000));
+  }
+  auto table = std::make_shared<Table>(DatasetName(index), std::move(schema));
+  table->AdoptColumns(std::move(columns)).ok();
   return table;
 }
 

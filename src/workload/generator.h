@@ -81,6 +81,10 @@ class WorkloadGenerator {
   const WorkloadProfile& profile() const { return profile_; }
   int num_pipelines() const;
 
+  // Dataset `index` as regenerated on `day`: a function of the profile's
+  // seed, the index and the day alone.
+  TablePtr GenerateDataset(int index, int day) const;
+
   // Dataset name for index i (exposed for analysis benches).
   std::string DatasetName(int i) const;
 
@@ -120,7 +124,6 @@ class WorkloadGenerator {
     int narrow_delta = 0;
   };
 
-  TablePtr GenerateDataset(int index, int day);
   LogicalOpPtr BuildMotifPlan(const DatasetCatalog& catalog,
                               const Motif& motif, int day,
                               int narrow_delta) const;

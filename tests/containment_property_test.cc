@@ -50,7 +50,6 @@ Schema CookedSchema() {
 TablePtr MakeCookedTable(const std::string& name, int rows, uint64_t seed) {
   Random rng(seed);
   auto table = std::make_shared<Table>(name, CookedSchema());
-  table->Reserve(static_cast<size_t>(rows));
   for (int r = 0; r < rows; ++r) {
     table
         ->Append({Value(static_cast<int64_t>(r)),

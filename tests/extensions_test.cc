@@ -210,7 +210,7 @@ TEST(BitVectorStoreTest, SemiJoinReduceEliminatesNonMatching) {
   Table build("b", schema);
   for (int64_t i = 0; i < 20; ++i) build.Append({Value(i), Value("x")}).ok();
   BloomFilter filter(20);
-  for (const Row& row : build.rows()) filter.AddKey(row, {0});
+  for (int64_t i = 0; i < 20; ++i) filter.Add(Value(i));
 
   Table probe("p", schema);
   for (int64_t i = 0; i < 200; ++i) probe.Append({Value(i), Value("y")}).ok();
@@ -229,6 +229,57 @@ TEST(BitVectorStoreTest, SemiJoinReduceEliminatesNonMatching) {
   EXPECT_EQ(matches, 20);
 }
 
+// A row's key hash the way a per-row reader computes it: its key Values in
+// key-column order.
+uint64_t RowKeyHash(const Row& row, const std::vector<int>& key_columns) {
+  Hasher hasher;
+  for (int col : key_columns) row[static_cast<size_t>(col)].HashInto(&hasher);
+  return hasher.Finish().lo;
+}
+
+TEST(BitVectorStoreTest, ColumnHashingKeepsThePerRowKeys) {
+  // Register and SemiJoinReduce hash a column at a time; each row's key
+  // must hash to what its Values hash to, in key-column order.
+  Schema schema({{"k", DataType::kInt64}, {"s", DataType::kString}});
+  Table build("b", schema);
+  for (int64_t i = 0; i < 40; ++i) {
+    build.Append({Value(i), Value("x" + std::to_string(i % 3))}).ok();
+  }
+  Table probe("p", schema);
+  for (int64_t i = 0; i < 300; ++i) {
+    probe
+        .Append({i % 11 == 0 ? Value::Null() : Value(i % 60),
+                 Value("x" + std::to_string(i % 4))})
+        .ok();
+  }
+  const std::vector<int> keys = {1, 0};
+  BitVectorFilterStore store;
+  const Hash128 sig = HashString("two-column-key");
+  ASSERT_TRUE(store.Register(sig, build, keys).ok());
+  const BloomFilter* filter = store.Find(sig);
+  ASSERT_NE(filter, nullptr);
+  for (const Row& row : build.rows()) {
+    EXPECT_TRUE(filter->MayContainHash(RowKeyHash(row, keys)));
+  }
+
+  TablePtr reduced;
+  auto eliminated = SemiJoinReduce(*filter, probe, keys, &reduced);
+  ASSERT_TRUE(eliminated.ok());
+  std::vector<Row> want;
+  for (const Row& row : probe.rows()) {
+    if (filter->MayContainHash(RowKeyHash(row, keys))) want.push_back(row);
+  }
+  const std::vector<Row> got = reduced->rows();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(static_cast<size_t>(*eliminated), probe.num_rows() - want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      EXPECT_EQ(got[r][c].type(), want[r][c].type()) << r << "," << c;
+      EXPECT_EQ(got[r][c].Compare(want[r][c]), 0) << r << "," << c;
+    }
+  }
+}
+
 // --- Sampled views ---------------------------------------------------------------------
 
 TEST(SampledViewsTest, RateRespectedAndDeterministic) {
@@ -241,6 +292,40 @@ TEST(SampledViewsTest, RateRespectedAndDeterministic) {
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ((*s1)->num_rows(), (*s2)->num_rows());  // deterministic
   EXPECT_NEAR(static_cast<double>((*s1)->num_rows()), 1000.0, 120.0);
+}
+
+TEST(SampledViewsTest, KeepsTheRowsAPerRowHashKeeps) {
+  // The sampler hashes a column at a time; each row's coin must still come
+  // from its Values hashed in column order.
+  Schema schema({{"id", DataType::kInt64},
+                 {"s", DataType::kString},
+                 {"d", DataType::kDouble}});
+  Table view("v", schema);
+  for (int64_t i = 0; i < 500; ++i) {
+    view.Append({Value(i),
+                 i % 7 == 0 ? Value::Null() : Value("k" + std::to_string(i)),
+                 Value(0.5 * static_cast<double>(i))})
+        .ok();
+  }
+  constexpr uint64_t kSeed = 99;
+  auto sample = SampleView(view, 0.3, kSeed);
+  ASSERT_TRUE(sample.ok());
+  std::vector<Row> want;
+  for (const Row& row : view.rows()) {
+    Hasher hasher(kSeed);
+    for (const Value& v : row) v.HashInto(&hasher);
+    const double u = static_cast<double>(hasher.Finish().lo >> 11) *
+                     (1.0 / 9007199254740992.0);
+    if (u < 0.3) want.push_back(row);
+  }
+  const std::vector<Row> got = (*sample)->rows();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      EXPECT_EQ(got[r][c].type(), want[r][c].type()) << r << "," << c;
+      EXPECT_EQ(got[r][c].Compare(want[r][c]), 0) << r << "," << c;
+    }
+  }
 }
 
 TEST(SampledViewsTest, InvalidRateRejected) {

@@ -23,6 +23,7 @@
 #include "plan/signature.h"
 #include "storage/view_store.h"
 #include "tests/test_util.h"
+#include "workload/generator.h"
 
 namespace cloudviews {
 namespace {
@@ -101,6 +102,48 @@ class ParallelExecTest : public ::testing::Test {
           EXPECT_GT(parallel->stats.morsels, 1u)
               << "dop=" << dop << " morsel_rows=" << morsel_rows;
         }
+      }
+    }
+  }
+
+  // Runs `plan` on kReaders threads at once, alternating the row and columnar
+  // engines (columnar readers at DOP 4, in parallel morsels), and expects
+  // every reader to render `expected`.
+  void ExpectConcurrentReadersAgree(const DatasetCatalog& catalog,
+                                    ViewStore* store, const LogicalOpPtr& plan,
+                                    const std::vector<std::string>& expected) {
+    constexpr int kReaders = 8;
+    std::vector<std::vector<std::string>> outputs(kReaders);
+    std::vector<std::string> errors(kReaders);
+    std::vector<std::thread> readers;
+    readers.reserve(kReaders);
+    for (int i = 0; i < kReaders; ++i) {
+      readers.emplace_back([&, i] {
+        ExecContext context;
+        context.catalog = &catalog;
+        context.view_store = store;
+        context.now = 100.0;
+        context.dop = 4;
+        context.morsel_rows = 7;
+        context.engine =
+            (i % 2 == 0) ? ExecEngine::kColumnar : ExecEngine::kRow;
+        context.batch_rows = (i % 3 == 0) ? 3 : 64;
+        Executor executor(context);
+        auto r = executor.Execute(plan);
+        if (!r.ok()) {
+          errors[i] = r.status().ToString();
+          return;
+        }
+        outputs[i] = Render(r->output);
+      });
+    }
+    for (std::thread& t : readers) t.join();
+    for (int i = 0; i < kReaders; ++i) {
+      ASSERT_TRUE(errors[i].empty()) << "reader " << i << ": " << errors[i];
+      ASSERT_EQ(outputs[i].size(), expected.size()) << "reader " << i;
+      for (size_t row = 0; row < expected.size(); ++row) {
+        ASSERT_EQ(outputs[i][row], expected[row])
+            << "reader " << i << " row " << row;
       }
     }
   }
@@ -313,18 +356,16 @@ TEST_F(ParallelExecTest, TracingDoesNotChangeOutput) {
 
 TEST_F(ParallelExecTest, ConcurrentScansOfSharedSpooledView) {
   // A sealed view's table is shared, read-only, by every job that reuses
-  // it. A columnar-produced view is column-primary, so the first row-engine
-  // reader triggers the lazy call_once row materialization while columnar
-  // readers stream the column arrays — all concurrently, each columnar
-  // reader itself running parallel morsels. Run under TSan, this is the
-  // data-race canary for the shared-table path.
+  // it. Row-engine readers build their rows through the table's row adapter
+  // while columnar readers share its columns in parallel morsels, all at
+  // once. Run under TSan, this is the data-race canary for the shared-table
+  // path.
   LogicalOpPtr source = Plan(
       "SELECT SaleId, CustomerId, Price * Quantity, Discount FROM Sales "
       "WHERE SaleId % 7 != 0");
   ASSERT_NE(source, nullptr);
   auto produced = Run(source, /*dop=*/4, /*morsel_rows=*/16);
   ASSERT_TRUE(produced.ok()) << produced.status().ToString();
-  ASSERT_TRUE(produced->output->column_primary());
 
   ViewStore store;
   Hash128 sig = HashString("concurrent-spool-scan");
@@ -338,48 +379,49 @@ TEST_F(ParallelExecTest, ConcurrentScansOfSharedSpooledView) {
   // concurrent-writer structure); perform it serially before the race.
   ASSERT_NE(store.Find(sig, 100.0), nullptr);
 
-  // Expected rendering from an identical but separate table, so the shared
-  // view's lazy row conversion first fires inside the racing readers.
   auto expected_run = Run(source, /*dop=*/1, /*morsel_rows=*/4096);
   ASSERT_TRUE(expected_run.ok());
-  const std::vector<std::string> expected = Render(expected_run->output);
-
   LogicalOpPtr view_scan =
       LogicalOp::ViewScan(sig, "views/concurrent", produced->output->schema());
-  constexpr int kReaders = 8;
-  std::vector<std::vector<std::string>> outputs(kReaders);
-  std::vector<std::string> errors(kReaders);
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int i = 0; i < kReaders; ++i) {
-    readers.emplace_back([&, i] {
-      ExecContext context;
-      context.catalog = &catalog_;
-      context.view_store = &store;
-      context.now = 100.0;
-      context.dop = 1 + i % 4;
-      context.morsel_rows = 7;
-      context.engine = (i % 2 == 0) ? ExecEngine::kColumnar : ExecEngine::kRow;
-      context.batch_rows = (i % 3 == 0) ? 3 : 64;
-      Executor executor(context);
-      auto r = executor.Execute(view_scan);
-      if (!r.ok()) {
-        errors[i] = r.status().ToString();
-        return;
-      }
-      outputs[i] = Render(r->output);
-    });
-  }
-  for (std::thread& t : readers) t.join();
-  for (int i = 0; i < kReaders; ++i) {
-    ASSERT_TRUE(errors[i].empty()) << "reader " << i << ": " << errors[i];
-    ASSERT_EQ(outputs[i].size(), expected.size()) << "reader " << i;
-    for (size_t row = 0; row < expected.size(); ++row) {
-      ASSERT_EQ(outputs[i][row], expected[row])
-          << "reader " << i << " row " << row;
-    }
-  }
+  ExpectConcurrentReadersAgree(catalog_, &store, view_scan,
+                               Render(expected_run->output));
   EXPECT_EQ(store.FindAny(sig)->reuse_count, 0);
+}
+
+TEST_F(ParallelExecTest, ConcurrentFirstScansOfFreshDataset) {
+  // A generated dataset is registered and then scanned for the first time
+  // by several jobs at once, which is what a daily bulk regeneration does.
+  // Its first read builds nothing, so under TSan the racing first scans
+  // only read the columns.
+  WorkloadProfile profile;
+  profile.num_shared_datasets = 1;
+  profile.min_rows = 300;
+  profile.max_rows = 300;
+  const std::string sql =
+      "SELECT id, dim1, metric1 FROM cluster1_ds0 WHERE dim2 < 60";
+
+  // The expected rendering comes from an identical dataset in another
+  // catalog, so the shared one's first scans are the racing ones.
+  DatasetCatalog reference;
+  ASSERT_TRUE(WorkloadGenerator(profile).Setup(&reference).ok());
+  PlanBuilder reference_builder(&reference);
+  auto reference_plan = reference_builder.BuildFromSql(sql);
+  ASSERT_TRUE(reference_plan.ok()) << reference_plan.status().ToString();
+  ExecContext serial;
+  serial.catalog = &reference;
+  serial.dop = 1;
+  auto expected_run = Executor(serial).Execute(*reference_plan);
+  ASSERT_TRUE(expected_run.ok()) << expected_run.status().ToString();
+  ASSERT_GT(expected_run->output->num_rows(), 0u);
+
+  DatasetCatalog fresh;
+  ASSERT_TRUE(WorkloadGenerator(profile).Setup(&fresh).ok());
+  PlanBuilder builder(&fresh);
+  auto plan = builder.BuildFromSql(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ViewStore store;
+  ExpectConcurrentReadersAgree(fresh, &store, *plan,
+                               Render(expected_run->output));
 }
 
 TEST_F(ParallelExecTest, ConcurrentScansRaceQuarantineOfOneView) {

@@ -10,6 +10,8 @@
 #include "storage/value.h"
 #include "storage/view_store.h"
 #include "tests/test_util.h"
+#include "workload/generator.h"
+#include "workload/profiles.h"
 
 namespace cloudviews {
 namespace {
@@ -275,6 +277,210 @@ TEST(TableTest, ArityMismatchRejected) {
   Status s = t.Append({Value(int64_t{1}), Value(int64_t{2})});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(t.num_rows(), 0u);
+}
+
+// A batch of one int64 column holding `cells` cells and claiming `num_rows`.
+ColumnBatch IntBatch(size_t cells, size_t num_rows) {
+  auto col = std::make_shared<ColumnVector>();
+  for (size_t i = 0; i < cells; ++i) col->AppendInt64(static_cast<int64_t>(i));
+  ColumnBatch batch;
+  batch.columns.push_back(std::move(col));
+  batch.num_rows = num_rows;
+  return batch;
+}
+
+TEST(TableTest, AppendBatchRejectsMissingColumn) {
+  Table t("t", Schema({{"id", DataType::kInt64}}));
+  ColumnBatch batch = IntBatch(3, 3);
+  batch.columns[0] = nullptr;
+  EXPECT_EQ(t.AppendBatch(batch).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 0u);
+}
+
+TEST(TableTest, AppendBatchRejectsColumnOfWrongLength) {
+  Table t("t", Schema({{"id", DataType::kInt64}}));
+  EXPECT_EQ(t.AppendBatch(IntBatch(2, 3)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.AppendBatch(IntBatch(4, 3)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 0u);
+  EXPECT_EQ(t.byte_size(), 0u);
+  ASSERT_TRUE(t.AppendBatch(IntBatch(3, 3)).ok());
+  EXPECT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(t.byte_size(), 24u);
+}
+
+TEST(TableTest, AppendBatchRejectsUnreadBytes) {
+  Table t("t", Schema({{"id", DataType::kInt64}}));
+  ColumnBatch batch = IntBatch(3, 3);
+  batch.unread_bytes.assign(3, 8);
+  EXPECT_EQ(t.AppendBatch(batch).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 0u);
+}
+
+// Rows over every storage mode: int64, double, string and bool columns with
+// nulls at bits 63, 64 and 65, an all-null column, and a column that holds
+// ints and then doubles, so it demotes to mixed.
+std::vector<Row> LayoutRows() {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 130; ++i) {
+    const bool null = i == 63 || i == 64 || i == 65;
+    auto cell = [&](Value v) { return null ? Value::Null() : v; };
+    Value demoting = i < 100 ? Value(i) : Value(static_cast<double>(i) + 0.5);
+    rows.push_back({cell(Value(i)), cell(Value(0.25 * static_cast<double>(i))),
+                    cell(Value("s" + std::to_string(i % 5))),
+                    cell(Value(i % 3 == 0)), Value::Null(), cell(demoting)});
+  }
+  return rows;
+}
+
+Schema LayoutSchema() {
+  return Schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString},
+                 {"b", DataType::kBool},
+                 {"n", DataType::kInt64},
+                 {"m", DataType::kDouble}});
+}
+
+// Rows [begin, end) as columns built cell by cell.
+std::vector<ColumnVector> LayoutColumns(const std::vector<Row>& rows,
+                                        size_t begin, size_t end) {
+  std::vector<ColumnVector> columns(rows[0].size());
+  for (size_t r = begin; r < end; ++r) {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      columns[c].AppendValue(rows[r][c]);
+    }
+  }
+  return columns;
+}
+
+TEST(TableTest, EveryBuilderKeepsTheRowLayoutsBytes) {
+  const std::vector<Row> rows = LayoutRows();
+
+  Table by_cell("t", LayoutSchema());
+  for (const Row& row : rows) ASSERT_TRUE(by_cell.Append(row).ok());
+
+  // Two batches, split inside the null run and before the demotion.
+  Table by_batch("t", LayoutSchema());
+  for (auto [begin, end] : {std::pair<size_t, size_t>{0, 64}, {64, 130}}) {
+    ColumnBatch batch;
+    batch.num_rows = end - begin;
+    for (ColumnVector& col : LayoutColumns(rows, begin, end)) {
+      batch.columns.push_back(std::make_shared<ColumnVector>(std::move(col)));
+    }
+    ASSERT_TRUE(by_batch.AppendBatch(batch).ok());
+  }
+
+  Table by_columns("t", LayoutSchema());
+  ASSERT_TRUE(
+      by_columns.AdoptColumns(LayoutColumns(rows, 0, rows.size())).ok());
+
+  // What the row layout's checksum hashed: the row count, then per row the
+  // arity and each Value.
+  Hasher reference;
+  reference.Update(static_cast<uint64_t>(rows.size()));
+  size_t reference_bytes = 0;
+  for (const Row& row : rows) {
+    reference.Update(static_cast<uint64_t>(row.size()));
+    for (const Value& v : row) {
+      v.HashInto(&reference);
+      reference_bytes += v.ByteSize();
+    }
+  }
+
+  ASSERT_TRUE(by_cell.column(5)->mixed());
+  ASSERT_EQ(by_cell.column(4)->type(), DataType::kNull);
+  for (const Table* t : {&by_cell, &by_batch, &by_columns}) {
+    EXPECT_EQ(t->num_rows(), rows.size());
+    EXPECT_EQ(t->byte_size(), reference_bytes);
+    EXPECT_EQ(ComputeTableChecksum(*t), reference.Finish());
+    for (size_t c = 0; c < rows[0].size(); ++c) {
+      EXPECT_EQ(t->column(c)->type(), by_cell.column(c)->type()) << c;
+      EXPECT_EQ(t->column(c)->mixed(), by_cell.column(c)->mixed()) << c;
+    }
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const Row got = t->row(r);
+      ASSERT_EQ(got.size(), rows[r].size());
+      for (size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(got[c].type(), rows[r][c].type()) << r << "," << c;
+        EXPECT_EQ(got[c].Compare(rows[r][c]), 0) << r << "," << c;
+      }
+    }
+  }
+}
+
+TEST(TableTest, AdoptColumnsRejectsBadShapes) {
+  Table t("t", Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+  std::vector<ColumnVector> uneven(2);
+  uneven[0].AppendInt64(1);
+  EXPECT_EQ(t.AdoptColumns(std::move(uneven)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.AdoptColumns(std::vector<ColumnVector>(3)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 0u);
+  // Only an empty table adopts columns.
+  ASSERT_TRUE(t.Append({Value(int64_t{1}), Value(int64_t{2})}).ok());
+  std::vector<ColumnVector> more(2);
+  for (ColumnVector& col : more) col.AppendInt64(3);
+  EXPECT_EQ(t.AdoptColumns(std::move(more)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.byte_size(), 16u);
+}
+
+// --- Generated datasets -----------------------------------------------------
+
+// The e2e benchmark's table1 and fleet_history dataset shapes.
+WorkloadProfile Table1Profile() {
+  WorkloadProfile p = ProductionDeploymentProfile(0.5);
+  p.seed = 20200201;
+  p.min_rows = 1000;
+  p.max_rows = 1500;
+  return p;
+}
+
+WorkloadProfile FleetHistoryProfile() {
+  WorkloadProfile p = Table1Profile();
+  p.num_templates = 336;
+  p.min_rows = 80;
+  p.max_rows = 120;
+  p.generalized_fraction = 0.4;
+  return p;
+}
+
+TEST(GeneratedDatasetTest, ChecksumsAndSizesMatchTheRowLayouts) {
+  // Recorded when datasets were generated row by row.
+  struct Golden {
+    const char* profile;
+    int index;
+    int day;
+    const char* checksum;
+    size_t byte_size;
+  };
+  const Golden goldens[] = {
+      {"table1", 0, 0, "8c793f6bbeb40b945e0b91fb1771101f", 60480},
+      {"table1", 7, 3, "297a7051e9793bb84290469eed5b5995", 70176},
+      {"fleet_history", 3, 0, "30d23608d7854e55aaa645e85fe941a8", 3984},
+      {"fleet_history", 11, 5, "5ac6ddcfd4d59988af7b9f10060f01ea", 4512},
+  };
+  WorkloadGenerator table1(Table1Profile());
+  WorkloadGenerator fleet_history(FleetHistoryProfile());
+  for (const Golden& g : goldens) {
+    WorkloadGenerator& generator =
+        std::string(g.profile) == "table1" ? table1 : fleet_history;
+    TablePtr table = generator.GenerateDataset(g.index, g.day);
+    const std::string label = std::string(g.profile) + " dataset " +
+                              std::to_string(g.index) + " day " +
+                              std::to_string(g.day);
+    EXPECT_EQ(ComputeTableChecksum(*table).ToHex(), g.checksum) << label;
+    EXPECT_EQ(table->byte_size(), g.byte_size) << label;
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      EXPECT_FALSE(table->column(c)->mixed()) << label << " column " << c;
+      EXPECT_EQ(table->column(c)->type(), table->schema().column(c).type)
+          << label << " column " << c;
+    }
+  }
 }
 
 // --- DatasetCatalog ------------------------------------------------------------

@@ -52,6 +52,10 @@ CASES = [
       "assignment into a node's children",
       "mutable child slot bound in a range-for", "WithChildren"]),
     (LINT, "plan_immutable_clean", 0, []),
+    (LINT, "row_adapter_bad", 1,
+     ["[row-adapter]", "sampled_views.cc:9:", "sampled_views.cc:12:",
+      "view_store.cc:9:", "Table::column"]),
+    (LINT, "row_adapter_clean", 0, []),
     (LINT, "decision_reason_bad", 1,
      ["[decision-reason]", '"EXACT_HIT"', "DecisionReasonName"]),
     (LINT, "decision_reason_clean", 0, []),

@@ -48,6 +48,12 @@ Checks, over src/, tests/, bench/, examples/, and tools/:
              mutable LogicalOpPtr& in a range-for); rewrites build new
              parents with LogicalOp::WithChildren / RewritePaths instead.
              src/sql/ is exempt: its `children` are AST expressions
+  row-adapter a Table is typed columns only; its by-value row adapter
+             (.row(i), .rows()) builds Values on every call and exists for
+             the row-at-a-time reference engine. In src/ only that engine
+             (src/exec/physical_op.cc) and src/storage/table.* may call it;
+             everything else reads the columns (hash a column at a time,
+             gather, slice)
   decision-reason the reuse-decision reason registry is closed: no string
              literal in src/ outside src/obs/decision_reasons.h may spell a
              decision-reason name (EXACT_HIT, STAGE2_NOT_CONTAINED, ...) —
@@ -57,8 +63,8 @@ Checks, over src/, tests/, bench/, examples/, and tools/:
 
 `--root DIR` lints an alternate tree laid out like the repo (DIR/src/...)
 instead of the repo itself — analyzer_test.py uses this to drive the
-compensation, plan-immutable and decision-reason fixtures; in that mode
-success is silent.
+compensation, plan-immutable, row-adapter and decision-reason fixtures; in
+that mode success is silent.
 
 It also runs the dedicated analyzers as sub-checks, so `python3
 tools/lint.py` is the one-stop local gate:
@@ -483,6 +489,34 @@ def check_plan_immutable(src_root):
                            "LogicalOp::WithChildren / RewritePaths")
 
 
+ROW_ADAPTER_RE = re.compile(r"(?:\.|->)\s*rows?\s*\(")
+
+
+def check_row_adapter(src_root):
+    """Cross-file rule: only the row oracle reads a Table as rows.
+
+    A Table holds typed columns only (DESIGN.md "Columnar execution", "One
+    table layout"). Its row adapter builds every cell as a Value on each
+    call, which is the reference engine's job and no one else's: outside
+    src/exec/physical_op.cc and src/storage/table.*, src/ code reads the
+    columns instead.
+    """
+    if not src_root.exists():
+        return
+    allowed = [src_root / "exec" / "physical_op.cc",
+               src_root / "storage" / "table.h",
+               src_root / "storage" / "table.cc"]
+    for path in sorted(src_root.rglob("*.h")) + sorted(src_root.rglob("*.cc")):
+        if path in allowed:
+            continue
+        code = strip_comments_and_strings(path.read_text())
+        for no, line in enumerate(code.splitlines(), 1):
+            if ROW_ADAPTER_RE.search(line):
+                report(path, no, "row-adapter",
+                       "Table row adapter read outside the row oracle; "
+                       "read the typed columns (Table::column) instead")
+
+
 def check_decision_reasons(src_root):
     """Cross-file rule: the reuse-decision reason registry is closed.
 
@@ -604,17 +638,18 @@ def main():
     args = parser.parse_args()
 
     if args.root is not None:
-        # Fixture mode: file rules plus the compensation, plan-immutable
-        # and decision-reason cross-file rules over the given tree; the other
-        # registry checks and the sub-analyzers stay tied to the real
-        # repository. Success is silent (analyzer_test.py
-        # asserts clean fixtures produce no output).
+        # Fixture mode: file rules plus the compensation, plan-immutable,
+        # row-adapter and decision-reason cross-file rules over the given
+        # tree; the other registry checks and the sub-analyzers stay tied to
+        # the real repository. Success is silent (analyzer_test.py asserts
+        # clean fixtures produce no output).
         root = Path(args.root).resolve()
         targets = sorted(root.rglob("*.h")) + sorted(root.rglob("*.cc"))
         for path in targets:
             lint_file(path)
         check_compensation(root / "src")
         check_plan_immutable(root / "src")
+        check_row_adapter(root / "src")
         check_decision_reasons(root / "src")
         for v in violations:
             print(v)
@@ -633,6 +668,7 @@ def main():
     check_metric_names()
     check_compensation(REPO / "src")
     check_plan_immutable(REPO / "src")
+    check_row_adapter(REPO / "src")
     check_decision_reasons(REPO / "src")
     analyzers_failed = run_analyzers()
     for v in violations:
