@@ -97,31 +97,16 @@ ClusterSimulator::NodeAnalysis ClusterSimulator::AnalyzeNode(
     out->containers += width;
     out->max_width = std::max(out->max_width, width);
     double stage_cost = cpu + fused_child_cost;
-    // Containers scale work down by width, degraded by the parallel
-    // efficiency the executor measured on real hardware: a job that only
-    // achieved 60% morsel efficiency locally won't magically scale
-    // perfectly across containers either.
+    // Containers scale the stage's cost down by width. Only cost units
+    // enter, never measured time, so the host never shows here.
     double elapsed =
-        stage_cost / (static_cast<double>(width) * options_.cpu_rate *
-                      MeasuredEfficiency(stats)) +
+        stage_cost / (static_cast<double>(width) * options_.cpu_rate) +
         options_.container_startup_seconds * std::log2(width + 1.0);
     return {child_latency + elapsed, 0.0};
   }
 
   // Fused operator: its cost rides along until the next stage boundary.
   return {child_latency, cpu + fused_child_cost};
-}
-
-double ClusterSimulator::MeasuredEfficiency(
-    const ExecutionStats& stats) const {
-  if (!options_.use_measured_parallel_time) return 1.0;
-  if (stats.dop <= 1 || stats.wall_seconds <= 0.0 ||
-      stats.morsel_busy_seconds < options_.min_measured_busy_seconds) {
-    return 1.0;
-  }
-  double efficiency = stats.morsel_busy_seconds /
-                      (stats.wall_seconds * static_cast<double>(stats.dop));
-  return std::clamp(efficiency, options_.min_parallel_efficiency, 1.0);
 }
 
 ClusterSimulator::StageAnalysis ClusterSimulator::AnalyzeStages(
@@ -195,8 +180,8 @@ void ClusterSimulator::TakeSample(double sample_time) {
     ts->series("savings.net").Add(sample_time, totals.net_savings);
   }
   if (obs::DecisionLedger::Enabled()) {
-    // Hourly miss-attribution trajectory: how much estimated latency the
-    // fleet has left on the table so far, and the hit/miss decision mix.
+    // Hourly miss-attribution trajectory: how much estimated cost the fleet
+    // has left on the table so far, and the hit/miss decision mix.
     obs::DecisionTotals totals = engine_->decisions().Totals();
     ts->series("decisions.events")
         .Add(sample_time, static_cast<double>(totals.events));

@@ -27,14 +27,6 @@ struct ClusterSimOptions {
   // Scheduling overhead per stage grows with its container count; wasteful
   // over-partitioning therefore also costs latency, not just containers.
   double container_startup_seconds = 1.0;
-  // When a job carries measured morsel telemetry (ExecutionStats.dop > 1
-  // with wall/busy times), divide each stage's work term by the parallel
-  // efficiency the executor actually achieved instead of assuming perfect
-  // width scaling. Jobs below min_measured_busy_seconds of busy time keep
-  // efficiency 1.0 (tiny deterministic test jobs measure mostly noise).
-  bool use_measured_parallel_time = true;
-  double min_measured_busy_seconds = 0.005;
-  double min_parallel_efficiency = 0.25;   // clamp pathological measurements
   // Failure model (exercised only when fault injection arms the
   // cluster.node.* sites): a placement that lands on a dead node is retried
   // on a fresh node with exponential backoff charged to job latency; a
@@ -137,11 +129,6 @@ class ClusterSimulator {
   };
   NodeAnalysis AnalyzeNode(const LogicalOp& node, const ExecutionStats& stats,
                            StageAnalysis* out) const;
-
-  // Parallel efficiency measured by the executor: busy / (wall * dop),
-  // clamped to [min_parallel_efficiency, 1]. 1.0 for serial runs, tiny
-  // jobs, or when use_measured_parallel_time is off.
-  double MeasuredEfficiency(const ExecutionStats& stats) const;
 
   int StageWidth(const LogicalOp& node) const;
 

@@ -45,38 +45,13 @@ struct ExecutionStats {
   // Degree of parallelism the executor ran with (1 = serial).
   int dop = 1;
   // Morsels executed across all parallel operators, their summed busy wall
-  // time, and the measured wall time of the whole Execute call. The cluster
-  // simulator uses busy/wall to derive the parallel efficiency actually
-  // achieved instead of assuming perfect scaling.
+  // time, and the measured wall time of the whole Execute call. Observation
+  // only: no decision and no simulated figure reads them.
   uint64_t morsels = 0;
   double morsel_busy_seconds = 0.0;
   double wall_seconds = 0.0;
 
   std::unordered_map<const LogicalOp*, OperatorStats> per_node;
-
-  void Merge(const ExecutionStats& other) {
-    input_rows += other.input_rows;
-    input_bytes += other.input_bytes;
-    view_rows += other.view_rows;
-    view_bytes += other.view_bytes;
-    total_bytes_read += other.total_bytes_read;
-    bytes_spooled += other.bytes_spooled;
-    total_cpu_cost += other.total_cpu_cost;
-    spool_cpu_cost += other.spool_cpu_cost;
-    num_operators += other.num_operators;
-    dop = dop > other.dop ? dop : other.dop;
-    morsels += other.morsels;
-    morsel_busy_seconds += other.morsel_busy_seconds;
-    wall_seconds += other.wall_seconds;
-    for (const auto& [node, stats] : other.per_node) {
-      OperatorStats& mine = per_node[node];
-      mine.rows_out += stats.rows_out;
-      mine.bytes_out += stats.bytes_out;
-      mine.cpu_cost += stats.cpu_cost;
-      mine.morsels += stats.morsels;
-      mine.busy_seconds += stats.busy_seconds;
-    }
-  }
 };
 
 // Relative CPU weights of operator work items. Tuned so that a typical

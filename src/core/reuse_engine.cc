@@ -252,9 +252,7 @@ Status ReuseEngine::ExecutePrepared(PreparedJob* job,
   context.now = request.submit_time;
   context.dop = options_.exec_dop;
   context.engine = options_.exec_engine;
-  context.batch_rows = options_.exec_batch_rows;
   context.sharing = directory;
-  context.sharing_wait_seconds = options_.sharing_wait_seconds;
   context.on_spool_complete = [this, job, apply](
                                   const LogicalOp& spool, TablePtr contents,
                                   const OperatorStats& child_stats) {
@@ -342,13 +340,14 @@ JobExecution ReuseEngine::FinalizeJob(PreparedJob job) {
   obs::QueryProfile& profile = job.profile;
 
   // Record reuse hits (none when the job fell back to the base plan). The
-  // per-hit attributed saving is the latency cost of recomputing the
+  // per-hit attributed saving is the estimated cost of recomputing the
   // replaced subtree minus the cost of scanning the view instead — the same
-  // quantities the optimizer compared when it chose to reuse.
+  // quantities the optimizer compared when it chose to reuse, and the
+  // saving its decision event recorded.
   for (const MatchedViewDetail& detail : exec.matched_details) {
     view_store_.RecordReuse(detail.strict).ok();
     provenance_.RecordHit(detail.strict, request.job_id, request.submit_time,
-                          detail.recompute_latency_cost - detail.view_scan_cost,
+                          detail.recompute_cost - detail.view_scan_cost,
                           detail.rows_avoided, detail.bytes_avoided,
                           request.queue_wait_seconds);
     if (detail.subsumed) {
@@ -464,22 +463,14 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
     jobs.push_back(std::move(*prepared));
   }
 
-  // Admission: register each optimized plan's eligible subexpressions, then
-  // let the policy + rewrite elect producers.
+  // The policy and rewrite elect one producer per subexpression that
+  // enough of the window's optimized plans cover.
   sharing::SharingRegistry registry;
   sharing::SharingPolicy policy(options_.sharing_policy);
   policy.LoadLedger(provenance_, window_now);
   std::vector<LogicalOpPtr*> plans;
   plans.reserve(jobs.size());
-  for (PreparedJob& job : jobs) {
-    plans.push_back(&job.outcome.plan);
-    for (const NodeSignature& sig : SealedSignatures(*job.outcome.plan)) {
-      if (sig.eligible &&
-          sig.subtree_size >= policy.options().min_subtree_size) {
-        registry.Admit(job.request.job_id, sig.strict);
-      }
-    }
-  }
+  for (PreparedJob& job : jobs) plans.push_back(&job.outcome.plan);
   std::vector<obs::DecisionSink> decision_sinks;
   decision_sinks.reserve(jobs.size());
   for (const PreparedJob& job : jobs) {
@@ -535,7 +526,6 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
     context.now = elected.submit_time;
     context.dop = options_.exec_dop;
     context.engine = ExecEngine::kColumnar;
-    context.batch_rows = options_.exec_batch_rows;
     Status status =
         sharing::RunProducer(context, stream_plan.producer_plan,
                              registry.streams()[i].get(), &producer_stats[i]);

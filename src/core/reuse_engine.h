@@ -48,18 +48,17 @@ struct ReuseEngineOptions {
   // must flip this together, like a runtime-version change).
   bool prune_columns = false;
   // Degree of parallelism for job execution on the columnar engine (the
-  // row engine always runs serially). The engine pins this to 1 by
-  // default — simulator telemetry must be machine-independent, and measured
-  // efficiency on a loaded CI box would leak into latency figures. Set to 0
-  // for hardware concurrency or to an explicit DOP; outputs are identical
-  // at any setting (the executor's morsel pipelines are order-preserving).
+  // row engine always runs serially). Set to 0 for hardware concurrency or
+  // to an explicit DOP; outputs are identical at any setting (the
+  // executor's morsel pipelines are order-preserving). The engine pins this
+  // to 1 by default: a parallel run sums operator costs morsel by morsel,
+  // so its costs, and the simulated telemetry priced from them alone, can
+  // differ from the serial run's in the last bits.
   int exec_dop = 1;
   // Physical engine for job execution. Both engines produce byte-identical
   // outputs and view contents; kRow is the reference path kept for
   // differential testing and incident triage.
   ExecEngine exec_engine = ExecEngine::kColumnar;
-  // Rows per column batch when exec_engine is kColumnar.
-  size_t exec_batch_rows = 1024;
   // Time between the producing job's submission and the view becoming
   // visible to other compilations. Early sealing publishes as soon as the
   // spool stage finishes — a couple of minutes — rather than at job
@@ -76,9 +75,6 @@ struct ReuseEngineOptions {
   bool enable_sharing = false;
   // Per-signature share / materialize / both decision knobs.
   sharing::SharingPolicyOptions sharing_policy;
-  // Seconds a subscriber waits on a producer's next batch before detaching
-  // to its fallback plan (<= 0: wait forever).
-  double sharing_wait_seconds = 5.0;
 };
 
 // A job submitted to the engine.

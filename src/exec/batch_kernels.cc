@@ -35,9 +35,10 @@ Status EvalUnary(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   ColumnPtr operand;
   Status st = EvalExprBatch(*expr.children[0], in, &operand);
   if (!st.ok()) return st;
+  const bool is_not = expr.unary_op == UnaryOp::kNot;
   auto result = std::make_shared<ColumnVector>();
-  result->Reserve(in.num_rows);
-  if (expr.unary_op == UnaryOp::kNot) {
+  result->Reserve(in.num_rows, is_not ? DataType::kBool : DataType::kNull);
+  if (is_not) {
     for (size_t i = 0; i < in.num_rows; ++i) {
       if (operand->IsNull(i)) {
         result->AppendNull();
@@ -232,7 +233,7 @@ Status EvalComparison(BinaryOp op, const CompareOperand& lhs,
   const ColumnVector& l = lhs.literal != nullptr ? *broadcast : *lhs.column;
   const ColumnVector& r = rhs.literal != nullptr ? *broadcast : *rhs.column;
   auto result = std::make_shared<ColumnVector>();
-  result->Reserve(n);
+  result->Reserve(n, DataType::kBool);
   for (size_t i = 0; i < n; ++i) {
     if (l.IsNull(i) || r.IsNull(i)) {
       result->AppendNull();
@@ -607,7 +608,7 @@ Status EvalBetween(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   st = EvalExprBatch(*expr.children[2], in, &hi);
   if (!st.ok()) return st;
   auto result = std::make_shared<ColumnVector>();
-  result->Reserve(in.num_rows);
+  result->Reserve(in.num_rows, DataType::kBool);
   for (size_t i = 0; i < in.num_rows; ++i) {
     if (v->IsNull(i) || lo->IsNull(i) || hi->IsNull(i)) {
       result->AppendNull();
@@ -660,7 +661,7 @@ Status EvalInList(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
     undecided.swap(still);
   }
   auto result = std::make_shared<ColumnVector>();
-  result->Reserve(n);
+  result->Reserve(n, DataType::kBool);
   for (size_t i = 0; i < n; ++i) {
     if (state[i] == 0) {
       result->AppendNull();
@@ -679,7 +680,7 @@ Status EvalIsNull(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   Status st = EvalExprBatch(*expr.children[0], in, &v);
   if (!st.ok()) return st;
   auto result = std::make_shared<ColumnVector>();
-  result->Reserve(in.num_rows);
+  result->Reserve(in.num_rows, DataType::kBool);
   for (size_t i = 0; i < in.num_rows; ++i) {
     const bool is_null = v->IsNull(i);
     result->AppendBool(expr.negated ? !is_null : is_null);
@@ -693,7 +694,7 @@ Status EvalLike(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   Status st = EvalExprBatch(*expr.children[0], in, &v);
   if (!st.ok()) return st;
   auto result = std::make_shared<ColumnVector>();
-  result->Reserve(in.num_rows);
+  result->Reserve(in.num_rows, DataType::kBool);
   for (size_t i = 0; i < in.num_rows; ++i) {
     if (v->IsNull(i)) {
       result->AppendNull();

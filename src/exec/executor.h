@@ -81,9 +81,6 @@ struct ExecContext {
   // operators. Null outside a sharing window; then every SharedScan detaches
   // immediately and runs its fallback plan (same bytes, no sharing).
   const sharing::StreamDirectory* sharing = nullptr;
-  // Seconds a SharedScan waits for the producer's next batch before
-  // detaching to its fallback plan. <= 0 disables the timeout.
-  double sharing_wait_seconds = 5.0;
 };
 
 struct ExecResult {

@@ -17,6 +17,14 @@ namespace cloudviews {
 
 using sharing::SharedStream;
 
+namespace {
+
+// Seconds a SharedScan waits for the producer's next batch before it
+// detaches to its fallback plan.
+constexpr double kSharingWaitSeconds = 5.0;
+
+}  // namespace
+
 SharedScanOp::SharedScanOp(const LogicalOp* logical,
                            const ExecContext* context, size_t batch_rows)
     : BatchOp(logical), context_(context),
@@ -81,7 +89,7 @@ Status SharedScanOp::NextBatch(ColumnBatch* batch, bool* done) {
         !fault::Inject(fault::sites::kSharingSubscriberTimeout).ok();
     SharedStream::State woke = SharedStream::State::kRunning;
     if (!injected_timeout) {
-      woke = stream_->WaitForBatch(next_index_, context_->sharing_wait_seconds);
+      woke = stream_->WaitForBatch(next_index_, kSharingWaitSeconds);
     }
     if (injected_timeout || (woke == SharedStream::State::kRunning &&
                              next_index_ >= stream_->published())) {

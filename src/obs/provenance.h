@@ -64,7 +64,7 @@ struct ViewEvent {
   double build_cost = 0.0;            // spool cost (rows/bytes x CostWeights)
   double spool_latency_seconds = 0.0; // spool start -> published
   // kHit: attributed savings for this one reuse.
-  double saved_cost = 0.0;            // SubtreeLatencyCost avoided - scan cost
+  double saved_cost = 0.0;            // SubtreeCost avoided - scan cost
   double rows_avoided = 0.0;          // base-table rows not scanned
   double bytes_avoided = 0.0;         // base-table bytes not scanned
   double queue_wait_seconds = 0.0;    // queue-time delta context for the hit

@@ -73,40 +73,6 @@ double CostModel::SubtreeCost(const LogicalOp& node) const {
   return total;
 }
 
-namespace {
-
-// Total estimated rows entering the subtree at its scan leaves; the morsel
-// count (and thus scheduling overhead) scales with this, not with
-// intermediate cardinalities.
-double LeafRows(const LogicalOp& node) {
-  if (node.kind == LogicalOpKind::kScan ||
-      node.kind == LogicalOpKind::kViewScan ||
-      node.kind == LogicalOpKind::kSharedScan) {
-    return std::max(0.0, node.estimated_rows);
-  }
-  double total = 0.0;
-  for (const LogicalOpPtr& child : node.children) {
-    total += LeafRows(*child);
-  }
-  return total;
-}
-
-}  // namespace
-
-double CostModel::SubtreeLatencyCost(const LogicalOp& node) const {
-  double work = SubtreeCost(node);
-  int dop = std::max(1, options_.dop);
-  if (dop == 1) return work;
-  double fraction = std::clamp(options_.parallel_fraction, 0.0, 1.0);
-  double serial_part = work * (1.0 - fraction);
-  double parallel_part = work * fraction / static_cast<double>(dop);
-  double morsels =
-      std::ceil(LeafRows(node) / std::max(1.0, options_.morsel_rows));
-  double scheduling =
-      morsels * options_.morsel_overhead / static_cast<double>(dop);
-  return serial_part + parallel_part + scheduling;
-}
-
 double CostModel::ViewScanCost(double observed_rows,
                                double observed_bytes) const {
   return std::max(1.0, observed_rows) * CostWeights::kScanRow +

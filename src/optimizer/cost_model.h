@@ -16,17 +16,6 @@ struct CostModelOptions {
   // Build-side threshold above which merge join beats hash join (models a
   // memory budget on the hash table in each container).
   double hash_build_limit = 200000.0;
-  // Degree of parallelism the executor will run the plan at; feeds the
-  // latency estimate (SubtreeLatencyCost). 1 = serial.
-  int dop = 1;
-  // Fraction of the work that morsel-parallelizes (Amdahl's law). Barriers
-  // — hash-table publication, aggregate merge, the serial partition pass —
-  // make up the rest.
-  double parallel_fraction = 0.9;
-  // Morsel size and per-morsel scheduling overhead (cost units): finer
-  // morsels balance better but pay more queue traffic.
-  double morsel_rows = 4096.0;
-  double morsel_overhead = 2.0;
 };
 
 class CostModel {
@@ -36,14 +25,9 @@ class CostModel {
   explicit CostModel(Options options = {}) : options_(options) {}
 
   // Estimated cost of the subtree rooted at `node` (inclusive). This is
-  // total work, independent of parallelism.
+  // total work, independent of parallelism: the one currency every reuse
+  // saving and every simulated stage is priced in.
   double SubtreeCost(const LogicalOp& node) const;
-
-  // Estimated latency-equivalent cost of executing the subtree at
-  // options.dop: Amdahl's law over parallel_fraction plus a per-morsel
-  // scheduling charge. Equals SubtreeCost exactly at dop = 1, so serial
-  // plan comparisons are unchanged.
-  double SubtreeLatencyCost(const LogicalOp& node) const;
 
   // Cost of reading a materialized copy of this subexpression instead of
   // recomputing it (`observed_bytes` from the view's statistics).

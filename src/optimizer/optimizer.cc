@@ -115,14 +115,13 @@ Result<OptimizationOutcome> Optimizer::Optimize(
   // The unrewritten alternative, intact because the rewrites path-copy: the
   // graceful-degradation path executes it when a matched view fails
   // validation (or vanishes) at execution time.
-  if ((options_.enable_view_matching && view_store != nullptr) ||
-      (options_.enable_view_building && try_lock != nullptr)) {
+  if (view_store != nullptr || try_lock != nullptr) {
     outcome.plan_without_reuse = plan;
   }
 
   // Phase 1 — core search, top-down: replace the largest materialized
   // subexpressions with view scans.
-  if (options_.enable_view_matching && view_store != nullptr) {
+  if (view_store != nullptr) {
     obs::Span match_span("view-match", "opt");
     match_span.Arg("job_id", decisions.job_id());
     Replacements replacements;
@@ -140,8 +139,7 @@ Result<OptimizationOutcome> Optimizer::Optimize(
 
   // Phase 2 — follow-up optimization, bottom-up: propose materializations
   // for selected candidates and add spools where the lock is granted.
-  if (options_.enable_view_building && try_lock != nullptr &&
-      !annotations.materialize_candidates.empty()) {
+  if (try_lock != nullptr && !annotations.materialize_candidates.empty()) {
     obs::Span build_span("view-build", "opt");
     build_span.Arg("job_id", decisions.job_id());
     int total_added = 0;
@@ -200,7 +198,6 @@ Status Optimizer::MatchViews(const LogicalOpPtr& node,
           MatchedViewDetail detail;
           detail.strict = sig.strict;
           detail.recompute_cost = recompute;
-          detail.recompute_latency_cost = cost_model_.SubtreeLatencyCost(op);
           detail.view_scan_cost = reuse;
           SumBaseScanVolume(op, &detail.rows_avoided, &detail.bytes_avoided);
           outcome->matched_details.push_back(detail);
@@ -217,7 +214,7 @@ Status Optimizer::MatchViews(const LogicalOpPtr& node,
             event.match_class = signatures_.ComputeMatchClass(op);
             event.recompute_cost = recompute;
             event.view_scan_cost = reuse;
-            event.saving = detail.recompute_latency_cost - reuse;
+            event.saving = recompute - reuse;
             decisions.Record(std::move(event));
           }
           CompensationPlan comp =
@@ -252,7 +249,7 @@ Status Optimizer::MatchViews(const LogicalOpPtr& node,
           event.match_class = signatures_.ComputeMatchClass(op);
           event.recompute_cost = recompute;
           event.view_scan_cost = reuse;
-          event.saving = cost_model_.SubtreeLatencyCost(op) - reuse;
+          event.saving = recompute - reuse;
           decisions.Record(std::move(event));
         }
       }
@@ -314,13 +311,12 @@ Result<LogicalOpPtr> Optimizer::TryGeneralizedMatch(
       obs::metric_names::kGeneralizedExactChecks);
   static obs::Counter& subsumed_hits = obs::MetricsRegistry::Global().counter(
       obs::metric_names::kReuseHitsSubsumed);
-  // Query-side costs for foregone-saving estimates, priced once per subtree
-  // (only when the ledger is on — the disabled path stays load-and-go).
-  double trace_latency = 0.0;
+  // Query-side cost for the candidates' foregone-saving events, priced once
+  // per subtree (only when the ledger is on — the disabled path stays
+  // load-and-go).
   const bool tracing_decisions = decisions.Active();
-  if (tracing_decisions) {
-    trace_latency = cost_model_.SubtreeLatencyCost(op);
-  }
+  const double trace_recompute =
+      tracing_decisions ? cost_model_.SubtreeCost(op) : 0.0;
   // What the candidate's view scan is estimated to cost, from the indexed
   // definition's annotated estimates — no view-store lookup (a lookup would
   // bump the views.lookup.* metrics and perturb telemetry).
@@ -338,9 +334,9 @@ Result<LogicalOpPtr> Optimizer::TryGeneralizedMatch(
         event.node_strict = sig.strict;
         event.candidate_strict = cand.strict;
         event.match_class = class_key;
-        event.recompute_cost = cost_model_.SubtreeCost(op);
+        event.recompute_cost = trace_recompute;
         event.view_scan_cost = candidate_scan_cost(cand);
-        event.saving = trace_latency - event.view_scan_cost;
+        event.saving = trace_recompute - event.view_scan_cost;
         event.detail = std::move(detail);
         decisions.Record(std::move(event));
       };
@@ -432,7 +428,7 @@ Result<LogicalOpPtr> Optimizer::TryGeneralizedMatch(
         event.match_class = class_key;
         event.recompute_cost = recompute;
         event.view_scan_cost = reuse;
-        event.saving = trace_latency - reuse;
+        event.saving = recompute - reuse;
         decisions.Record(std::move(event));
       }
       continue;
@@ -448,7 +444,6 @@ Result<LogicalOpPtr> Optimizer::TryGeneralizedMatch(
     MatchedViewDetail detail;
     detail.strict = cand.strict;
     detail.recompute_cost = recompute;
-    detail.recompute_latency_cost = cost_model_.SubtreeLatencyCost(op);
     detail.view_scan_cost = reuse;
     detail.subsumed = true;
     SumBaseScanVolume(op, &detail.rows_avoided, &detail.bytes_avoided);
@@ -462,7 +457,7 @@ Result<LogicalOpPtr> Optimizer::TryGeneralizedMatch(
       event.match_class = class_key;
       event.recompute_cost = recompute;
       event.view_scan_cost = reuse;
-      event.saving = detail.recompute_latency_cost - reuse;
+      event.saving = recompute - reuse;
       decisions.Record(std::move(event));
     }
     if constexpr (verify::RuntimeChecksEnabled()) {

@@ -36,8 +36,6 @@ struct QueryAnnotations {
 class CardinalityFeedback;
 
 struct OptimizerOptions {
-  bool enable_view_matching = true;
-  bool enable_view_building = true;
   // Generalized (containment-based) matching: when a subtree misses the
   // exact strict-signature lookup, candidates from `generalized_index` in
   // the same match class are feature-filtered and containment-checked, and
@@ -58,17 +56,16 @@ struct OptimizerOptions {
 
 // Everything known about one view-match rewrite at the moment it fired —
 // the raw material for per-hit savings attribution in the provenance
-// ledger: what recomputing the replaced subtree would have cost (in both
-// work and latency terms), what the view scan costs instead, and how much
+// ledger: what recomputing the replaced subtree would have cost, what the
+// view scan costs instead (the saving is the difference), and how much
 // base-table data the view shields.
 struct MatchedViewDetail {
   Hash128 strict;
-  double recompute_cost = 0.0;          // SubtreeCost of the replaced subtree
-  double recompute_latency_cost = 0.0;  // SubtreeLatencyCost at the plan DOP
-  double view_scan_cost = 0.0;          // cost of the (compensated) reuse
-  double rows_avoided = 0.0;            // base-scan rows under the subtree
-  double bytes_avoided = 0.0;           // base-scan bytes under the subtree
-  bool subsumed = false;                // generalized (containment) hit
+  double recompute_cost = 0.0;  // SubtreeCost of the replaced subtree
+  double view_scan_cost = 0.0;  // cost of the (compensated) reuse
+  double rows_avoided = 0.0;    // base-scan rows under the subtree
+  double bytes_avoided = 0.0;   // base-scan bytes under the subtree
+  bool subsumed = false;        // generalized (containment) hit
 };
 
 // One generalized hit, kept so the SignatureAuditor can independently

@@ -1,21 +1,7 @@
 #include "sharing/sharing_registry.h"
 
-#include <algorithm>
-
 namespace cloudviews {
 namespace sharing {
-
-void SharingRegistry::Admit(int64_t job_id, const Hash128& signature) {
-  std::vector<int64_t>& jobs = admitted_[signature];
-  if (std::find(jobs.begin(), jobs.end(), job_id) == jobs.end()) {
-    jobs.push_back(job_id);
-  }
-}
-
-size_t SharingRegistry::InFlightJobs(const Hash128& signature) const {
-  auto it = admitted_.find(signature);
-  return it == admitted_.end() ? 0 : it->second.size();
-}
 
 SharedStream* SharingRegistry::CreateStream(const Hash128& signature,
                                             size_t fanout) {
@@ -29,12 +15,6 @@ SharedStream* SharingRegistry::CreateStream(const Hash128& signature,
 SharedStream* SharingRegistry::FindStream(const Hash128& signature) const {
   auto it = by_signature_.find(signature);
   return it == by_signature_.end() ? nullptr : it->second;
-}
-
-void SharingRegistry::Clear() {
-  admitted_.clear();
-  by_signature_.clear();
-  streams_.clear();
 }
 
 }  // namespace sharing

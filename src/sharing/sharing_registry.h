@@ -29,33 +29,25 @@ struct SharingStats {
   // reads). Lets a total-cycles comparison against unshared execution
   // include the producers' side of the ledger.
   double producer_cpu_cost = 0.0;
-  // Optimizer-estimated latency cost of the subscriber subtrees that were
-  // answered from a stream instead of recomputed (the sharing analogue of
-  // per-hit view savings).
+  // Optimizer-estimated cost (SubtreeCost) of the subscriber subtrees that
+  // were answered from a stream instead of recomputed (the sharing analogue
+  // of per-hit view savings).
   double saved_cost = 0.0;
 };
 
-// Bookkeeping for one sharing window: which signatures the admitted jobs
-// cover (the admission index) and the producer streams launched for the
-// signatures elected for sharing.
+// The producer streams of one sharing window, one per signature elected
+// for sharing, and the directory its SharedScans look them up in.
 //
-// Threading contract: admission and stream creation happen serially on the
-// engine driver before any producer starts; during the concurrent phase the
-// registry is frozen and FindStream() is a read of immutable state. Clear()
-// must not be called until every task of the window has joined.
+// Threading contract: streams are created serially, on the thread that
+// runs the window, before any producer starts; during the concurrent phase
+// the registry is frozen and FindStream() is a read of immutable state. The
+// registry must outlive every task of the window.
 class SharingRegistry : public StreamDirectory {
  public:
   SharingRegistry() = default;
 
   SharingRegistry(const SharingRegistry&) = delete;
   SharingRegistry& operator=(const SharingRegistry&) = delete;
-
-  // Records that an admitted job's plan covers `signature` (strict). Called
-  // once per eligible subtree instance at admission.
-  void Admit(int64_t job_id, const Hash128& signature);
-
-  // Number of distinct in-flight jobs covering `signature`.
-  size_t InFlightJobs(const Hash128& signature) const;
 
   // Creates (and owns) the stream for `signature`; `fanout` is the number of
   // subscriber scan instances that will be wired to it. Returns null if a
@@ -68,11 +60,7 @@ class SharingRegistry : public StreamDirectory {
     return streams_;
   }
 
-  // Resets admissions and streams for the next window.
-  void Clear();
-
  private:
-  std::unordered_map<Hash128, std::vector<int64_t>, Hash128Hasher> admitted_;
   std::vector<std::unique_ptr<SharedStream>> streams_;
   std::unordered_map<Hash128, SharedStream*, Hash128Hasher> by_signature_;
 };

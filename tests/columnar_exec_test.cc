@@ -471,6 +471,30 @@ TEST_F(ColumnarExecTest, LiteralComparisonsMatchRowEngine) {
   }
 }
 
+TEST(BatchKernelTest, BooleanResultsReserveTypedStorage) {
+  // A kernel whose result is boolean reserves the typed bool storage up
+  // front, not only the null bitmap, so the result never regrows.
+  constexpr size_t kRows = 1000;
+  auto values = std::make_shared<ColumnVector>();
+  for (size_t i = 0; i < kRows; ++i) {
+    values->AppendInt64(static_cast<int64_t>(i));
+  }
+  const std::vector<ColumnPtr> columns = {values};
+  const EvalInput in{&columns, kRows};
+  const ExprPtr v = Expr::MakeColumn(0, "v");
+  const ExprPtr lo = Expr::MakeLiteral(Value(int64_t{100}));
+  const ExprPtr hi = Expr::MakeLiteral(Value(int64_t{900}));
+  const ExprPtr between = Expr::MakeBetween(v, lo, hi, false);
+  const ExprPtr is_null = Expr::MakeIsNull(v, false);
+  for (const ExprPtr& expr : {between, is_null}) {
+    ColumnPtr result;
+    ASSERT_TRUE(EvalExprBatch(*expr, in, &result).ok());
+    ASSERT_EQ(result->size(), kRows);
+    ASSERT_EQ(result->type(), DataType::kBool);
+    EXPECT_EQ(result->bools().capacity(), kRows) << expr->ToString();
+  }
+}
+
 TEST_F(ColumnarExecTest, BareSerialScanDrainSharesTableColumns) {
   // Draining a bare serial scan hands out the table's own columns, and
   // charges exactly the stats a batch-by-batch drain would.

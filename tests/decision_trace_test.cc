@@ -5,11 +5,15 @@
 // explain export is byte-identical across same-seed reruns; the
 // differential test proves recording never perturbs what executes (outputs
 // and reuse counts are byte-identical with the ledger on or off); the
-// reconcile test checks the miss-attribution buckets and the provenance
-// ledger agree on one savings currency; and the concurrency test hammers
-// one ledger from many threads for the TSan suite.
+// reconcile test checks that every priced saving is recompute − view scan
+// and that the decision traces and the provenance ledger agree on it, hit
+// by hit; and the concurrency test hammers one ledger from many threads for
+// the TSan suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -368,6 +372,8 @@ struct EngineRun {
   double decisions_foregone = 0.0;
   int64_t decision_events = 0;
   double provenance_savings = 0.0;
+  std::vector<obs::JobDecisionTrace> traces;
+  std::vector<obs::ViewStream> view_streams;
 };
 
 // Three recurring jobs per day over one shared wide motif: two wide
@@ -446,6 +452,8 @@ void RunEngineDays(DatasetCatalog* catalog, bool reuse_on, bool generalized_on,
   out->decisions_realized = totals.realized_saving;
   out->decisions_foregone = totals.foregone_saving;
   out->decision_events = totals.events;
+  out->traces = engine.decisions().Traces();
+  out->view_streams = engine.provenance().Streams();
   out->provenance_savings =
       engine.provenance()
           .Totals(days * 86400.0, obs::kDefaultStorageRentPerByteSecond)
@@ -480,11 +488,56 @@ TEST_F(DecisionTraceTest, RealizedSavingsReconcileWithProvenanceLedger) {
   if (HasFatalFailure()) return;
 
   // Hit decisions and provenance hit events are denominated in the same
-  // latency-cost currency and fold from the same matched-view details, so
+  // cost-model currency and fold from the same matched-view details, so
   // the two ledgers must tell one story (tolerance: float summation order).
   EXPECT_GT(run.decisions_realized, 0.0);
   EXPECT_NEAR(run.decisions_realized, run.provenance_savings,
               1e-6 * (1.0 + run.provenance_savings));
+
+  // Every priced match verdict, hit or miss, exact or generalized, records
+  // the one currency's difference, bit for bit. A realized saving is kept
+  // per (job, view) for the provenance comparison below.
+  std::map<std::pair<int64_t, std::string>, std::vector<double>> realized;
+  std::map<obs::DecisionStage, int> priced;
+  for (const obs::JobDecisionTrace& trace : run.traces) {
+    for (const obs::DecisionEvent& event : trace.events) {
+      if ((event.stage != obs::DecisionStage::kExactMatch &&
+           event.stage != obs::DecisionStage::kGeneralizedMatch) ||
+          event.view_scan_cost <= 0.0) {
+        continue;
+      }
+      priced[event.stage] += 1;
+      EXPECT_EQ(std::bit_cast<uint64_t>(event.saving),
+                std::bit_cast<uint64_t>(event.recompute_cost -
+                                        event.view_scan_cost))
+          << "job " << trace.job_id << " "
+          << obs::DecisionReasonName(event.reason);
+      if (obs::IsHitReason(event.reason)) {
+        realized[{trace.job_id, event.candidate_strict.ToHex()}].push_back(
+            event.saving);
+      }
+    }
+  }
+  EXPECT_GT(priced[obs::DecisionStage::kExactMatch], 0);
+  EXPECT_GT(priced[obs::DecisionStage::kGeneralizedMatch], 0);
+
+  // Each provenance hit attributes exactly its job's realized saving.
+  std::map<std::pair<int64_t, std::string>, std::vector<double>> attributed;
+  for (const obs::ViewStream& stream : run.view_streams) {
+    for (const obs::ViewEvent& event : stream.events) {
+      if (event.kind == obs::ViewEventKind::kHit) {
+        attributed[{event.job_id, stream.strict.ToHex()}].push_back(
+            event.saved_cost);
+      }
+    }
+  }
+  for (auto* savings : {&realized, &attributed}) {
+    for (auto& entry : *savings) {
+      std::sort(entry.second.begin(), entry.second.end());
+    }
+  }
+  EXPECT_FALSE(attributed.empty());
+  EXPECT_EQ(attributed, realized);
 }
 
 TEST_F(DecisionTraceTest, DecisionsDoNotPerturbExecution) {

@@ -135,40 +135,6 @@ TEST_F(OptimizerTest, CostModelPrefersSmallerPlans) {
   EXPECT_GT(model.SubtreeCost(*big), model.SubtreeCost(*small));
 }
 
-TEST_F(OptimizerTest, LatencyCostShrinksWithDop) {
-  LogicalOpPtr plan = Build(
-      "SELECT Name, Price FROM Sales JOIN Customer "
-      "ON Sales.CustomerId = Customer.CustomerId WHERE Price > 11");
-  CardinalityEstimator estimator(&catalog_);
-  estimator.Annotate(plan.get());
-
-  // Serial latency is exactly the total work.
-  CostModel serial;
-  EXPECT_DOUBLE_EQ(serial.SubtreeLatencyCost(*plan),
-                   serial.SubtreeCost(*plan));
-
-  // Parallel latency follows Amdahl: monotonically decreasing in dop, but
-  // never below the serial fraction of the work.
-  CostModelOptions dop4_options;
-  dop4_options.dop = 4;
-  CostModel dop4(dop4_options);
-  CostModelOptions dop16_options;
-  dop16_options.dop = 16;
-  CostModel dop16(dop16_options);
-  double work = serial.SubtreeCost(*plan);
-  double latency4 = dop4.SubtreeLatencyCost(*plan);
-  double latency16 = dop16.SubtreeLatencyCost(*plan);
-  EXPECT_LT(latency4, work);
-  EXPECT_LT(latency16, latency4);
-  EXPECT_GT(latency16, work * (1.0 - dop16_options.parallel_fraction));
-
-  // Tiny morsels mean more scheduling overhead: latency rises.
-  CostModelOptions tiny_morsels = dop4_options;
-  tiny_morsels.morsel_rows = 1.0;
-  CostModel overheady(tiny_morsels);
-  EXPECT_GT(overheady.SubtreeLatencyCost(*plan), latency4);
-}
-
 TEST_F(OptimizerTest, MatchReplacesSubtreeWithViewScan) {
   LogicalOpPtr plan = Build(kAsiaJoinSql);
   // Materialize the filter subtree (Filter over Join).
@@ -324,13 +290,14 @@ TEST_F(OptimizerTest, DisabledMatchingLeavesPlanAlone) {
   ViewStore store;
   MaterializeSubtree(subtree, &store, sig.strict, sig.recurring);
 
-  OptimizerOptions options;
-  options.enable_view_matching = false;
-  Optimizer optimizer(&catalog_, options);
+  // The view exists, but a compile given no view store never matches.
+  Optimizer optimizer(&catalog_);
   QueryAnnotations annotations;
-  auto outcome = optimizer.Optimize(plan, annotations, &store, nullptr, 0.0);
+  auto outcome = optimizer.Optimize(plan, annotations, nullptr, nullptr, 0.0);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->views_matched, 0);
+  EXPECT_EQ(outcome->plan, plan);
+  EXPECT_EQ(outcome->plan_without_reuse, nullptr);
 }
 
 TEST_F(OptimizerTest, UnsealedPlanRejected) {
@@ -382,12 +349,8 @@ TEST_F(OptimizerTest, RewritesLeaveTheBoundPlanAlone) {
   Optimizer optimizer(&catalog_);
 
   // What the bound plan looks like annotated, before any rewrite.
-  OptimizerOptions no_reuse;
-  no_reuse.enable_view_matching = false;
-  no_reuse.enable_view_building = false;
-  auto reference = Optimizer(&catalog_, no_reuse)
-                       .Optimize(union_plan({"Asia", "Europe"}), annotations,
-                                 &store, always, 0.0);
+  auto reference = optimizer.Optimize(union_plan({"Asia", "Europe"}),
+                                      annotations, nullptr, nullptr, 0.0);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   const std::string printed = reference->plan->ToString();
   const auto signed_as = Signatures(*reference->plan);

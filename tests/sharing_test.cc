@@ -162,21 +162,15 @@ TEST(SharedStreamTest, ConcurrentProduceSubscribeDetach) {
 
 // --- SharingRegistry ---------------------------------------------------------
 
-TEST(SharingRegistryTest, AdmissionCountsDistinctJobs) {
+TEST(SharingRegistryTest, OneStreamPerSignature) {
   sharing::SharingRegistry registry;
   Hash128 sig = HashString("shared");
-  registry.Admit(1, sig);
-  registry.Admit(1, sig);  // two instances in the same job count once
-  registry.Admit(2, sig);
-  EXPECT_EQ(registry.InFlightJobs(sig), 2u);
-  EXPECT_EQ(registry.InFlightJobs(HashString("other")), 0u);
-
   SharedStream* stream = registry.CreateStream(sig, 2);
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(registry.CreateStream(sig, 2), nullptr);  // no duplicates
   EXPECT_EQ(registry.FindStream(sig), stream);
-  registry.Clear();
-  EXPECT_EQ(registry.FindStream(sig), nullptr);
+  EXPECT_EQ(registry.FindStream(HashString("other")), nullptr);
+  EXPECT_EQ(registry.streams().size(), 1u);
 }
 
 // --- SharingPolicy -----------------------------------------------------------
