@@ -10,8 +10,15 @@
 //   - topk-frequency: most-repeated-first (frequency is not utility),
 //   - no-budget:      everything with positive utility (upper bound).
 // It also sweeps the per-VC storage budget for the shipped strategy.
+//
+// The last line is a `JSON {...}` report: `<strategy>_improvement_pct` at
+// the 24 KB budget and `bigsubs_<N>kb_improvement_pct` for the sweep. The
+// percentages come from the simulator alone, so they are deterministic for
+// a given --scale and --days (CI guards them).
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "workload/experiment.h"
@@ -48,6 +55,9 @@ int RunAblation(int argc, char** argv) {
       "Ablation: view selection strategies and storage budgets",
       "DESIGN.md 'Scalable view selection' (BigSubs, Jindal et al. VLDB'18)");
 
+  bench_util::JsonReport report("ablation_view_selection");
+  report.Metric("scale", scale).Metric("days", static_cast<int64_t>(days));
+
   ExperimentConfig config;
   config.workload = ProductionDeploymentProfile(scale);
   config.num_days = days;
@@ -67,6 +77,10 @@ int RunAblation(int argc, char** argv) {
     run.engine.selection.strategy = strategy;
     run.engine.selection.storage_budget_bytes = 24ull << 10;
     RunOutcome out = RunWith(run);
+    std::string key = SelectionStrategyName(strategy);
+    std::replace(key.begin(), key.end(), '-', '_');
+    report.Metric((key + "_improvement_pct").c_str(),
+                  out.processing_improvement);
     std::printf("%-16s %11.2f%% %12lld %12lld\n",
                 SelectionStrategyName(strategy), out.processing_improvement,
                 static_cast<long long>(out.views_created),
@@ -81,6 +95,10 @@ int RunAblation(int argc, char** argv) {
     run.engine.selection.strategy = SelectionStrategy::kBigSubs;
     run.engine.selection.storage_budget_bytes = budget_kb << 10;
     RunOutcome out = RunWith(run);
+    report.Metric(("bigsubs_" + std::to_string(budget_kb) +
+                   "kb_improvement_pct")
+                      .c_str(),
+                  out.processing_improvement);
     std::printf("%13lluKB %11.2f%% %12lld %12lld\n",
                 static_cast<unsigned long long>(budget_kb),
                 out.processing_improvement,
@@ -89,6 +107,7 @@ int RunAblation(int argc, char** argv) {
   }
   std::printf("\n(expected: improvements grow with budget then saturate; "
               "topk-frequency wastes budget on low-utility views)\n");
+  report.Print();
   return 0;
 }
 

@@ -634,6 +634,8 @@ SelectionResult ReuseEngine::RunViewSelection(double now) {
       obs::metric_names::kSelectionRuns);
   static obs::Counter& candidates = obs::MetricsRegistry::Global().counter(
       obs::metric_names::kSelectionCandidates);
+  static obs::Counter& evaluations = obs::MetricsRegistry::Global().counter(
+      obs::metric_names::kSelectionEvaluations);
   static obs::Counter& selected = obs::MetricsRegistry::Global().counter(
       obs::metric_names::kSelectionSelected);
   static obs::Histogram& run_us = obs::MetricsRegistry::Global().histogram(
@@ -648,6 +650,7 @@ SelectionResult ReuseEngine::RunViewSelection(double now) {
   }
   runs.Increment();
   candidates.Add(static_cast<uint64_t>(result.candidates_considered));
+  evaluations.Add(static_cast<uint64_t>(result.evaluations));
   selected.Add(result.selected.size());
   // The ledger's candidate events open the lifecycle: this is where a
   // subexpression was judged worth materializing. The candidate's strict

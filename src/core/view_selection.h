@@ -2,7 +2,6 @@
 #define CLOUDVIEWS_CORE_VIEW_SELECTION_H_
 
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -67,6 +66,7 @@ struct SelectionResult {
   int64_t rejected_schedule = 0;   // dropped by schedule-aware filtering
   int64_t rejected_budget = 0;
   int64_t rejected_utility = 0;
+  int64_t evaluations = 0;         // BigSubs marginal-utility evaluations
 
   bool Contains(const Hash128& strict) const {
     return selected_strict.count(strict) > 0;
@@ -90,16 +90,6 @@ class ViewSelector {
   const SelectionConstraints& constraints() const { return constraints_; }
 
  private:
-  // Fraction of the group's observed instances that were submitted late
-  // enough after the first instance of their day to reuse a view the first
-  // instance materializes. 1.0 = fully reusable; ~0 = purely concurrent.
-  double ReusableFraction(const SubexpressionGroup& group) const;
-
-  std::vector<ViewCandidate> ApplyBudget(std::vector<ViewCandidate> candidates,
-                                         const WorkloadRepository& repository,
-                                         uint64_t budget, int max_views,
-                                         SelectionResult* result) const;
-
   SelectionConstraints constraints_;
 };
 

@@ -29,9 +29,9 @@ CompressedWorkload CompressWorkload(const WorkloadRepository& repository,
     info.index = group_counter++;
     total_mass += info.weight;
     group_info.emplace(group->strict_signature, info);
-    for (const auto& [job_id, t] : group->recent_instances) {
-      job_groups[job_id].push_back(info.index);
-    }
+    group->recent_instances.ForEach([&](const InstanceRing::Instance& inst) {
+      job_groups[repository.job_id(inst.job)].push_back(info.index);
+    });
   }
   out.jobs_in_workload = static_cast<int64_t>(job_groups.size());
   if (job_groups.empty() || total_mass <= 0.0) return out;

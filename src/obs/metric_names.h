@@ -73,10 +73,12 @@ inline constexpr char kSharingBatchesForwarded[] =
     "sharing.batches_forwarded";
 
 // --- View selection (core/reuse_engine.cc) ---------------------------------
-// Per RunViewSelection call: scored candidates and views selected. The run
-// time is observed only while the tracer is enabled.
+// Per RunViewSelection call: scored candidates, BigSubs marginal-utility
+// evaluations (the selection's work, independent of the host) and views
+// selected. The run time is observed only while the tracer is enabled.
 inline constexpr char kSelectionRuns[] = "selection.runs";
 inline constexpr char kSelectionCandidates[] = "selection.candidates";
+inline constexpr char kSelectionEvaluations[] = "selection.evaluations";
 inline constexpr char kSelectionSelected[] = "selection.selected";
 inline constexpr char kSelectionRunUs[] = "selection.run_us";
 

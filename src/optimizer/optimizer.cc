@@ -1,5 +1,7 @@
 #include "optimizer/optimizer.h"
 
+#include <optional>
+
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -311,12 +313,15 @@ Result<LogicalOpPtr> Optimizer::TryGeneralizedMatch(
       obs::metric_names::kGeneralizedExactChecks);
   static obs::Counter& subsumed_hits = obs::MetricsRegistry::Global().counter(
       obs::metric_names::kReuseHitsSubsumed);
-  // Query-side cost for the candidates' foregone-saving events, priced once
-  // per subtree (only when the ledger is on — the disabled path stays
-  // load-and-go).
   const bool tracing_decisions = decisions.Active();
-  const double trace_recompute =
-      tracing_decisions ? cost_model_.SubtreeCost(op) : 0.0;
+  // The query subtree and its estimates do not change inside the candidate
+  // loop, so its recompute cost is priced once, when the ledger or the first
+  // live candidate needs it.
+  std::optional<double> subtree_cost;
+  const auto query_cost = [&] {
+    if (!subtree_cost) subtree_cost = cost_model_.SubtreeCost(op);
+    return *subtree_cost;
+  };
   // What the candidate's view scan is estimated to cost, from the indexed
   // definition's annotated estimates — no view-store lookup (a lookup would
   // bump the views.lookup.* metrics and perturb telemetry).
@@ -334,9 +339,9 @@ Result<LogicalOpPtr> Optimizer::TryGeneralizedMatch(
         event.node_strict = sig.strict;
         event.candidate_strict = cand.strict;
         event.match_class = class_key;
-        event.recompute_cost = trace_recompute;
+        event.recompute_cost = query_cost();
         event.view_scan_cost = candidate_scan_cost(cand);
-        event.saving = trace_recompute - event.view_scan_cost;
+        event.saving = event.recompute_cost - event.view_scan_cost;
         event.detail = std::move(detail);
         decisions.Record(std::move(event));
       };
@@ -407,7 +412,7 @@ Result<LogicalOpPtr> Optimizer::TryGeneralizedMatch(
     // Price the residual filter / re-aggregation / projection work on top
     // of the view scan: compensation must pay for itself.
     estimator_.Annotate(comp.root.get());
-    const double recompute = cost_model_.SubtreeCost(op);
+    const double recompute = query_cost();
     const double reuse = cost_model_.SubtreeCost(*comp.root);
     if (reuse >= recompute) {
       static obs::Counter& cost_rejected =

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/repository_io.h"
 #include "core/view_selection.h"
@@ -136,6 +140,127 @@ TEST(RepositoryIoTest, FileSaveAndLoad) {
   WorkloadRepository other;
   EXPECT_EQ(LoadRepository("/nonexistent/path.txt", &other).code(),
             StatusCode::kNotFound);
+}
+
+// Applies one seeded mutation to a snapshot: a byte flip, a truncation, a
+// dropped or an extra tab field, or a field replaced by malformed hex or a
+// malformed number.
+std::string Mutate(const std::string& snapshot, std::mt19937& rng) {
+  static const char* const kBadNumbers[] = {
+      "",   "-",  "+",   "--1", "1.5", "-1", "0x10", "1e999", "nan", "inf",
+      "99999999999999999999", "9223372036854775807", "-9223372036854775808",
+      "4294967296"};
+  static const char* const kBadHex[] = {
+      "",  "0", "zz", "0123456789abcdef0123456789abcdeg",
+      "0123456789abcdef0123456789abcdef0", "-123456789abcdef0123456789abcdef"};
+  std::string out = snapshot;
+  const uint32_t kind = rng() % 6;
+  if (kind == 0) {
+    out[rng() % out.size()] = static_cast<char>(rng() % 256);
+    return out;
+  }
+  if (kind == 1) return out.substr(0, rng() % out.size());
+  // The other kinds edit one tab field of one line.
+  std::vector<std::string> lines;
+  for (size_t start = 0; start < out.size();) {
+    size_t end = out.find('\n', start);
+    if (end == std::string::npos) end = out.size();
+    lines.push_back(out.substr(start, end - start));
+    start = end + 1;
+  }
+  std::string& line = lines[rng() % lines.size()];
+  std::vector<std::string> fields;
+  for (size_t start = 0;;) {
+    size_t tab = line.find('\t', start);
+    fields.push_back(line.substr(start, tab - start));
+    if (tab == std::string::npos) break;
+    start = tab + 1;
+  }
+  const size_t at = rng() % fields.size();
+  if (kind == 2) {
+    fields.erase(fields.begin() + static_cast<long>(at));
+  } else if (kind == 3) {
+    fields.insert(fields.begin() + static_cast<long>(at),
+                  std::to_string(rng() % 1000));
+  } else if (kind == 4) {
+    fields[at] = kBadHex[rng() % std::size(kBadHex)];
+  } else {
+    fields[at] = kBadNumbers[rng() % std::size(kBadNumbers)];
+  }
+  line.clear();
+  for (size_t i = 0; i < fields.size(); ++i) {
+    line += (i > 0 ? "\t" : "") + fields[i];
+  }
+  out.clear();
+  for (const std::string& l : lines) out += l + "\n";
+  return out;
+}
+
+TEST(RepositoryIoTest, HostileSnapshotsFailCleanlyOrRestore) {
+  // Every mutated snapshot either fails with a Status or restores a
+  // repository that selection runs on under every strategy; the
+  // sanitizer builds run this too.
+  auto original = MakeFilled();
+  for (int i = 0; i < 20; ++i) {
+    original->Ingest(MakeInstance("g" + std::to_string(i % 7), 200 + i,
+                                  "vc" + std::to_string(i % 3), i % 4));
+  }
+  const std::string valid = SerializeRepository(*original);
+  std::mt19937 rng(20200201);
+  int restored = 0;
+  int rejected = 0;
+  for (int i = 0; i < 10000; ++i) {
+    std::string input = Mutate(valid, rng);
+    for (uint32_t extra = rng() % 3; extra > 0; --extra) {
+      if (!input.empty()) input = Mutate(input, rng);
+    }
+    WorkloadRepository repository;
+    if (!DeserializeRepository(input, &repository).ok()) {
+      rejected += 1;
+      continue;
+    }
+    restored += 1;
+    for (SelectionStrategy strategy :
+         {SelectionStrategy::kBigSubs, SelectionStrategy::kGreedyRatio,
+          SelectionStrategy::kTopKFrequency, SelectionStrategy::kNoBudget}) {
+      SelectionConstraints constraints;
+      constraints.strategy = strategy;
+      constraints.min_occurrences = 1;
+      constraints.storage_budget_bytes = 1 << 20;
+      SelectionResult result = ViewSelector(constraints).Select(repository);
+      EXPECT_LE(result.selected.size(), repository.num_groups());
+    }
+  }
+  EXPECT_GT(restored, 500);
+  EXPECT_GT(rejected, 500);
+}
+
+TEST(RepositoryIoTest, ImpossibleCountsAreCorrupt) {
+  // Found by the mutation test under UBSan: a group's instance count
+  // overflowed the repository's total (signed overflow).
+  const std::string group_prefix =
+      "cloudviews-repository v1\ngroup\t" + HashString("a").ToHex() + "\t" +
+      HashString("b").ToHex() + "\t";
+  const std::string rest = "\t1\t1\t1\t1\t1\t1\t0\t0\tvc0\tds\n";
+  auto load = [&](const std::string& occurrences_and_more) {
+    WorkloadRepository repository;
+    return DeserializeRepository(group_prefix + occurrences_and_more,
+                                 &repository)
+        .code();
+  };
+  EXPECT_EQ(load("1" + rest), StatusCode::kOk);
+  EXPECT_EQ(load("0" + rest), StatusCode::kCorruption);
+  EXPECT_EQ(load("-3" + rest), StatusCode::kCorruption);
+  // cost_samples above occurrences.
+  EXPECT_EQ(load("1\t1\t1\t2\t1\t1\t1\t0\t0\tvc0\tds\n"),
+            StatusCode::kCorruption);
+  const std::string huge =
+      "cloudviews-repository v1\ngroup\t" + HashString("a").ToHex() + "\t" +
+      HashString("b").ToHex() + "\t9223372036854775807" + rest + "group\t" +
+      HashString("c").ToHex() + "\t" + HashString("d").ToHex() + "\t5" + rest;
+  WorkloadRepository repository;
+  EXPECT_EQ(DeserializeRepository(huge, &repository).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(Hash128Test, FromHexRoundTrip) {
