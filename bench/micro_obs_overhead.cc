@@ -32,9 +32,9 @@
 // delta (off2 vs off on the engine loop) exceeds 5% — the "ledger compiled
 // in but off is free" invariant — or if either ledger's or any tracer
 // shape's overhead_pct does: the house rule that observability costs at
-// most 5%. Shapes run at a DOP above the host's core count are reported but
-// not gated. The tracer off2 deltas are reported but not gated either: a
-// round's two disabled runs differ only by noise.
+// most 5%. The tracer off2 deltas are reported but not gated: a round's two
+// disabled runs differ only by noise. The executor runs operators on one
+// thread; the tracer keys keep their `_dop1` infix.
 
 #include <algorithm>
 #include <chrono>
@@ -44,7 +44,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -88,11 +87,9 @@ LogicalOpPtr Plan(const DatasetCatalog& catalog, const std::string& sql) {
   return std::move(*plan);
 }
 
-double RunSeconds(const DatasetCatalog& catalog, const LogicalOpPtr& plan,
-                  int dop) {
+double RunSeconds(const DatasetCatalog& catalog, const LogicalOpPtr& plan) {
   ExecContext context;
   context.catalog = &catalog;
-  context.dop = dop;
   Executor executor(context);
   auto r = executor.Execute(plan);
   if (!r.ok()) std::abort();
@@ -153,10 +150,9 @@ OverheadReading MeasureInterleaved(const std::function<double()>& run,
   return reading;
 }
 
-void PrintReading(const char* name, const std::string& dop,
-                  const OverheadReading& r) {
-  std::printf("%-22s %4s | %12.3f %12.3f %12.3f | %8.1f%% %8.1f%%\n", name,
-              dop.c_str(), r.off_ms, r.on_ms, r.off_again_ms, r.overhead_pct,
+void PrintReading(const char* name, const OverheadReading& r) {
+  std::printf("%-22s | %12.3f %12.3f %12.3f | %8.1f%% %8.1f%%\n", name,
+              r.off_ms, r.on_ms, r.off_again_ms, r.overhead_pct,
               r.disabled_delta_pct);
 }
 
@@ -247,13 +243,10 @@ int RunBench(int argc, char** argv) {
        "JOIN Customer ON Sales.CustomerId = Customer.CustomerId "
        "WHERE MktSegment = 'Asia' GROUP BY Customer.CustomerId"},
   };
-  const int dops[] = {1, 4};
-  const int cores =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   constexpr int kRounds = 21;
 
-  std::printf("%-22s %4s | %12s %12s %12s | %9s %9s\n", "query", "dop",
-              "off (ms)", "on (ms)", "off2 (ms)", "on_pct", "off2_pct");
+  std::printf("%-22s | %12s %12s %12s | %9s %9s\n", "query", "off (ms)",
+              "on (ms)", "off2 (ms)", "on_pct", "off2_pct");
   std::printf("(medians of %d interleaved rounds, each mode best of 3)\n",
               kRounds);
 
@@ -272,18 +265,15 @@ int RunBench(int argc, char** argv) {
   };
   for (const QueryShape& shape : shapes) {
     LogicalOpPtr plan = Plan(*catalog, shape.sql);
-    for (int dop : dops) {
-      const OverheadReading r = MeasureInterleaved(
-          [&] { return RunSeconds(*catalog, plan, dop); }, set_tracer,
-          kRounds, /*reps=*/3);
-      PrintReading(shape.name, std::to_string(dop), r);
-      const std::string prefix =
-          std::string(shape.name) + "_dop" + std::to_string(dop);
-      ReportReading(&report, prefix, r);
-      if (dop <= cores && r.overhead_pct > kBudgetPct) {
-        failures.push_back(prefix + " tracer overhead " +
-                           std::to_string(r.overhead_pct) + "%");
-      }
+    const OverheadReading r =
+        MeasureInterleaved([&] { return RunSeconds(*catalog, plan); },
+                           set_tracer, kRounds, /*reps=*/3);
+    PrintReading(shape.name, r);
+    const std::string prefix = std::string(shape.name) + "_dop1";
+    ReportReading(&report, prefix, r);
+    if (r.overhead_pct > kBudgetPct) {
+      failures.push_back(prefix + " tracer overhead " +
+                         std::to_string(r.overhead_pct) + "%");
     }
   }
   set_tracer(false);
@@ -305,7 +295,7 @@ int RunBench(int argc, char** argv) {
       },
       kEngineRounds, /*reps=*/2);
   std::printf("\n");
-  PrintReading("engine_loop_provenance", "-", prov);
+  PrintReading("engine_loop_provenance", prov);
   ReportReading(&report, "provenance", prov);
 
   // And once more for the decision ledger, whose gates fire on every
@@ -321,7 +311,7 @@ int RunBench(int argc, char** argv) {
         }
       },
       kEngineRounds, /*reps=*/2);
-  PrintReading("engine_loop_decisions", "-", dec);
+  PrintReading("engine_loop_decisions", dec);
   ReportReading(&report, "decisions", dec);
 
   std::printf("\n(off2 is recording-disabled after a recorded run; its delta "
@@ -347,9 +337,9 @@ int RunBench(int argc, char** argv) {
                 failure.c_str(), kBudgetPct);
   }
   if (!failures.empty()) return 1;
-  std::printf("CHECK OK: every tracer overhead (DOP <= %d), both ledger "
-              "overheads and their disabled-path deltas within %.0f%%\n",
-              cores, kBudgetPct);
+  std::printf("CHECK OK: every tracer overhead, both ledger overheads and "
+              "their disabled-path deltas within %.0f%%\n",
+              kBudgetPct);
   return 0;
 }
 

@@ -17,11 +17,6 @@ struct OperatorStats {
   uint64_t bytes_out = 0;
   double cpu_cost = 0.0;  // abstract cost units; the cluster simulator
                           // converts these to container-seconds
-  // Morsel-parallel execution telemetry: number of morsels this operator
-  // ran and the summed wall-clock seconds its morsel tasks were busy. Zero
-  // for operators that executed serially.
-  uint64_t morsels = 0;
-  double busy_seconds = 0.0;
 };
 
 // Whole-job execution statistics.
@@ -42,13 +37,8 @@ struct ExecutionStats {
   double spool_cpu_cost = 0.0;
   // Number of operators executed.
   int num_operators = 0;
-  // Degree of parallelism the executor ran with (1 = serial).
-  int dop = 1;
-  // Morsels executed across all parallel operators, their summed busy wall
-  // time, and the measured wall time of the whole Execute call. Observation
-  // only: no decision and no simulated figure reads them.
-  uint64_t morsels = 0;
-  double morsel_busy_seconds = 0.0;
+  // Measured wall time of the whole Execute call. Observation only: no
+  // decision and no simulated figure reads it.
   double wall_seconds = 0.0;
 
   std::unordered_map<const LogicalOp*, OperatorStats> per_node;

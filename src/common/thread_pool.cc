@@ -228,34 +228,4 @@ Status TaskGroup::Wait() {
   }
 }
 
-Status ParallelFor(ThreadPool* pool, int dop, size_t n, size_t grain,
-                   const std::function<Status(size_t morsel, size_t begin,
-                                              size_t end)>& fn) {
-  if (n == 0) return Status::OK();
-  if (grain == 0) grain = 1;
-  size_t morsels = (n + grain - 1) / grain;
-  if (dop <= 1 || pool == nullptr || morsels == 1) {
-    for (size_t m = 0; m < morsels; ++m) {
-      CLOUDVIEWS_RETURN_NOT_OK(
-          fn(m, m * grain, std::min(n, (m + 1) * grain)));
-    }
-    return Status::OK();
-  }
-  std::vector<Status> statuses(morsels);
-  TaskGroup group(pool);
-  for (size_t m = 0; m < morsels; ++m) {
-    group.Spawn([&, m]() -> Status {
-      statuses[m] = fn(m, m * grain, std::min(n, (m + 1) * grain));
-      return statuses[m];
-    });
-  }
-  Status wait_status = group.Wait();
-  // Deterministic error selection: the lowest-indexed failing morsel wins,
-  // matching the row order a serial run would have failed in.
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  return wait_status;
-}
-
 }  // namespace cloudviews

@@ -16,8 +16,11 @@
 
 namespace cloudviews {
 
-// Work-stealing thread pool shared by every morsel-parallel operator in the
-// process. Each worker owns a deque: it pushes and pops its own work LIFO
+// Work-stealing thread pool. The process-wide instance (Shared()) runs the
+// jobs of sharing windows (ReuseEngine::RunSharedWindow) side by side;
+// operators themselves run serially, and tools/layering_lint.py keeps this
+// header out of every module but common, obs (the telemetry hooks) and
+// core. Each worker owns a deque: it pushes and pops its own work LIFO
 // (cache-friendly for nested spawns) and steals FIFO from siblings when it
 // runs dry. Queues are bounded; once the pool is saturated, Submit runs the
 // task inline on the calling thread, which keeps producers from outrunning
@@ -63,10 +66,11 @@ class ThreadPool {
   // deadlock-free.
   bool RunOne();
 
-  // Process-wide pool used by the executor when ExecContext supplies none.
+  // Process-wide pool that sharing windows run their jobs on.
   static ThreadPool& Shared();
 
-  // Default degree of parallelism: hardware_concurrency, at least 1.
+  // Default degree of parallelism: hardware_concurrency, at least 1. A
+  // sharing window runs at most this many loops.
   static int DefaultDop();
 
  private:
@@ -102,8 +106,9 @@ class ThreadPool {
 // Wait-group with Status propagation: Spawn N fallible tasks, Wait for all
 // of them. The first non-OK Status wins; uncaught exceptions are converted
 // to Status::Internal instead of crossing thread boundaries. Wait() helps
-// execute pool tasks while blocked, so a task may itself use a TaskGroup on
-// the same pool without deadlocking.
+// execute pool tasks while blocked — the pool's deadlock guard — so a task
+// may itself use a TaskGroup on the same pool, and a waiter on a saturated
+// pool still makes progress.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
@@ -123,16 +128,6 @@ class TaskGroup {
   size_t pending_ GUARDED_BY(mu_) = 0;
   Status status_ GUARDED_BY(mu_);
 };
-
-// Splits [0, n) into morsels of `grain` rows and runs
-// fn(morsel_index, begin, end) for each, in parallel when `dop` > 1 and a
-// pool is given, inline otherwise. Morsel boundaries depend only on (n,
-// grain), never on dop, so per-morsel results are reproducible across any
-// degree of parallelism. Error reporting is deterministic too: the non-OK
-// Status of the lowest-indexed failing morsel is returned.
-Status ParallelFor(ThreadPool* pool, int dop, size_t n, size_t grain,
-                   const std::function<Status(size_t morsel, size_t begin,
-                                              size_t end)>& fn);
 
 }  // namespace cloudviews
 

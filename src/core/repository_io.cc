@@ -1,5 +1,6 @@
 #include "core/repository_io.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -109,8 +110,10 @@ Status DeserializeRepository(const std::string& snapshot,
       SubexpressionGroup group;
       std::string strict_hex, recurring_hex, vcs, datasets;
       int eligible = 1;
+      // Signed, so "-1" reads as -1 rather than wrapping to 2^64 - 1.
+      int64_t subtree_size = 0;
       fields >> strict_hex >> recurring_hex >> group.occurrences >>
-          group.subtree_size >> eligible >> group.cost_samples >>
+          subtree_size >> eligible >> group.cost_samples >>
           group.total_cpu_cost >> group.last_rows >> group.last_bytes >>
           group.first_day >> group.last_day >> vcs >> datasets;
       if (fields.fail() ||
@@ -122,6 +125,18 @@ Status DeserializeRepository(const std::string& snapshot,
       group.eligible = eligible != 0;
       group.virtual_clusters = SplitList(vcs);
       group.input_datasets = SplitList(datasets);
+      // A signature covers at least one operator, and ingest records each
+      // virtual cluster once (a repeat would enter that cluster's
+      // selection pass twice).
+      std::vector<std::string> sorted_vcs = group.virtual_clusters;
+      std::sort(sorted_vcs.begin(), sorted_vcs.end());
+      if (subtree_size < 1 ||
+          std::adjacent_find(sorted_vcs.begin(), sorted_vcs.end()) !=
+              sorted_vcs.end()) {
+        return Status::Corruption("impossible group record at line " +
+                                  std::to_string(line_number));
+      }
+      group.subtree_size = static_cast<size_t>(subtree_size);
       CLOUDVIEWS_RETURN_NOT_OK(repository->RestoreGroup(std::move(group)));
     } else {
       return Status::Corruption("unknown record kind '" + kind +

@@ -32,12 +32,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 // jobs ran about 1.6 times as fast on four loops.
 constexpr size_t kTasksPerLoop = 8;
 
-// Set while this thread drains a sharing window's task list. At exec_dop > 1
-// a task's morsel wait runs queued pool tasks, which may include a window
-// loop; that loop returns at once, since a job it claimed could subscribe
-// to a producer suspended beneath it on this thread.
-thread_local bool tls_draining_window = false;
-
 }  // namespace
 
 ReuseEngine::ReuseEngine(DatasetCatalog* catalog, ReuseEngineOptions options)
@@ -250,7 +244,6 @@ Status ReuseEngine::ExecutePrepared(PreparedJob* job,
   context.job_seed = static_cast<uint64_t>(request.job_id) * 0x9E3779B9ULL +
                      static_cast<uint64_t>(request.day);
   context.now = request.submit_time;
-  context.dop = options_.exec_dop;
   context.engine = options_.exec_engine;
   context.sharing = directory;
   context.on_spool_complete = [this, job, apply](
@@ -524,7 +517,6 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
     context.job_seed = static_cast<uint64_t>(elected.job_id) * 0x9E3779B9ULL +
                        static_cast<uint64_t>(elected.day);
     context.now = elected.submit_time;
-    context.dop = options_.exec_dop;
     context.engine = ExecEngine::kColumnar;
     Status status =
         sharing::RunProducer(context, stream_plan.producer_plan,
@@ -538,11 +530,12 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
 
   // One task list: the producers, then the jobs in submit order. At most
   // DefaultDop() loops drain it (one per kTasksPerLoop tasks), the calling
-  // thread running one, and each claims the next index from one counter. So a job is claimed only after
-  // every producer has started, and a producer never waits: it reads only
-  // views sealed before the window, and Publish never blocks. No subscriber
-  // can wait on a producer that has not started, even when the calling
-  // thread is the only loop that runs.
+  // thread running one, and each claims the next index from one counter.
+  // So a job is claimed only after every producer has started, and a
+  // producer never waits: it reads only views sealed before the window, and
+  // Publish never blocks. No subscriber can wait on a producer that has not
+  // started, even when the calling thread is the only loop that runs. A
+  // task never waits on a TaskGroup, so no loop starts beneath another.
   const size_t num_tasks = num_streams + jobs.size();
   std::vector<Status> job_status(jobs.size());
   std::vector<DeferredEffects> effects(jobs.size());
@@ -550,8 +543,6 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
   // tasks wrote, and the stream protocol what producers publish.
   std::atomic<size_t> next_task{0};
   auto drain = [&]() -> Status {
-    if (tls_draining_window) return Status::OK();
-    tls_draining_window = true;
     for (size_t task = next_task.fetch_add(1, std::memory_order_relaxed);
          task < num_tasks;
          task = next_task.fetch_add(1, std::memory_order_relaxed)) {
@@ -562,7 +553,6 @@ Result<std::vector<JobExecution>> ReuseEngine::RunSharedWindow(
         job_status[j] = ExecutePrepared(&jobs[j], &registry, &effects[j]);
       }
     }
-    tls_draining_window = false;
     return Status::OK();
   };
   TaskGroup group(&ThreadPool::Shared());

@@ -47,14 +47,6 @@ struct ReuseEngineOptions {
   // default (pruned and unpruned plans have different signatures; a fleet
   // must flip this together, like a runtime-version change).
   bool prune_columns = false;
-  // Degree of parallelism for job execution on the columnar engine (the
-  // row engine always runs serially). Set to 0 for hardware concurrency or
-  // to an explicit DOP; outputs are identical at any setting (the
-  // executor's morsel pipelines are order-preserving). The engine pins this
-  // to 1 by default: a parallel run sums operator costs morsel by morsel,
-  // so its costs, and the simulated telemetry priced from them alone, can
-  // differ from the serial run's in the last bits.
-  int exec_dop = 1;
   // Physical engine for job execution. Both engines produce byte-identical
   // outputs and view contents; kRow is the reference path kept for
   // differential testing and incident triage.
@@ -156,7 +148,7 @@ class ReuseEngine {
   // The view-store and lock effects of the jobs' executions are applied
   // after the join, in submit order, so views, locks and both ledgers see
   // the same sequence as serial RunJob calls. Per-job outputs are
-  // byte-identical to serial RunJob at every DOP and batch size — including
+  // byte-identical to serial RunJob at every batch size — including
   // under producer aborts, where subscribers detach to private fallback
   // execution. A hard failure returns the first failing job's status in
   // submit order and withdraws the materializations of every job that did

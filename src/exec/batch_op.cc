@@ -1,6 +1,6 @@
 // Columnar batch-at-a-time execution. Every operator here replicates its row
 // counterpart in physical_op.cc — values, types, null-ness, row order, and
-// integer stats counters are identical at any DOP and any batch size;
+// integer stats counters are identical at any batch size;
 // floating-point cost totals agree to accumulation-order rounding. See
 // DESIGN.md ("Columnar execution") for the sanctioned divergences (which
 // error surfaces first when several rows of a batch would each error).
@@ -8,13 +8,11 @@
 #include "exec/batch_op.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
 
 #include "common/hash.h"
-#include "common/thread_pool.h"
 #include "exec/batch_kernels.h"
 #include "exec/shared_scan_op.h"
 #include "fault/fault.h"
@@ -213,14 +211,14 @@ std::vector<ColumnPtr> ColumnsAt(const ColumnBatch& batch,
   return out;
 }
 
-// One Hasher per row of [begin, end), seeded with `seed` and fed `columns`
-// a column at a time: each row takes the bytes per-cell HashCellInto calls
-// in column order would feed it.
+// One Hasher per row of `columns`' first `num_rows` rows, seeded with `seed`
+// and fed a column at a time: each row takes the bytes per-cell
+// HashCellInto calls in column order would feed it.
 std::vector<Hasher> HashRows(const std::vector<ColumnPtr>& columns,
-                             size_t begin, size_t end, uint64_t seed) {
-  std::vector<Hasher> rows(end - begin, Hasher(seed));
+                             size_t num_rows, uint64_t seed) {
+  std::vector<Hasher> rows(num_rows, Hasher(seed));
   for (const ColumnPtr& col : columns) {
-    col->HashCellsInto(begin, end - begin, rows.data());
+    col->HashCellsInto(0, num_rows, rows.data());
   }
   return rows;
 }
@@ -238,7 +236,7 @@ Status UdoSelection(const ColumnBatch& batch, uint64_t seed, bool mix_counter,
                               " not gathered");
     }
   }
-  std::vector<Hasher> rows = HashRows(batch.columns, 0, batch.num_rows, seed);
+  std::vector<Hasher> rows = HashRows(batch.columns, batch.num_rows, seed);
   for (size_t i = 0; i < batch.num_rows; ++i) {
     if (mix_counter) rows[i].Update(counter + i + 1);
     const double u = static_cast<double>(rows[i].Finish().lo >> 11) *
@@ -273,54 +271,6 @@ Status EvalResidual(const Expr& predicate, const std::vector<ColumnPtr>& left,
 }
 
 }  // namespace
-
-Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
-                        const std::function<Status(size_t morsel, size_t begin,
-                                                   size_t end)>& fn,
-                        OperatorStats* stats) {
-  if (n == 0) return Status::OK();
-  if (grain == 0) grain = 1;
-  size_t morsels = (n + grain - 1) / grain;
-  std::vector<double> busy(morsels, 0.0);
-  CLOUDVIEWS_RETURN_NOT_OK(ParallelFor(
-      runtime.pool, runtime.dop, n, grain,
-      [&](size_t m, size_t begin, size_t end) -> Status {
-        // Container preemption: the task is evicted before it runs and the
-        // scheduler re-queues it. Retrying before fn() keeps the morsel
-        // exactly-once on success — outputs stay byte-identical, only
-        // latency and the retry counter move. Bounded so a permanently
-        // failing site still surfaces as an error.
-        constexpr int kMaxPreemptRetries = 3;
-        for (int attempt = 0;; ++attempt) {
-          Status preempt = fault::Inject(fault::sites::kMorselPreempt);
-          if (preempt.ok()) break;
-          if (attempt + 1 >= kMaxPreemptRetries) return preempt;
-          static obs::Counter& retries =
-              obs::MetricsRegistry::Global().counter(
-                  obs::metric_names::kFaultsRetries);
-          retries.Increment();
-        }
-        // The trace span reuses the telemetry's measured interval, so the
-        // tracer's per-morsel durations sum to busy_seconds (to microsecond
-        // rounding) and its span count equals OperatorStats::morsels.
-        const bool traced = obs::Tracer::Enabled();
-        const uint64_t trace_start = traced ? obs::Tracer::NowMicros() : 0;
-        auto start = std::chrono::steady_clock::now();
-        Status status = fn(m, begin, end);
-        busy[m] = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-        if (traced) {
-          obs::Tracer::Global().RecordComplete(
-              "morsel", "morsel", trace_start,
-              static_cast<uint64_t>(busy[m] * 1e6 + 0.5));
-        }
-        return status;
-      }));
-  stats->morsels += morsels;
-  for (double b : busy) stats->busy_seconds += b;
-  return Status::OK();
-}
 
 Status BatchOp::Next(Row* row, bool* done) {
   (void)row;
@@ -416,12 +366,9 @@ Result<TablePtr> BindScanTable(const ExecContext& context,
 BatchScanPipelineOp::BatchScanPipelineOp(const LogicalOp* logical,
                                          std::vector<const LogicalOp*> chain,
                                          TablePtr table, bool is_view_scan,
-                                         ParallelRuntime runtime,
-                                         size_t batch_rows, bool eager_parallel,
-                                         ColumnMask required)
+                                         size_t batch_rows, ColumnMask required)
     : BatchOp(logical), table_(std::move(table)), is_view_scan_(is_view_scan),
-      runtime_(runtime), batch_rows_(batch_rows > 0 ? batch_rows : 1),
-      eager_parallel_(eager_parallel) {
+      batch_rows_(batch_rows > 0 ? batch_rows : 1) {
   stages_.reserve(chain.size());
   for (const LogicalOp* op : chain) {
     Stage stage;
@@ -476,12 +423,11 @@ void BatchScanPipelineOp::CountScan(const std::vector<ColumnPtr>& scanned,
                   byte_weight * static_cast<double>(bytes);
 }
 
-Status BatchScanPipelineOp::RunRange(
-    size_t begin, size_t end, ColumnBatch* out,
-    std::vector<OperatorStats>* stage_stats) const {
+Status BatchScanPipelineOp::RunRange(size_t begin, size_t end,
+                                     ColumnBatch* out) {
   std::vector<ColumnPtr> scanned;
   CLOUDVIEWS_RETURN_NOT_OK(ScannedColumns(&scanned));
-  CountScan(scanned, begin, end, &(*stage_stats)[0]);
+  CountScan(scanned, begin, end, &stages_[0].stats);
 
   ColumnBatch cur;
   cur.columns.assign(scanned.size(), nullptr);
@@ -491,7 +437,7 @@ Status BatchScanPipelineOp::RunRange(
     // then gather the surviving rows of the columns read above it straight
     // from the table.
     const Expr& predicate = *stages_[1].op->predicate;
-    OperatorStats& st = (*stage_stats)[1];
+    OperatorStats& st = stages_[1].stats;
     st.cpu_cost += CostWeights::kFilterRow * static_cast<double>(end - begin);
     std::vector<int> refs;
     predicate.CollectColumns(&refs);
@@ -529,9 +475,9 @@ Status BatchScanPipelineOp::RunRange(
 
   for (size_t s = first; s < stages_.size(); ++s) {
     if (cur.num_rows == 0) break;
-    const Stage& stage = stages_[s];
+    Stage& stage = stages_[s];
     const LogicalOp* op = stage.op;
-    OperatorStats& st = (*stage_stats)[s];
+    OperatorStats& st = stage.stats;
     std::vector<uint32_t> sel;
     switch (op->kind) {
       case LogicalOpKind::kFilter:
@@ -565,7 +511,7 @@ Status BatchScanPipelineOp::RunRange(
         cur = GatherRows(cur, sel, stage.keep);
         break;
       default:
-        return Status::Internal("unsupported morsel pipeline stage");
+        return Status::Internal("unsupported scan pipeline stage");
     }
     st.rows_out += cur.num_rows;
     st.bytes_out += BatchByteSize(cur);
@@ -574,32 +520,8 @@ Status BatchScanPipelineOp::RunRange(
   return Status::OK();
 }
 
-void BatchScanPipelineOp::FoldStageStats(
-    const std::vector<OperatorStats>& stage_stats) {
-  for (size_t s = 0; s < stages_.size(); ++s) {
-    OperatorStats& dst = stages_[s].stats;
-    const OperatorStats& src = stage_stats[s];
-    dst.rows_out += src.rows_out;
-    dst.bytes_out += src.bytes_out;
-    dst.cpu_cost += src.cpu_cost;
-  }
-}
-
 Status BatchScanPipelineOp::Open() {
   pos_ = 0;
-  out_index_ = 0;
-  outputs_.clear();
-  if (!eager_parallel_) {
-    if (table_ == nullptr) {
-      const LogicalOp* scan = stages_[0].op;
-      return Status::NotFound("scan target not available: " +
-                              (scan->kind == LogicalOpKind::kScan
-                                   ? scan->dataset_name
-                                   : scan->view_path));
-    }
-    return Status::OK();
-  }
-  obs::Span span("pipeline", "operator");
   if (table_ == nullptr) {
     const LogicalOp* scan = stages_[0].op;
     return Status::NotFound("scan target not available: " +
@@ -607,53 +529,17 @@ Status BatchScanPipelineOp::Open() {
                                  ? scan->dataset_name
                                  : scan->view_path));
   }
-  const size_t n = table_->num_rows();
-  size_t grain = runtime_.morsel_rows > 0 ? runtime_.morsel_rows : 1;
-  size_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
-  outputs_.assign(morsels, {});
-  std::vector<std::vector<OperatorStats>> morsel_stats(
-      morsels, std::vector<OperatorStats>(stages_.size()));
-  OperatorStats telemetry;
-  CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-      runtime_, n, grain,
-      [&](size_t m, size_t begin, size_t end) -> Status {
-        return RunRange(begin, end, &outputs_[m], &morsel_stats[m]);
-      },
-      &telemetry));
-  // Fold per-morsel stats into each stage in morsel order; integer counters
-  // match the serial operators exactly.
-  for (size_t m = 0; m < morsels; ++m) FoldStageStats(morsel_stats[m]);
-  // Morsel telemetry is attributed once (to the chain's top node) so job
-  // totals don't multiply-count a morsel per fused stage.
-  stages_.back().stats.morsels += telemetry.morsels;
-  stages_.back().stats.busy_seconds += telemetry.busy_seconds;
-  stats_ = stages_.back().stats;
   return Status::OK();
 }
 
 Status BatchScanPipelineOp::NextBatch(ColumnBatch* batch, bool* done) {
-  if (eager_parallel_) {
-    while (out_index_ < outputs_.size()) {
-      ColumnBatch& buf = outputs_[out_index_];
-      out_index_ += 1;
-      if (buf.num_rows == 0) continue;
-      *batch = std::move(buf);
-      buf.Clear();
-      *done = false;
-      return Status::OK();
-    }
-    *done = true;
-    return Status::OK();
-  }
   const size_t n = table_->num_rows();
   while (pos_ < n) {
     const size_t begin = pos_;
     const size_t end = std::min(begin + batch_rows_, n);
     pos_ = end;
     ColumnBatch out;
-    std::vector<OperatorStats> stage_stats(stages_.size());
-    CLOUDVIEWS_RETURN_NOT_OK(RunRange(begin, end, &out, &stage_stats));
-    FoldStageStats(stage_stats);
+    CLOUDVIEWS_RETURN_NOT_OK(RunRange(begin, end, &out));
     stats_ = stages_.back().stats;
     if (out.num_rows == 0) continue;
     *batch = std::move(out);
@@ -665,12 +551,9 @@ Status BatchScanPipelineOp::NextBatch(ColumnBatch* batch, bool* done) {
 }
 
 Status BatchScanPipelineOp::DrainToChunk(BatchChunk* chunk) {
-  // Fused stages and eager morsel outputs drain batch by batch; only a bare
-  // serial scan hands out the table itself, every column of it (sharing
-  // costs nothing).
-  if (stages_.size() > 1 || eager_parallel_) {
-    return BatchOp::DrainToChunk(chunk);
-  }
+  // Fused stages drain batch by batch; only a bare scan hands out the table
+  // itself, every column of it (sharing costs nothing).
+  if (stages_.size() > 1) return BatchOp::DrainToChunk(chunk);
   chunk->Clear();
   const size_t n = table_->num_rows();
   if (pos_ >= n) return Status::OK();
@@ -691,11 +574,7 @@ Status BatchScanPipelineOp::DrainToChunk(BatchChunk* chunk) {
   return Status::OK();
 }
 
-void BatchScanPipelineOp::Close() {
-  outputs_.clear();
-  pos_ = 0;
-  out_index_ = 0;
-}
+void BatchScanPipelineOp::Close() { pos_ = 0; }
 
 void BatchScanPipelineOp::ExportStats(
     const std::function<void(const LogicalOp*, const OperatorStats&)>& fn)
@@ -948,37 +827,20 @@ Status BatchAggregateOp::Open() {
                                            InputOf(input), &arg_cols[s]));
   }
 
-  // Group hashes (unseeded Hasher over the key cells, .lo — exactly the row
-  // engine's group hash), computed in morsels at DOP > 1.
-  std::vector<uint64_t> hashes(n);
-  auto hash_range = [&](size_t begin, size_t end) {
-    std::vector<Hasher> rows = HashRows(key_cols, begin, end, 0);
-    for (size_t i = begin; i < end; ++i) {
-      hashes[i] = rows[i - begin].Finish().lo;
-    }
-  };
-  if (runtime_.Enabled()) {
-    CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-        runtime_, n, runtime_.morsel_rows,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          hash_range(begin, end);
-          return Status::OK();
-        },
-        &stats_));
-  } else {
-    hash_range(0, n);
-  }
+  // Group hashes: an unseeded Hasher over the key cells, .lo — exactly the
+  // row engine's group hash.
+  const std::vector<Hasher> key_rows = HashRows(key_cols, n, 0);
 
-  // Accumulate every row into its group in global input order (a group's
-  // rows all share a hash, so per-group accumulation order — floating-point
-  // sums, DISTINCT discovery, MIN/MAX ties, representative key — matches
-  // serial row execution bit for bit, at any DOP).
+  // Accumulate every row into its group in input order, so per-group
+  // accumulation order — floating-point sums, DISTINCT discovery, MIN/MAX
+  // ties, representative key — matches the row engine bit for bit.
   PooledHashTable table;
   table.Reserve(n / 4 + 16);
   std::vector<Group> groups;
   for (size_t i = 0; i < n; ++i) {
+    const uint64_t hash = key_rows[i].Finish().lo;
     uint32_t g = kPadIndex;
-    for (uint32_t e = table.First(hashes[i]); e != PooledHashTable::kNil;
+    for (uint32_t e = table.First(hash); e != PooledHashTable::kNil;
          e = table.NextMatch(e)) {
       const uint32_t cand = table.payload(e);
       bool equal = true;
@@ -1002,7 +864,7 @@ Status BatchAggregateOp::Open() {
       group.first_row = static_cast<uint32_t>(i);
       group.states.resize(num_aggs);
       groups.push_back(std::move(group));
-      table.Insert(hashes[i], g);
+      table.Insert(hash, g);
     }
     Group& group = groups[g];
     for (size_t s = 0; s < num_aggs; ++s) {
@@ -1257,81 +1119,42 @@ BatchHashJoinOp::BatchHashJoinOp(const LogicalOp* logical, BatchOpPtr left,
 }
 
 Status BatchHashJoinOp::BuildRight() {
-  partitions_.clear();
   BatchChunk rows;
   CLOUDVIEWS_RETURN_NOT_OK(right_->DrainToChunk(&rows));
   const size_t n = rows.num_rows;
   AddCost(CostWeights::kHashBuildRow * static_cast<double>(n));
-  // HashRowKey parity: unseeded Hasher over the key cells, hi ^ lo.
-  std::vector<uint64_t> hashes(n);
-  const std::vector<ColumnPtr> keys =
-      n > 0 ? ColumnsAt(rows, right_keys_) : std::vector<ColumnPtr>();
-  auto hash_range = [&](size_t begin, size_t end) {
-    std::vector<Hasher> key_rows = HashRows(keys, begin, end, 0);
-    for (size_t i = begin; i < end; ++i) {
-      const Hash128 out = key_rows[i - begin].Finish();
-      hashes[i] = out.hi ^ out.lo;
-    }
-  };
-  if (runtime_.Enabled()) {
-    // Partitioned parallel build: hash every build row in morsels, assign
-    // rows to partitions by hash (serially — this fixes the relative order
-    // of equal keys to the global input order), then populate the pooled
-    // partition tables concurrently. Head-inserted chains iterated newest-
-    // first reproduce unordered_multimap::equal_range exactly.
-    CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-        runtime_, n, runtime_.morsel_rows,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          hash_range(begin, end);
-          return Status::OK();
-        },
-        &stats_));
-    const size_t num_partitions = static_cast<size_t>(runtime_.dop);
-    std::vector<std::vector<uint32_t>> index(num_partitions);
-    for (size_t i = 0; i < n; ++i) {
-      index[hashes[i] % num_partitions].push_back(static_cast<uint32_t>(i));
-    }
-    partitions_.assign(num_partitions, PooledHashTable());
-    CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-        runtime_, num_partitions, /*grain=*/1,
-        [&](size_t p, size_t, size_t) -> Status {
-          partitions_[p].Reserve(index[p].size());
-          for (uint32_t i : index[p]) partitions_[p].Insert(hashes[i], i);
-          return Status::OK();
-        },
-        &stats_));
-  } else {
-    hash_range(0, n);
-    partitions_.assign(1, PooledHashTable());
-    partitions_[0].Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      partitions_[0].Insert(hashes[i], static_cast<uint32_t>(i));
-    }
+  // HashRowKey parity: unseeded Hasher over the key cells, hi ^ lo. Rows are
+  // inserted in input order, and head-inserted chains iterated newest-first
+  // reproduce unordered_multimap::equal_range exactly.
+  const std::vector<Hasher> key_rows = HashRows(
+      n > 0 ? ColumnsAt(rows, right_keys_) : std::vector<ColumnPtr>(), n, 0);
+  table_ = PooledHashTable();
+  table_.Reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Hash128 out = key_rows[i].Finish();
+    table_.Insert(out.hi ^ out.lo, static_cast<uint32_t>(i));
   }
   build_ = std::move(rows);
   return Status::OK();
 }
 
-Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
-                                   size_t end, ColumnBatch* out,
-                                   OperatorStats* local) const {
-  if (begin == end) return Status::OK();
-  local->cpu_cost +=
-      CostWeights::kHashProbeRow * static_cast<double>(end - begin);
+Status BatchHashJoinOp::Probe(const ColumnBatch& probe, ColumnBatch* out) {
+  const size_t n = probe.num_rows;
+  if (n == 0) return Status::OK();
+  AddCost(CostWeights::kHashProbeRow * static_cast<double>(n));
   // Pass 1: collect match candidates per probe row, in build-chain order
   // (newest-first among equal hashes = the row engine's emission order).
   std::vector<uint32_t> cand_left;
   std::vector<uint32_t> cand_right;
-  std::vector<uint32_t> cand_count(end - begin, 0);
+  std::vector<uint32_t> cand_count(n, 0);
   const std::vector<Hasher> key_rows =
-      HashRows(ColumnsAt(probe, left_keys_), begin, end, 0);
-  for (size_t i = begin; i < end; ++i) {
-    const Hash128 f = key_rows[i - begin].Finish();
+      HashRows(ColumnsAt(probe, left_keys_), n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const Hash128 f = key_rows[i].Finish();
     const uint64_t hash = f.hi ^ f.lo;
-    const PooledHashTable& partition = partitions_[hash % partitions_.size()];
-    for (uint32_t e = partition.First(hash); e != PooledHashTable::kNil;
-         e = partition.NextMatch(e)) {
-      const uint32_t b = partition.payload(e);
+    for (uint32_t e = table_.First(hash); e != PooledHashTable::kNil;
+         e = table_.NextMatch(e)) {
+      const uint32_t b = table_.payload(e);
       // Verify key equality (hash collisions); SQL null never matches null.
       bool keys_equal = true;
       for (size_t k = 0; k < left_keys_.size(); ++k) {
@@ -1347,7 +1170,7 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
       if (!keys_equal) continue;
       cand_left.push_back(static_cast<uint32_t>(i));
       cand_right.push_back(b);
-      cand_count[i - begin] += 1;
+      cand_count[i] += 1;
     }
   }
   // Pass 2: residual predicate over all candidates at once.
@@ -1362,9 +1185,9 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
   std::vector<uint32_t> out_left;
   std::vector<uint32_t> out_right;
   size_t c = 0;
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     bool matched = false;
-    for (uint32_t k = 0; k < cand_count[i - begin]; ++k, ++c) {
+    for (uint32_t k = 0; k < cand_count[i]; ++k, ++c) {
       if (!pass[c]) continue;
       matched = true;
       out_left.push_back(static_cast<uint32_t>(i));
@@ -1380,29 +1203,8 @@ Status BatchHashJoinOp::ProbeRange(const BatchChunk& probe, size_t begin,
       probe, logical_->children[0]->output_schema.num_columns(), out_left,
       build_, logical_->children[1]->output_schema.num_columns(), out_right,
       required_);
-  local->rows_out += out->num_rows;
-  local->bytes_out += BatchByteSize(*out);
-  return Status::OK();
-}
-
-Status BatchHashJoinOp::ProbeParallel() {
-  BatchChunk probe;
-  CLOUDVIEWS_RETURN_NOT_OK(left_->DrainToChunk(&probe));
-  const size_t n = probe.num_rows;
-  size_t grain = runtime_.morsel_rows > 0 ? runtime_.morsel_rows : 1;
-  size_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
-  probe_out_.assign(morsels, {});
-  std::vector<OperatorStats> local(morsels);
-  CLOUDVIEWS_RETURN_NOT_OK(TimedParallelFor(
-      runtime_, n, grain,
-      [&](size_t m, size_t begin, size_t end) -> Status {
-        return ProbeRange(probe, begin, end, &probe_out_[m], &local[m]);
-      },
-      &stats_));
-  // Merge per-morsel stats in morsel order (matches serial accumulation).
-  for (const OperatorStats& s : local) MergeStats(s);
-  parallel_probe_ = true;
-  out_index_ = 0;
+  stats_.rows_out += out->num_rows;
+  stats_.bytes_out += BatchByteSize(*out);
   return Status::OK();
 }
 
@@ -1410,32 +1212,11 @@ Status BatchHashJoinOp::Open() {
   obs::Span span("hash-join", "operator");
   CLOUDVIEWS_RETURN_NOT_OK(left_->Open());
   CLOUDVIEWS_RETURN_NOT_OK(right_->Open());
-  {
-    obs::Span build_span("join-build", "operator");
-    CLOUDVIEWS_RETURN_NOT_OK(BuildRight());
-  }
-  if (runtime_.Enabled() && probe_ok_) {
-    obs::Span probe_span("join-probe", "operator");
-    return ProbeParallel();
-  }
-  return Status::OK();
+  obs::Span build_span("join-build", "operator");
+  return BuildRight();
 }
 
 Status BatchHashJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
-  if (parallel_probe_) {
-    // Emit buffered matches in morsel order = global probe order.
-    while (out_index_ < probe_out_.size()) {
-      ColumnBatch& buf = probe_out_[out_index_];
-      out_index_ += 1;
-      if (buf.num_rows == 0) continue;
-      *batch = std::move(buf);
-      buf.Clear();
-      *done = false;
-      return Status::OK();
-    }
-    *done = true;
-    return Status::OK();
-  }
   while (true) {
     ColumnBatch input;
     bool child_done = false;
@@ -1445,10 +1226,7 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
       return Status::OK();
     }
     ColumnBatch out;
-    OperatorStats local;
-    CLOUDVIEWS_RETURN_NOT_OK(
-        ProbeRange(input, 0, input.num_rows, &out, &local));
-    MergeStats(local);
+    CLOUDVIEWS_RETURN_NOT_OK(Probe(input, &out));
     if (out.num_rows == 0) continue;
     *batch = std::move(out);
     *done = false;
@@ -1459,9 +1237,8 @@ Status BatchHashJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
 void BatchHashJoinOp::Close() {
   left_->Close();
   right_->Close();
-  partitions_.clear();
+  table_ = PooledHashTable();
   build_.Clear();
-  probe_out_.clear();
 }
 
 // --- BatchMergeJoinOp --------------------------------------------------------
@@ -1785,32 +1562,25 @@ bool BatchFusable(const LogicalOp& node) {
 }
 
 // The columnar counterpart of PhysicalBuilder (identical error messages).
-// Scan-rooted fusable chains always become a BatchScanPipelineOp — streaming
-// at dop=1 or under a Limit, eager morsel-parallel otherwise. Each node is
-// built for the ColumnMask its parent reads (ChildReads); spools read, and
-// the root emits, full width.
+// Scan-rooted fusable chains always become a BatchScanPipelineOp. Each node
+// is built for the ColumnMask its parent reads (ChildReads); spools read,
+// and the root emits, full width.
 class BatchBuilder {
  public:
-  BatchBuilder(const ExecContext* context, ParallelRuntime runtime,
-               size_t batch_rows, std::vector<PhysicalOp*>* registry)
-      : context_(context), runtime_(runtime),
-        batch_rows_(batch_rows > 0 ? batch_rows : 1), registry_(registry) {}
+  BatchBuilder(const ExecContext* context, size_t batch_rows,
+               std::vector<PhysicalOp*>* registry)
+      : context_(context), batch_rows_(batch_rows > 0 ? batch_rows : 1),
+        registry_(registry) {}
 
-  // `pipeline_ok` is false while an ancestor (a Limit with no intervening
-  // fully-materializing operator) may stop pulling early: materializing
-  // parallel strategies would then do — and count — work a serial run never
-  // performs, so those subtrees stay streaming. `required` is the node's
-  // output ordinals its parent reads.
-  Result<BatchOpPtr> Build(const LogicalOpPtr& node, bool pipeline_ok,
-                           ColumnMask required) {
-    auto op = BuildNode(node, pipeline_ok, std::move(required));
+  // `required` is the node's output ordinals its parent reads.
+  Result<BatchOpPtr> Build(const LogicalOpPtr& node, ColumnMask required) {
+    auto op = BuildNode(node, std::move(required));
     if (op.ok()) registry_->push_back(op.value().get());
     return op;
   }
 
  private:
   Result<BatchOpPtr> TryBuildPipeline(const LogicalOpPtr& node,
-                                      bool pipeline_ok,
                                       const ColumnMask& required) {
     const LogicalOp* cur = node.get();
     std::vector<const LogicalOp*> top_down;
@@ -1831,22 +1601,19 @@ class BatchBuilder {
     for (auto it = top_down.rbegin(); it != top_down.rend(); ++it) {
       chain.push_back(*it);
     }
-    const bool eager = runtime_.Enabled() && pipeline_ok;
     return BatchOpPtr(std::make_unique<BatchScanPipelineOp>(
         node.get(), std::move(chain), std::move(table).value(), is_view_scan,
-        runtime_, batch_rows_, eager, required));
+        batch_rows_, required));
   }
 
   // Builds child `i` of `node` for what `node` reads of it.
   Result<BatchOpPtr> BuildChild(const LogicalOp& node, size_t i,
-                                bool pipeline_ok, const ColumnMask& required) {
-    return Build(node.children[i], pipeline_ok,
-                 ChildReads(node, required, i));
+                                const ColumnMask& required) {
+    return Build(node.children[i], ChildReads(node, required, i));
   }
 
-  Result<BatchOpPtr> BuildNode(const LogicalOpPtr& node, bool pipeline_ok,
-                               ColumnMask required) {
-    auto pipeline = TryBuildPipeline(node, pipeline_ok, required);
+  Result<BatchOpPtr> BuildNode(const LogicalOpPtr& node, ColumnMask required) {
+    auto pipeline = TryBuildPipeline(node, required);
     if (!pipeline.ok()) return pipeline.status();
     if (*pipeline != nullptr) return pipeline;
     switch (node->kind) {
@@ -1855,39 +1622,31 @@ class BatchBuilder {
         // TryBuildPipeline handles every scan (a bare scan is a 1-chain).
         return Status::Internal("scan not fused into a batch pipeline");
       case LogicalOpKind::kFilter: {
-        auto child = BuildChild(*node, 0, pipeline_ok, required);
+        auto child = BuildChild(*node, 0, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchFilterOp>(
             node.get(), std::move(child).value(), std::move(required)));
       }
       case LogicalOpKind::kProject: {
-        auto child = BuildChild(*node, 0, pipeline_ok, required);
+        auto child = BuildChild(*node, 0, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchProjectOp>(
             node.get(), std::move(child).value()));
       }
       case LogicalOpKind::kJoin: {
-        // The build (right) side is fully drained no matter what sits above
-        // the join, so it may always pipeline; the probe (left) side streams
-        // and inherits the ancestor constraint.
-        auto left = BuildChild(*node, 0, pipeline_ok, required);
+        auto left = BuildChild(*node, 0, required);
         if (!left.ok()) return left.status();
-        auto right = BuildChild(*node, 1, /*pipeline_ok=*/true, required);
+        auto right = BuildChild(*node, 1, required);
         if (!right.ok()) return right.status();
         switch (node->join_algorithm) {
-          case JoinAlgorithm::kHash: {
+          case JoinAlgorithm::kHash:
             if (node->equi_keys.empty()) {
               return Status::InvalidArgument(
                   "hash join requires at least one equi key");
             }
-            auto join = std::make_unique<BatchHashJoinOp>(
+            return BatchOpPtr(std::make_unique<BatchHashJoinOp>(
                 node.get(), std::move(left).value(), std::move(right).value(),
-                std::move(required));
-            if (runtime_.Enabled()) {
-              join->set_parallel(runtime_, /*probe_ok=*/pipeline_ok);
-            }
-            return BatchOpPtr(std::move(join));
-          }
+                std::move(required)));
           case JoinAlgorithm::kMerge:
             if (node->equi_keys.empty()) {
               return Status::InvalidArgument(
@@ -1904,23 +1663,20 @@ class BatchBuilder {
         return Status::Internal("unknown join algorithm");
       }
       case LogicalOpKind::kAggregate: {
-        // Aggregation drains its child completely regardless of ancestors.
-        auto child = BuildChild(*node, 0, /*pipeline_ok=*/true, required);
+        auto child = BuildChild(*node, 0, required);
         if (!child.ok()) return child.status();
-        auto agg = std::make_unique<BatchAggregateOp>(
-            node.get(), std::move(child).value(), batch_rows_);
-        if (runtime_.Enabled()) agg->set_parallel(runtime_);
-        return BatchOpPtr(std::move(agg));
+        return BatchOpPtr(std::make_unique<BatchAggregateOp>(
+            node.get(), std::move(child).value(), batch_rows_));
       }
       case LogicalOpKind::kSort: {
-        auto child = BuildChild(*node, 0, /*pipeline_ok=*/true, required);
+        auto child = BuildChild(*node, 0, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchSortOp>(
             node.get(), std::move(child).value(), batch_rows_,
             std::move(required)));
       }
       case LogicalOpKind::kLimit: {
-        auto child = BuildChild(*node, 0, /*pipeline_ok=*/false, required);
+        auto child = BuildChild(*node, 0, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchLimitOp>(
             node.get(), std::move(child).value()));
@@ -1928,7 +1684,7 @@ class BatchBuilder {
       case LogicalOpKind::kUnionAll: {
         std::vector<BatchOpPtr> children;
         for (size_t i = 0; i < node->children.size(); ++i) {
-          auto built = BuildChild(*node, i, pipeline_ok, required);
+          auto built = BuildChild(*node, i, required);
           if (!built.ok()) return built.status();
           children.push_back(std::move(built).value());
         }
@@ -1936,14 +1692,14 @@ class BatchBuilder {
             node.get(), std::move(children)));
       }
       case LogicalOpKind::kUdo: {
-        auto child = BuildChild(*node, 0, pipeline_ok, required);
+        auto child = BuildChild(*node, 0, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchUdoOp>(
             node.get(), std::move(child).value(), context_->job_seed,
             std::move(required)));
       }
       case LogicalOpKind::kSpool: {
-        auto child = BuildChild(*node, 0, pipeline_ok, required);
+        auto child = BuildChild(*node, 0, required);
         if (!child.ok()) return child.status();
         return BatchOpPtr(std::make_unique<BatchSpoolOp>(
             node.get(), std::move(child).value(), context_->on_spool_complete,
@@ -1957,7 +1713,6 @@ class BatchBuilder {
   }
 
   const ExecContext* context_;
-  ParallelRuntime runtime_;
   size_t batch_rows_;
   std::vector<PhysicalOp*>* registry_;
 };
@@ -1965,11 +1720,10 @@ class BatchBuilder {
 }  // namespace
 
 Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
-                                  const ParallelRuntime& runtime,
                                   size_t batch_rows, const LogicalOpPtr& plan,
                                   std::vector<PhysicalOp*>* registry) {
-  BatchBuilder builder(&context, runtime, batch_rows, registry);
-  return builder.Build(plan, /*pipeline_ok=*/true,
+  BatchBuilder builder(&context, batch_rows, registry);
+  return builder.Build(plan,
                        ColumnMask(plan->output_schema.num_columns(), true));
 }
 

@@ -17,34 +17,13 @@
 
 namespace cloudviews {
 
-class ThreadPool;
-
 // Vectorized (columnar batch-at-a-time) physical operators. The batch engine
-// is the default execution path and the only parallel one; the serial row
-// operators in physical_op.h remain as the byte-identity reference
-// (ExecEngine::kRow). Every operator here replicates its row counterpart's
-// output — values, types, null-ness, row order — exactly, at any DOP and any
-// batch size, and keeps the same OperatorStats accounting (integer counters
+// is the default execution path; the row operators in physical_op.h remain
+// as the byte-identity reference (ExecEngine::kRow). Both run serially on
+// the calling thread. Every operator here replicates its row counterpart's
+// output — values, types, null-ness, row order — exactly, at any batch
+// size, and keeps the same OperatorStats accounting (integer counters
 // exactly; floating-point cost to accumulation-order rounding).
-
-// Morsel-parallel execution parameters, resolved by the Executor from the
-// ExecContext and handed to the batch operators. dop <= 1 (or a null pool)
-// means serial execution.
-struct ParallelRuntime {
-  ThreadPool* pool = nullptr;
-  int dop = 1;
-  size_t morsel_rows = 4096;
-
-  bool Enabled() const { return pool != nullptr && dop > 1; }
-};
-
-// ParallelFor over [0, n) in `grain`-row morsels on runtime's pool, also
-// recording the morsel count and summed per-morsel busy wall time into
-// *stats (the telemetry the cluster simulator consumes).
-Status TimedParallelFor(const ParallelRuntime& runtime, size_t n, size_t grain,
-                        const std::function<Status(size_t morsel, size_t begin,
-                                                   size_t end)>& fn,
-                        OperatorStats* stats);
 
 // A fully drained child output in columnar form (all batches concatenated).
 using BatchChunk = ColumnBatch;
@@ -87,30 +66,22 @@ Result<TablePtr> BindScanTable(const ExecContext& context,
 // Builds the batch operator tree for `plan`, registering every operator in
 // `registry` for stats harvesting and verifier bracketing — the columnar
 // counterpart of the row engine's PhysicalBuilder, adding scan-pipeline
-// fusion, morsel parallelism and required-column pruning. The root's
-// batches are full width.
+// fusion and required-column pruning. The root's batches are full width.
 Result<BatchOpPtr> BuildBatchPlan(const ExecContext& context,
-                                  const ParallelRuntime& runtime,
                                   size_t batch_rows, const LogicalOpPtr& plan,
                                   std::vector<PhysicalOp*>* registry);
 
 // --- Leaf / fused pipeline --------------------------------------------------
 
 // Columnar scan pipeline: a Scan/ViewScan plus the maximal fused chain of
-// {Filter, Project, deterministic Udo} stages above it. Runs in one of two
-// modes:
-//  - streaming (serial): each NextBatch() processes the next batch_rows-row
-//    slice of the table through every stage — used at dop=1 and under a
-//    Limit, where eager materialization would do work a serial row engine
-//    never performs;
-//  - eager (parallel): Open() splits the table into morsel_rows-row morsels
-//    processed concurrently via TimedParallelFor, and NextBatch() hands out
-//    the per-morsel outputs in morsel order (DOP-invariant).
-// Per-stage stats replicate the discrete row operators; morsel telemetry is
-// attributed once, to the chain's top stage. The table's columns are never
-// copied unread: a whole-table range shares them, other ranges slice only
-// the columns a stage above reads, and a first Filter reads only its
-// predicate's columns before gathering the surviving rows.
+// {Filter, Project, deterministic Udo} stages above it. Each NextBatch()
+// runs the next batch_rows-row slice of the table through every stage, so
+// a Limit above stops the scan as early as the row engine would, to within
+// one batch. Per-stage stats replicate the discrete row operators. The
+// table's columns are never copied unread: a whole-table range shares them,
+// other ranges slice only the columns a stage above reads, and a first
+// Filter reads only its predicate's columns before gathering the surviving
+// rows.
 class BatchScanPipelineOp : public BatchOp {
  public:
   // `chain` lists the fused logical nodes from the scan upward (the last
@@ -118,8 +89,7 @@ class BatchScanPipelineOp : public BatchOp {
   // `required` is the top's consumer's ColumnMask.
   BatchScanPipelineOp(const LogicalOp* logical,
                       std::vector<const LogicalOp*> chain, TablePtr table,
-                      bool is_view_scan, ParallelRuntime runtime,
-                      size_t batch_rows, bool eager_parallel,
+                      bool is_view_scan, size_t batch_rows,
                       ColumnMask required);
 
   Status Open() override;
@@ -144,20 +114,15 @@ class BatchScanPipelineOp : public BatchOp {
   // Charges the scan stage for table rows [begin, end) of `scanned`.
   void CountScan(const std::vector<ColumnPtr>& scanned, size_t begin,
                  size_t end, OperatorStats* st) const;
-  // Runs table rows [begin, end) through every stage into *out.
-  Status RunRange(size_t begin, size_t end, ColumnBatch* out,
-                  std::vector<OperatorStats>* stage_stats) const;
-  void FoldStageStats(const std::vector<OperatorStats>& stage_stats);
+  // Runs table rows [begin, end) through every stage into *out, charging
+  // each stage's stats.
+  Status RunRange(size_t begin, size_t end, ColumnBatch* out);
 
   std::vector<Stage> stages_;  // scan first, chain top last
   TablePtr table_;
   bool is_view_scan_;
-  ParallelRuntime runtime_;
   size_t batch_rows_;
-  bool eager_parallel_;
-  size_t pos_ = 0;                     // streaming cursor
-  std::vector<ColumnBatch> outputs_;   // eager mode, morsel order
-  size_t out_index_ = 0;
+  size_t pos_ = 0;  // next table row
 };
 
 // --- Unary operators --------------------------------------------------------
@@ -205,8 +170,8 @@ class BatchLimitOp : public BatchOp {
 
 // Vectorized UDO filter: same per-row (seed, row content[, arrival counter])
 // keep/drop hash as UdoOp, evaluated batch-at-a-time over full-width input.
-// Rows arrive in global input order (batches stream in morsel order), so
-// the non-deterministic counter sequence matches the row engine exactly.
+// Rows arrive in global input order, so the non-deterministic counter
+// sequence matches the row engine exactly.
 class BatchUdoOp : public BatchOp {
  public:
   BatchUdoOp(const LogicalOp* logical, BatchOpPtr child,
@@ -258,8 +223,6 @@ class BatchAggregateOp : public BatchOp {
   Status NextBatch(ColumnBatch* batch, bool* done) override;
   void Close() override;
 
-  void set_parallel(const ParallelRuntime& runtime) { runtime_ = runtime; }
-
  private:
   struct AggState {
     double sum = 0.0;
@@ -278,7 +241,6 @@ class BatchAggregateOp : public BatchOp {
   };
 
   BatchOpPtr child_;
-  ParallelRuntime runtime_;
   size_t batch_rows_;
   BatchChunk output_;
   size_t pos_ = 0;
@@ -330,8 +292,7 @@ class BatchSpoolOp : public BatchOp, public SpoolOpIface {
 // global input order with head-inserted chains, which reproduces the row
 // engine's unordered_multimap equal_range iteration (newest-first among
 // equal keys) — so match emission order is byte-identical. The probe side
-// streams batch-at-a-time (serial / under a Limit) or is drained and probed
-// in morsels emitted in morsel order (parallel).
+// streams batch-at-a-time.
 class BatchHashJoinOp : public BatchOp {
  public:
   BatchHashJoinOp(const LogicalOp* logical, BatchOpPtr left, BatchOpPtr right,
@@ -341,33 +302,19 @@ class BatchHashJoinOp : public BatchOp {
   Status NextBatch(ColumnBatch* batch, bool* done) override;
   void Close() override;
 
-  void set_parallel(const ParallelRuntime& runtime, bool probe_ok) {
-    runtime_ = runtime;
-    probe_ok_ = probe_ok;
-  }
-
  private:
   Status BuildRight();
-  Status ProbeParallel();
-  // Probes build-side matches for probe rows [begin, end) of `probe`,
-  // appending output rows (and left-outer pads) to *out in probe-row order.
-  Status ProbeRange(const BatchChunk& probe, size_t begin, size_t end,
-                    ColumnBatch* out, OperatorStats* local) const;
+  // Probes build-side matches for every row of `probe`, appending output
+  // rows (and left-outer pads) to *out in probe-row order.
+  Status Probe(const ColumnBatch& probe, ColumnBatch* out);
 
   BatchOpPtr left_;
   BatchOpPtr right_;
   ColumnMask required_;
-  ParallelRuntime runtime_;
-  bool probe_ok_ = false;
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   BatchChunk build_;
-  // Hash-partitioned build tables (hash % partition count selects one): a
-  // single partition when serial, `dop` when parallel.
-  std::vector<PooledHashTable> partitions_;
-  bool parallel_probe_ = false;
-  std::vector<ColumnBatch> probe_out_;  // parallel probe, morsel order
-  size_t out_index_ = 0;
+  PooledHashTable table_;
 };
 
 class BatchMergeJoinOp : public BatchOp {

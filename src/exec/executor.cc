@@ -3,7 +3,6 @@
 #include <chrono>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "exec/batch_op.h"
 #include "exec/physical_verifier.h"
 #include "obs/metric_names.h"
@@ -154,18 +153,6 @@ bool IsExchangeBoundary(LogicalOpKind kind) {
 Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
   obs::Span exec_span("execute", "exec");
   const bool columnar = context_.engine == ExecEngine::kColumnar;
-  ParallelRuntime runtime;
-  // The row engine is the serial reference oracle: it runs at DOP 1
-  // whatever ExecContext::dop asks for.
-  if (columnar) {
-    runtime.dop = context_.dop > 0 ? context_.dop : ThreadPool::DefaultDop();
-  }
-  runtime.morsel_rows = context_.morsel_rows > 0 ? context_.morsel_rows : 1;
-  if (runtime.dop > 1) {
-    runtime.pool =
-        context_.pool != nullptr ? context_.pool : &ThreadPool::Shared();
-  }
-  exec_span.Arg("dop", static_cast<int64_t>(runtime.dop));
 
   if constexpr (verify::RuntimeChecksEnabled()) {
     // Fail before building anything: the executor trusts plan shape (child
@@ -181,8 +168,8 @@ Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
   {
     obs::Span span("build-physical", "exec");
     if (columnar) {
-      auto built = BuildBatchPlan(context_, runtime, context_.batch_rows,
-                                  plan, &registry);
+      auto built =
+          BuildBatchPlan(context_, context_.batch_rows, plan, &registry);
       if (!built.ok()) return built.status();
       batch_root = std::move(built).value();
     } else {
@@ -196,8 +183,8 @@ Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
                               : row_root.get();
 
   if constexpr (verify::RuntimeChecksEnabled()) {
-    CLOUDVIEWS_RETURN_NOT_OK(verify::PhysicalVerifier::VerifyWiring(
-        *plan, registry, runtime.dop, runtime.morsel_rows));
+    CLOUDVIEWS_RETURN_NOT_OK(
+        verify::PhysicalVerifier::VerifyWiring(*plan, registry));
   }
 
   auto wall_start = std::chrono::steady_clock::now();
@@ -246,17 +233,14 @@ Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
   ExecResult result;
   result.output = output;
   ExecutionStats& stats = result.stats;
-  stats.dop = runtime.dop;
   stats.wall_seconds = wall_seconds;
   for (PhysicalOp* op : registry) {
     // A fused operator reports one (node, stats) pair per logical node it
-    // implements, so per-node accounting is DOP-invariant.
+    // implements, so per-node accounting matches the row engine's.
     op->ExportStats([&](const LogicalOp* node, const OperatorStats& op_stats) {
       stats.per_node[node] = op_stats;
       stats.total_cpu_cost += op_stats.cpu_cost;
       stats.num_operators += 1;
-      stats.morsels += op_stats.morsels;
-      stats.morsel_busy_seconds += op_stats.busy_seconds;
       switch (node->kind) {
         case LogicalOpKind::kScan:
           stats.input_rows += op_stats.rows_out;
@@ -298,14 +282,10 @@ Result<ExecResult> Executor::Execute(const LogicalOpPtr& plan) const {
   static obs::Counter& bytes_spooled =
       obs::MetricsRegistry::Global().counter(
           obs::metric_names::kExecBytesSpooled);
-  static obs::Counter& morsels =
-      obs::MetricsRegistry::Global().counter(obs::metric_names::kExecMorsels);
   queries.Increment();
   bytes_read.Add(stats.total_bytes_read);
   bytes_spooled.Add(stats.bytes_spooled);
-  morsels.Add(stats.morsels);
   exec_span.Arg("rows_out", static_cast<uint64_t>(output->num_rows()));
-  exec_span.Arg("morsels", stats.morsels);
   return result;
 }
 

@@ -15,18 +15,15 @@
 
 namespace cloudviews {
 
-class ThreadPool;
-
 namespace sharing {
 class StreamDirectory;
 }  // namespace sharing
 
 // Which physical engine Execute() builds. kColumnar (the default) runs the
-// vectorized, morsel-parallel batch operators in exec/batch_op.h; kRow runs
-// the original row-at-a-time operators serially and is kept as the
-// byte-identity reference — the columnar engine's output table (values,
-// types, null-ness, row order) equals the row engine's for every plan at
-// every dop and batch size.
+// vectorized batch operators in exec/batch_op.h; kRow runs the original
+// row-at-a-time operators and is kept as the byte-identity reference — the
+// columnar engine's output table (values, types, null-ness, row order)
+// equals the row engine's for every plan at every batch size.
 enum class ExecEngine {
   kColumnar,
   kRow,
@@ -34,16 +31,16 @@ enum class ExecEngine {
 
 // Everything an executing job can touch.
 //
-// Threading contract: Execute() may fan work out to `dop` pool threads, so
-// every member below must stay immutable (and the pointed-to catalog
+// Threading contract: Execute() runs on the calling thread. A caller may
+// run several Executors concurrently (a sharing window runs its jobs so),
+// so every member below must stay immutable (and the pointed-to catalog
 // unmodified) for the duration of the call. The view store is read only
 // through ViewStore::ReadTable, which is safe against concurrent reads that
-// quarantine the view. `on_spool_complete` and `on_spool_abort` are only
-// ever invoked from the driver thread that called Execute(). A caller may
-// run several Executors concurrently (a sharing window runs its jobs so);
-// the callbacks then fire concurrently across jobs and must synchronize any
-// state they share or, as ReuseEngine's do inside a window, only record
-// what to apply once every job has joined.
+// quarantine the view. `on_spool_complete` and `on_spool_abort` fire on the
+// thread that called Execute(); across concurrent jobs they fire
+// concurrently and must synchronize any state they share or, as
+// ReuseEngine's do inside a window, only record what to apply once every
+// job has joined.
 struct ExecContext {
   const DatasetCatalog* catalog = nullptr;
   // View store for ViewScan reads. May be null when reuse is disabled.
@@ -60,18 +57,6 @@ struct ExecContext {
   uint64_t job_seed = 0;
   // Simulated "now" used to check view expiry during ViewScan binding.
   double now = 0.0;
-  // Degree of parallelism for the columnar engine's morsel-driven
-  // execution. 0 = auto (one per hardware thread); 1 = serial. Any DOP
-  // produces the same output rows in the same order; only wall-clock time
-  // and floating-point cost *accumulation order* (not totals beyond
-  // rounding) differ. The row engine ignores it and always runs at DOP 1.
-  int dop = 0;
-  // Rows per morsel. Morsel boundaries depend only on input size and this
-  // knob — never on dop — which is what keeps outputs DOP-invariant.
-  size_t morsel_rows = 4096;
-  // Pool to run morsels on. Null = the process-wide ThreadPool::Shared()
-  // (only consulted when the resolved dop > 1).
-  ThreadPool* pool = nullptr;
   // Physical engine selection; see ExecEngine.
   ExecEngine engine = ExecEngine::kColumnar;
   // Rows per column batch in the columnar engine (clamped to >= 1). Output
@@ -88,13 +73,12 @@ struct ExecResult {
   ExecutionStats stats;
 };
 
-// Interprets an (optimized) logical plan. The Open/Next/Close driver loop is
-// single-threaded, but columnar operators parallelize internally: linear
-// scan/filter/project/UDO chains fuse into morsel pipelines, hash joins
-// build partitioned tables and probe in morsels, and aggregations hash
-// their keys in morsels — all on a shared work-stealing pool. The cluster
-// simulator combines the collected stats with the measured morsel telemetry
-// to model cluster-scale parallelism.
+// Interprets an (optimized) logical plan on the calling thread: the
+// Open/Next/Close driver loop pulls the operator tree, and on the columnar
+// engine linear scan/filter/project/UDO chains fuse into one streaming scan
+// pipeline. The cluster simulator prices the collected per-operator cost
+// units; the system's parallelism runs across jobs (sharing windows), not
+// inside one.
 class Executor {
  public:
   explicit Executor(ExecContext context) : context_(std::move(context)) {}

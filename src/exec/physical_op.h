@@ -16,11 +16,9 @@
 namespace cloudviews {
 
 // Pull-based physical operator (Volcano iterator model, row granularity).
-// Protocol: Open() once, then Next() until *done, then Close(). The
-// Open/Next/Close driver runs on a single thread. The row operators in this
-// header are the serial reference engine (ExecEngine::kRow); only the
-// columnar operators (exec/batch_op.h) fan morsels out to a thread pool,
-// and they join every morsel task before Open returns.
+// Protocol: Open() once, then Next() until *done, then Close(), all on one
+// thread. The row operators in this header are the reference engine
+// (ExecEngine::kRow); the columnar operators live in exec/batch_op.h.
 class PhysicalOp {
  public:
   explicit PhysicalOp(const LogicalOp* logical) : logical_(logical) {}
@@ -54,13 +52,6 @@ class PhysicalOp {
     stats_.cpu_cost += cpu_cost;
   }
   void AddCost(double cpu_cost) { stats_.cpu_cost += cpu_cost; }
-  void MergeStats(const OperatorStats& other) {
-    stats_.rows_out += other.rows_out;
-    stats_.bytes_out += other.bytes_out;
-    stats_.cpu_cost += other.cpu_cost;
-    stats_.morsels += other.morsels;
-    stats_.busy_seconds += other.busy_seconds;
-  }
 
   const LogicalOp* logical_;
   OperatorStats stats_;

@@ -33,24 +33,13 @@ std::string Describe(
 
 }  // namespace
 
-Status PhysicalVerifier::VerifyWiring(const LogicalOp& root,
-                                      const std::vector<PhysicalOp*>& registry,
-                                      int dop, size_t morsel_rows) {
-  if (dop < 1) {
-    return Status::Corruption("physical wiring: resolved dop " +
-                              std::to_string(dop) + " < 1");
-  }
-  if (morsel_rows < 1) {
-    return Status::Corruption(
-        "physical wiring: morsel_rows must be >= 1 (morsel boundaries must "
-        "depend only on input size, never on dop)");
-  }
-
+Status PhysicalVerifier::VerifyWiring(
+    const LogicalOp& root, const std::vector<PhysicalOp*>& registry) {
   std::unordered_map<const LogicalOp*, std::string> paths;
   CollectPlanNodes(root, &paths, "");
 
   // Coverage: every physical operator maps onto plan nodes (ExportStats
-  // enumerates the logical nodes it implements — several for a fused morsel
+  // enumerates the logical nodes it implements — several for a fused scan
   // pipeline), and every plan node is implemented by exactly one operator.
   std::unordered_map<const LogicalOp*, int> covered;
   for (const PhysicalOp* op : registry) {

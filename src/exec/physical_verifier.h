@@ -16,11 +16,8 @@ namespace verify {
 //
 //   VerifyWiring   — after PhysicalBuilder, before Open(): every logical
 //                    node is implemented by exactly one registered physical
-//                    operator, every spool node is backed by a real SpoolOp
-//                    (never fused away), and the resolved parallel runtime
-//                    satisfies the DOP-invariance preconditions (dop >= 1,
-//                    morsel_rows >= 1 — morsel boundaries must depend only
-//                    on input size, never on dop).
+//                    operator, and every spool node is backed by a real
+//                    SpoolOp (never fused away).
 //
 //   VerifyPostRun  — after Close(): spool sealing fired exactly once per
 //                    spool (0 = the view silently never seals, >1 is ruled
@@ -41,8 +38,7 @@ namespace verify {
 class PhysicalVerifier {
  public:
   static Status VerifyWiring(const LogicalOp& root,
-                             const std::vector<PhysicalOp*>& registry,
-                             int dop, size_t morsel_rows);
+                             const std::vector<PhysicalOp*>& registry);
 
   static Status VerifyPostRun(const LogicalOp& root,
                               const std::vector<PhysicalOp*>& registry);

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "exec/batch_kernels.h"
 #include "exec/physical_verifier.h"
 #include "fault/fault.h"
@@ -114,22 +113,14 @@ Status SharedScanOp::Detach() {
   context.on_spool_complete = nullptr;
   context.on_spool_abort = nullptr;
 
-  ParallelRuntime runtime;
-  runtime.dop = context.dop > 0 ? context.dop : ThreadPool::DefaultDop();
-  runtime.morsel_rows = context.morsel_rows > 0 ? context.morsel_rows : 1;
-  if (runtime.dop > 1) {
-    runtime.pool =
-        context.pool != nullptr ? context.pool : &ThreadPool::Shared();
-  }
-
   const LogicalOpPtr& plan = logical_->shared_fallback_plan;
   std::vector<PhysicalOp*> registry;
-  auto built = BuildBatchPlan(context, runtime, batch_rows_, plan, &registry);
+  auto built = BuildBatchPlan(context, batch_rows_, plan, &registry);
   if (!built.ok()) return built.status();
   BatchOpPtr root = std::move(built).value();
   if constexpr (verify::RuntimeChecksEnabled()) {
-    CLOUDVIEWS_RETURN_NOT_OK(verify::PhysicalVerifier::VerifyWiring(
-        *plan, registry, runtime.dop, runtime.morsel_rows));
+    CLOUDVIEWS_RETURN_NOT_OK(
+        verify::PhysicalVerifier::VerifyWiring(*plan, registry));
   }
   CLOUDVIEWS_RETURN_NOT_OK(root->Open());
   Status drained = root->DrainToChunk(&fallback_);

@@ -29,10 +29,6 @@ inline constexpr char kSpoolWrite[] = "exec.spool.write";
 // and the creation lock released.
 inline constexpr char kSpoolSeal[] = "exec.spool.seal";
 
-// A morsel task is preempted before it runs (container eviction). The
-// scheduler retries the same morsel with bounded attempts.
-inline constexpr char kMorselPreempt[] = "exec.morsel.preempt";
-
 // Reading a materialized view returns corrupt bytes (bit rot / truncated
 // file). Validation quarantines the view and the reader falls back to the
 // base-scan plan.
@@ -68,9 +64,9 @@ inline constexpr char kSharingSubscriberTimeout[] = "sharing.subscriber_timeout"
 // the constants above and the Inject call sites) and for programmatic
 // sweeps over the whole failure surface.
 inline constexpr const char* kAllSites[] = {
-    sites::kSpoolWrite,   sites::kSpoolSeal, sites::kMorselPreempt,
-    sites::kViewRead,     sites::kNodeFail,  sites::kNodeStraggler,
-    sites::kRepoRead,     sites::kRepoWrite, sites::kSharingProducerAbort,
+    sites::kSpoolWrite,    sites::kSpoolSeal,     sites::kViewRead,
+    sites::kNodeFail,      sites::kNodeStraggler, sites::kRepoRead,
+    sites::kRepoWrite,     sites::kSharingProducerAbort,
     sites::kSharingSubscriberTimeout,
 };
 

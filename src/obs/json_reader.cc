@@ -231,9 +231,13 @@ double JsonValue::GetNumber(std::string_view key, double def) const {
 
 int64_t JsonValue::GetInt(std::string_view key, int64_t def) const {
   const JsonValue* v = Find(key);
-  return v != nullptr && v->kind == Kind::kNumber
-             ? static_cast<int64_t>(v->number_value)
-             : def;
+  if (v == nullptr || v->kind != Kind::kNumber) return def;
+  // Casting a double outside int64_t's range is undefined; a number that
+  // does not fit (infinities and NaN included) is mistyped.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  const double d = v->number_value;
+  if (!(d >= -kTwoTo63 && d < kTwoTo63)) return def;
+  return static_cast<int64_t>(d);
 }
 
 std::string JsonValue::GetString(std::string_view key,

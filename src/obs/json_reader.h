@@ -36,6 +36,8 @@ class JsonValue {
   const JsonValue* Find(std::string_view key) const;
 
   // Typed accessors with defaults (never fail; absent/mistyped -> default).
+  // GetInt truncates toward zero and treats a number outside
+  // [-2^63, 2^63) as mistyped.
   double GetNumber(std::string_view key, double def = 0.0) const;
   int64_t GetInt(std::string_view key, int64_t def = 0) const;
   std::string GetString(std::string_view key,

@@ -28,7 +28,6 @@ inline constexpr char kEngineNodesHashed[] = "engine.nodes_hashed";
 inline constexpr char kExecQueries[] = "exec.queries";
 inline constexpr char kExecBytesRead[] = "exec.bytes_read";
 inline constexpr char kExecBytesSpooled[] = "exec.bytes_spooled";
-inline constexpr char kExecMorsels[] = "exec.morsels";
 inline constexpr char kExecSpoolAborts[] = "exec.spool_aborts";
 
 // --- Fault injection (fault/) ----------------------------------------------

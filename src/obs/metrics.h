@@ -20,10 +20,11 @@ namespace obs {
 //
 // All instruments are always compiled in and always live: a counter
 // increment is one relaxed atomic add on a thread-sharded cache line, cheap
-// enough to leave on at any DOP (TSAN-clean by construction).
+// enough to leave on from any number of threads (TSAN-clean by
+// construction).
 
 // Monotonically increasing counter, sharded across cache-line-padded atomic
-// cells so concurrent writers at high DOP do not contend on one line.
+// cells so many concurrent writers do not contend on one line.
 class Counter {
  public:
   void Add(uint64_t delta = 1) {

@@ -9,9 +9,7 @@ namespace cloudviews {
 namespace obs {
 
 void QueryProfile::FillFromStats(const ExecutionStats& stats) {
-  dop = stats.dop;
   num_operators = stats.num_operators;
-  morsels = stats.morsels;
   input_rows = stats.input_rows;
   view_rows = stats.view_rows;
   total_bytes_read = stats.total_bytes_read;
@@ -51,10 +49,8 @@ std::string QueryProfile::ToText() const {
     out += "]";
   }
   out += '\n';
-  std::snprintf(buf, sizeof(buf),
-                "  exec: dop=%d operators=%d morsels=%llu cpu_cost=%.1f\n",
-                dop, num_operators,
-                static_cast<unsigned long long>(morsels), total_cpu_cost);
+  std::snprintf(buf, sizeof(buf), "  exec: operators=%d cpu_cost=%.1f\n",
+                num_operators, total_cpu_cost);
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -87,9 +83,7 @@ std::string QueryProfile::ToJson() const {
     w.EndObject();
   }
   w.EndArray();
-  w.Field("dop", dop);
   w.Field("num_operators", num_operators);
-  w.Field("morsels", morsels);
   w.Field("input_rows", input_rows);
   w.Field("view_rows", view_rows);
   w.Field("total_bytes_read", total_bytes_read);

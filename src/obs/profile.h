@@ -35,9 +35,7 @@ struct QueryProfile {
   std::vector<QueryPhase> phases;
 
   // Executor roll-up (copied from ExecutionStats).
-  int dop = 1;
   int num_operators = 0;
-  uint64_t morsels = 0;
   uint64_t input_rows = 0;
   uint64_t view_rows = 0;
   uint64_t total_bytes_read = 0;

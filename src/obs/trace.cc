@@ -67,22 +67,6 @@ void Tracer::Record(TraceEvent event) {
   buffer->events.push_back(std::move(event));
 }
 
-void Tracer::RecordComplete(std::string name, const char* category,
-                            uint64_t start_us, uint64_t dur_us,
-                            std::string args) {
-  if (!Enabled()) return;
-  TraceEvent event;
-  event.name = std::move(name);
-  event.category = category;
-  event.start_us = start_us;
-  event.dur_us = dur_us;
-  event.id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  event.parent_id = tls_parent_span;
-  event.depth = tls_span_depth;
-  event.args = std::move(args);
-  Record(std::move(event));
-}
-
 void Tracer::Clear() {
   MutexLock lock(mu_);
   for (const auto& buffer : buffers_) {

@@ -35,7 +35,7 @@ struct TraceEvent {
 // CLOUDVIEWS_OBS_TRACE environment variable (checked once, at first use).
 //
 // Recording never mutates engine state, so query results are identical with
-// tracing on or off at any DOP.
+// tracing on or off.
 class Tracer {
  public:
   static Tracer& Global();
@@ -48,13 +48,6 @@ class Tracer {
 
   // Drops every recorded event (buffers stay registered).
   void Clear() EXCLUDES(mu_);
-
-  // Records a completed span with caller-measured timing — used where the
-  // interval is already being measured (e.g. per-morsel busy time), so the
-  // trace agrees with the telemetry to microsecond rounding.
-  void RecordComplete(std::string name, const char* category,
-                      uint64_t start_us, uint64_t dur_us,
-                      std::string args = {});
 
   // Merged snapshot of every thread's buffer, sorted by (start_us, id).
   std::vector<TraceEvent> Collect() const EXCLUDES(mu_);

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "exec/batch_op.h"
 #include "exec/physical_verifier.h"
 #include "fault/fault.h"
@@ -21,23 +20,14 @@ namespace {
 // terminal transition.
 Status ProduceBatches(const ExecContext& context, const LogicalOpPtr& plan,
                       SharedStream* stream, ProducerStats* stats) {
-  ParallelRuntime runtime;
-  runtime.dop = context.dop > 0 ? context.dop : ThreadPool::DefaultDop();
-  runtime.morsel_rows = context.morsel_rows > 0 ? context.morsel_rows : 1;
-  if (runtime.dop > 1) {
-    runtime.pool =
-        context.pool != nullptr ? context.pool : &ThreadPool::Shared();
-  }
-
   std::vector<PhysicalOp*> registry;
-  auto built =
-      BuildBatchPlan(context, runtime, context.batch_rows, plan, &registry);
+  auto built = BuildBatchPlan(context, context.batch_rows, plan, &registry);
   if (!built.ok()) return built.status();
   BatchOpPtr root = std::move(built).value();
 
   if constexpr (verify::RuntimeChecksEnabled()) {
-    CLOUDVIEWS_RETURN_NOT_OK(verify::PhysicalVerifier::VerifyWiring(
-        *plan, registry, runtime.dop, runtime.morsel_rows));
+    CLOUDVIEWS_RETURN_NOT_OK(
+        verify::PhysicalVerifier::VerifyWiring(*plan, registry));
   }
 
   CLOUDVIEWS_RETURN_NOT_OK(root->Open());

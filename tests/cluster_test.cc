@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -128,79 +126,6 @@ TEST_F(ClusterSimTest, JoinRecordsCollected) {
   EXPECT_LT(records[0].start, records[0].end);
   simulator_->TrimJoinRecordsBefore(1);
   EXPECT_TRUE(simulator_->join_records().empty());
-}
-
-// The simulator prices every stage from cost units alone, so the same jobs
-// simulate alike whether the engine runs them serially or on four morsel
-// threads: only the morsel-wise summation of the DOP-4 costs may round
-// differently. The input keeps the DOP-4 morsels of each job that computes
-// the join busy for 13-18 ms (RelWithDebInfo on a 4-core Xeon VM), so a
-// model that scaled stages by measured efficiency past 5 ms of busy time
-// would move their latency.
-TEST(ClusterSimDopTest, TelemetryIndependentOfExecDop) {
-  DatasetCatalog catalog;
-  catalog.Register("Customer", testing_util::MakeCustomerTable(), "c").ok();
-  catalog.Register("Sales", testing_util::MakeSalesTable(200000), "s").ok();
-  struct Arm {
-    std::vector<JobTelemetry> jobs;
-    uint64_t morsels = 0;
-  };
-  auto simulate = [&](int dop) {
-    ReuseEngineOptions options;
-    options.exec_dop = dop;
-    options.selection.schedule_aware = false;
-    options.selection.per_virtual_cluster = false;
-    options.selection.strategy = SelectionStrategy::kGreedyRatio;
-    ReuseEngine engine(&catalog, options);
-    engine.insights().controls().enabled_vcs.insert("vc0");
-    ClusterSimulator simulator(&engine);
-    Arm arm;
-    // Two runs of the template, selection, a run that builds its views and
-    // one that reads them.
-    for (int64_t id = 1; id <= 4; ++id) {
-      if (id == 3) engine.RunViewSelection();
-      GeneratedJob job;
-      job.job_id = id;
-      job.virtual_cluster = "vc0";
-      job.submit_time = 2000.0 * static_cast<double>(id);
-      auto plan = PlanBuilder(&catalog).BuildFromSql(
-          "SELECT MktSegment, SUM(Price), COUNT(*) FROM Sales JOIN Customer "
-          "ON Sales.CustomerId = Customer.CustomerId WHERE Quantity > 1 "
-          "GROUP BY MktSegment");
-      EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-      if (!plan.ok()) return arm;
-      job.plan = *plan;
-      auto telemetry = simulator.SubmitJob(job);
-      EXPECT_TRUE(telemetry.ok()) << telemetry.status().ToString();
-      if (!telemetry.ok()) return arm;
-      arm.jobs.push_back(*telemetry);
-      arm.morsels += engine.insights().recent_profiles().back().morsels;
-    }
-    return arm;
-  };
-  const Arm serial = simulate(1);
-  const Arm parallel = simulate(4);
-  ASSERT_EQ(serial.jobs.size(), 4u);
-  ASSERT_EQ(parallel.jobs.size(), 4u);
-  EXPECT_GT(parallel.morsels, 4u);
-  EXPECT_GT(serial.jobs[2].views_built, 0);
-  EXPECT_GT(serial.jobs[3].views_matched, 0);
-  const auto expect_close = [](double a, double b, const std::string& what) {
-    EXPECT_NEAR(a, b, 1e-9 * std::max(std::abs(a), std::abs(b))) << what;
-  };
-  for (size_t i = 0; i < serial.jobs.size(); ++i) {
-    const JobTelemetry& s = serial.jobs[i];
-    const JobTelemetry& p = parallel.jobs[i];
-    const std::string job = "job " + std::to_string(s.job_id);
-    expect_close(s.latency_seconds, p.latency_seconds, job + " latency");
-    expect_close(s.processing_seconds, p.processing_seconds,
-                 job + " processing");
-    expect_close(s.bonus_processing_seconds, p.bonus_processing_seconds,
-                 job + " bonus");
-    EXPECT_EQ(s.containers, p.containers) << job;
-    EXPECT_EQ(s.views_built, p.views_built) << job;
-    EXPECT_EQ(s.views_matched, p.views_matched) << job;
-  }
 }
 
 TEST(TelemetryTest, SeriesAggregatesByDay) {

@@ -1,12 +1,12 @@
 // Engine-differential wall: the vectorized columnar engine must be
 // byte-identical to the row-at-a-time reference engine — same values, same
 // value types, same null-ness, same row order — for every operator kind, at
-// every DOP x batch_rows combination, including degenerate batch sizes
-// (1-row batches, batches that do not divide the input) and under injected
-// spool-write faults. Statistics must also agree: integer counters exactly,
-// floating-point cost to accumulation-order rounding. Limit plans are the
-// sanctioned exception: the two engines may pull different amounts of input
-// before the limit trips (batch granularity), so only output is compared.
+// every batch size, including degenerate ones (1-row batches, batches that
+// do not divide the input) and under injected spool-write faults.
+// Statistics must also agree: integer counters exactly, floating-point cost
+// to accumulation-order rounding. Limit plans are the sanctioned exception:
+// the two engines may pull different amounts of input before the limit
+// trips (batch granularity), so only output is compared.
 
 #include <bit>
 #include <cstdint>
@@ -28,24 +28,19 @@
 namespace cloudviews {
 namespace {
 
-const int kDops[] = {1, 4, 8};
 const size_t kBatchSizes[] = {1, 3, 1024, 4096};
 
 class ColumnarExecTest : public ::testing::Test {
  protected:
   void SetUp() override { testing_util::RegisterFigure4Tables(&catalog_); }
 
-  Result<ExecResult> Run(const LogicalOpPtr& plan, ExecEngine engine, int dop,
+  Result<ExecResult> Run(const LogicalOpPtr& plan, ExecEngine engine,
                          size_t batch_rows) {
     ExecContext context;
     context.catalog = &catalog_;
     context.view_store = view_store_;
     context.job_seed = 42;
     context.now = 100.0;
-    context.dop = dop;
-    // Small morsels so the 100/500-row test tables split into many morsels
-    // and the parallel paths actually run.
-    context.morsel_rows = 64;
     context.engine = engine;
     context.batch_rows = batch_rows;
     Executor executor(context);
@@ -97,57 +92,46 @@ class ColumnarExecTest : public ::testing::Test {
     }
   }
 
-  // Runs `plan` on the row engine at dop=1 as the reference, then asserts
-  // the columnar engine matches at every DOP x batch_rows combination, and
-  // that the row engine is a serial oracle: whatever dop it is asked for,
-  // it runs at dop 1 with no morsels. `output_only` is for Limit plans,
-  // where input-side counters legitimately differ between engines by up to
-  // batch_rows - 1 rows of overrun.
+  // Runs `plan` on the row engine as the reference, then asserts the
+  // columnar engine matches at every batch size. `output_only` is for Limit
+  // plans, where input-side counters legitimately differ between engines by
+  // up to batch_rows - 1 rows of overrun.
   void ExpectEngineParity(const LogicalOpPtr& plan, bool output_only = false) {
     ASSERT_NE(plan, nullptr);
-    auto reference = Run(plan, ExecEngine::kRow, /*dop=*/1, /*batch_rows=*/1);
+    auto reference = Run(plan, ExecEngine::kRow, /*batch_rows=*/1);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-    for (int dop : kDops) {
-      const std::string row_label = "row engine dop=" + std::to_string(dop);
-      auto row_run = Run(plan, ExecEngine::kRow, dop, /*batch_rows=*/1);
-      ASSERT_TRUE(row_run.ok()) << row_run.status().ToString();
-      ExpectSameOutput(row_run->output, reference->output, row_label);
-      EXPECT_EQ(row_run->stats.dop, 1) << row_label;
-      EXPECT_EQ(row_run->stats.morsels, 0u) << row_label;
-      for (size_t batch_rows : kBatchSizes) {
-        const std::string label = "columnar dop=" + std::to_string(dop) +
-                                  " batch_rows=" + std::to_string(batch_rows);
-        auto columnar = Run(plan, ExecEngine::kColumnar, dop, batch_rows);
-        ASSERT_TRUE(columnar.ok()) << label << ": "
-                                   << columnar.status().ToString();
-        ExpectSameOutput(columnar->output, reference->output, label);
-        if (output_only) continue;
+    for (size_t batch_rows : kBatchSizes) {
+      const std::string label = "columnar batch_rows=" +
+                                std::to_string(batch_rows);
+      auto columnar = Run(plan, ExecEngine::kColumnar, batch_rows);
+      ASSERT_TRUE(columnar.ok()) << label << ": "
+                                 << columnar.status().ToString();
+      ExpectSameOutput(columnar->output, reference->output, label);
+      if (output_only) continue;
 
-        EXPECT_EQ(columnar->stats.input_rows, reference->stats.input_rows)
+      EXPECT_EQ(columnar->stats.input_rows, reference->stats.input_rows)
+          << label;
+      EXPECT_EQ(columnar->stats.input_bytes, reference->stats.input_bytes)
+          << label;
+      EXPECT_EQ(columnar->stats.num_operators, reference->stats.num_operators)
+          << label;
+      EXPECT_NEAR(columnar->stats.total_cpu_cost,
+                  reference->stats.total_cpu_cost,
+                  1e-6 * (1.0 + reference->stats.total_cpu_cost))
+          << label;
+      // Per-logical-node accounting: integer counters exact, cost near.
+      ASSERT_EQ(columnar->stats.per_node.size(),
+                reference->stats.per_node.size())
+          << label;
+      for (const auto& [node, stats] : reference->stats.per_node) {
+        auto it = columnar->stats.per_node.find(node);
+        ASSERT_NE(it, columnar->stats.per_node.end()) << label;
+        EXPECT_EQ(it->second.rows_out, stats.rows_out) << label;
+        EXPECT_EQ(it->second.bytes_out, stats.bytes_out) << label;
+        EXPECT_NEAR(it->second.cpu_cost, stats.cpu_cost,
+                    1e-6 * (1.0 + stats.cpu_cost))
             << label;
-        EXPECT_EQ(columnar->stats.input_bytes, reference->stats.input_bytes)
-            << label;
-        EXPECT_EQ(columnar->stats.num_operators,
-                  reference->stats.num_operators)
-            << label;
-        EXPECT_NEAR(columnar->stats.total_cpu_cost,
-                    reference->stats.total_cpu_cost,
-                    1e-6 * (1.0 + reference->stats.total_cpu_cost))
-            << label;
-        // Per-logical-node accounting: integer counters exact, cost near.
-        ASSERT_EQ(columnar->stats.per_node.size(),
-                  reference->stats.per_node.size())
-            << label;
-        for (const auto& [node, stats] : reference->stats.per_node) {
-          auto it = columnar->stats.per_node.find(node);
-          ASSERT_NE(it, columnar->stats.per_node.end()) << label;
-          EXPECT_EQ(it->second.rows_out, stats.rows_out) << label;
-          EXPECT_EQ(it->second.bytes_out, stats.bytes_out) << label;
-          EXPECT_NEAR(it->second.cpu_cost, stats.cpu_cost,
-                      1e-6 * (1.0 + stats.cpu_cost))
-              << label;
-        }
       }
     }
   }
@@ -156,12 +140,9 @@ class ColumnarExecTest : public ::testing::Test {
   // CloudView — must be identical across engines, not just the query
   // output. Checksummed with the view store's integrity hash.
   void ExpectSpoolParity(const LogicalOpPtr& root) {
-    auto run = [&](ExecEngine engine, int dop, size_t batch_rows,
-                   TablePtr* captured) {
+    auto run = [&](ExecEngine engine, size_t batch_rows, TablePtr* captured) {
       ExecContext context;
       context.catalog = &catalog_;
-      context.dop = dop;
-      context.morsel_rows = 64;
       context.engine = engine;
       context.batch_rows = batch_rows;
       context.on_spool_complete = [captured](const LogicalOp&,
@@ -174,27 +155,24 @@ class ColumnarExecTest : public ::testing::Test {
     };
 
     TablePtr row_side;
-    auto reference = run(ExecEngine::kRow, 1, 1, &row_side);
+    auto reference = run(ExecEngine::kRow, 1, &row_side);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     ASSERT_NE(row_side, nullptr);
     const Hash128 want = ComputeTableChecksum(*row_side);
 
-    for (int dop : kDops) {
-      for (size_t batch_rows : kBatchSizes) {
-        TablePtr col_side;
-        auto columnar = run(ExecEngine::kColumnar, dop, batch_rows, &col_side);
-        ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
-        ASSERT_NE(col_side, nullptr);
-        ExpectSameOutput(columnar->output, reference->output, "spool output");
-        ExpectSameOutput(col_side, row_side, "spool side table");
-        EXPECT_EQ(ComputeTableChecksum(*col_side), want)
-            << "dop=" << dop << " batch_rows=" << batch_rows;
-        EXPECT_EQ(columnar->stats.bytes_spooled,
-                  reference->stats.bytes_spooled);
-        EXPECT_NEAR(columnar->stats.spool_cpu_cost,
-                    reference->stats.spool_cpu_cost,
-                    1e-6 * (1.0 + reference->stats.spool_cpu_cost));
-      }
+    for (size_t batch_rows : kBatchSizes) {
+      TablePtr col_side;
+      auto columnar = run(ExecEngine::kColumnar, batch_rows, &col_side);
+      ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
+      ASSERT_NE(col_side, nullptr);
+      ExpectSameOutput(columnar->output, reference->output, "spool output");
+      ExpectSameOutput(col_side, row_side, "spool side table");
+      EXPECT_EQ(ComputeTableChecksum(*col_side), want)
+          << "batch_rows=" << batch_rows;
+      EXPECT_EQ(columnar->stats.bytes_spooled, reference->stats.bytes_spooled);
+      EXPECT_NEAR(columnar->stats.spool_cpu_cost,
+                  reference->stats.spool_cpu_cost,
+                  1e-6 * (1.0 + reference->stats.spool_cpu_cost));
     }
   }
 
@@ -221,6 +199,11 @@ TEST_F(ColumnarExecTest, ProjectArithmetic) {
   ExpectEngineParity(Plan(
       "SELECT SaleId, Price * Quantity * (1.0 - Discount), "
       "Quantity + 1 FROM Sales"));
+  // A computed projection over a filter: one fused scan-filter-project
+  // chain.
+  ExpectEngineParity(Plan(
+      "SELECT SaleId, Price * Quantity FROM Sales "
+      "WHERE Discount < 0.05 AND PartId IN (1, 3, 5, 7)"));
 }
 
 TEST_F(ColumnarExecTest, HashJoinDuplicateBuildKeys) {
@@ -395,8 +378,7 @@ TEST_F(ColumnarExecTest, JoinDrainCarriesOnlyColumnsTheAggregateReads) {
   context.catalog = &catalog_;
   auto drain_join = [&](const LogicalOpPtr& root, BatchChunk* chunk) {
     std::vector<PhysicalOp*> registry;
-    auto built = BuildBatchPlan(context, ParallelRuntime(),
-                                /*batch_rows=*/64, root, &registry);
+    auto built = BuildBatchPlan(context, /*batch_rows=*/64, root, &registry);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     BatchOp* join_op = nullptr;
     for (PhysicalOp* op : registry) {
@@ -496,7 +478,7 @@ TEST(BatchKernelTest, BooleanResultsReserveTypedStorage) {
 }
 
 TEST_F(ColumnarExecTest, BareSerialScanDrainSharesTableColumns) {
-  // Draining a bare serial scan hands out the table's own columns, and
+  // Draining a bare scan hands out the table's own columns, and
   // charges exactly the stats a batch-by-batch drain would.
   auto dataset = catalog_.Lookup("Sales");
   ASSERT_TRUE(dataset.ok());
@@ -507,8 +489,7 @@ TEST_F(ColumnarExecTest, BareSerialScanDrainSharesTableColumns) {
     const std::string label = "batch_rows=" + std::to_string(batch_rows);
     const ColumnMask all(table->num_columns(), true);
     BatchScanPipelineOp drained(scan.get(), {scan.get()}, table,
-                                /*is_view_scan=*/false, ParallelRuntime(),
-                                batch_rows, /*eager_parallel=*/false, all);
+                                /*is_view_scan=*/false, batch_rows, all);
     ASSERT_TRUE(drained.Open().ok()) << label;
     BatchChunk chunk;
     ASSERT_TRUE(drained.DrainToChunk(&chunk).ok()) << label;
@@ -519,8 +500,7 @@ TEST_F(ColumnarExecTest, BareSerialScanDrainSharesTableColumns) {
     }
 
     BatchScanPipelineOp streamed(scan.get(), {scan.get()}, table,
-                                 /*is_view_scan=*/false, ParallelRuntime(),
-                                 batch_rows, /*eager_parallel=*/false, all);
+                                 /*is_view_scan=*/false, batch_rows, all);
     ASSERT_TRUE(streamed.Open().ok()) << label;
     size_t rows = 0;
     while (true) {
@@ -545,6 +525,10 @@ TEST_F(ColumnarExecTest, GroupByAggregates) {
       "SELECT MktSegment, COUNT(*), SUM(CustomerId), MIN(Name), "
       "MAX(CustomerId) FROM Customer GROUP BY MktSegment "
       "ORDER BY MktSegment"));
+  // 100 groups over 500 rows: one group's rows span every batch.
+  ExpectEngineParity(Plan(
+      "SELECT CustomerId, SUM(Price), COUNT(*) FROM Sales "
+      "GROUP BY CustomerId ORDER BY CustomerId"));
 }
 
 TEST_F(ColumnarExecTest, FloatingPointAvgBitExact) {
@@ -571,6 +555,10 @@ TEST_F(ColumnarExecTest, SortWithLimit) {
   ExpectEngineParity(
       Plan("SELECT SaleId, Price FROM Sales ORDER BY Price DESC, SaleId "
            "LIMIT 25"),
+      /*output_only=*/true);
+  ExpectEngineParity(
+      Plan("SELECT SaleId, Price FROM Sales WHERE Quantity > 2 "
+           "ORDER BY Price DESC, SaleId LIMIT 25"),
       /*output_only=*/true);
 }
 
@@ -666,8 +654,8 @@ TEST_F(ColumnarExecTest, StaleGuidAbortsIdentically) {
                   .BulkUpdate("Customer", testing_util::MakeCustomerTable(),
                               "guid-customer-v2")
                   .ok());
-  auto row_run = Run(*plan, ExecEngine::kRow, 1, 1);
-  auto col_run = Run(*plan, ExecEngine::kColumnar, 4, 1024);
+  auto row_run = Run(*plan, ExecEngine::kRow, 1);
+  auto col_run = Run(*plan, ExecEngine::kColumnar, 1024);
   ASSERT_FALSE(row_run.ok());
   ASSERT_FALSE(col_run.ok());
   EXPECT_EQ(col_run.status().code(), StatusCode::kAborted);
@@ -692,7 +680,7 @@ TEST_P(ColumnarFaultMatrixTest, SpoolAbortByteIdenticalAcrossEngines) {
   LogicalOpPtr root = (*base)->Clone();
   root->children[0] = spooled;
 
-  auto run = [&](ExecEngine engine, int dop, size_t batch_rows, bool faults,
+  auto run = [&](ExecEngine engine, size_t batch_rows, bool faults,
                  int* aborts) {
     if (faults) {
       auto plan = fault::FaultPlan::Parse(std::string(fault::sites::kSpoolWrite) +
@@ -704,8 +692,6 @@ TEST_P(ColumnarFaultMatrixTest, SpoolAbortByteIdenticalAcrossEngines) {
     }
     ExecContext context;
     context.catalog = &catalog_;
-    context.dop = dop;
-    context.morsel_rows = 64;
     context.engine = engine;
     context.batch_rows = batch_rows;
     context.on_spool_abort = [aborts](const LogicalOp&, const Status&) {
@@ -718,31 +704,26 @@ TEST_P(ColumnarFaultMatrixTest, SpoolAbortByteIdenticalAcrossEngines) {
   };
 
   int unused = 0;
-  auto clean = run(ExecEngine::kRow, 1, 1, /*faults=*/false, &unused);
+  auto clean = run(ExecEngine::kRow, 1, /*faults=*/false, &unused);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
   int row_aborts = 0;
-  auto row_run = run(ExecEngine::kRow, 1, 1, /*faults=*/true, &row_aborts);
+  auto row_run = run(ExecEngine::kRow, 1, /*faults=*/true, &row_aborts);
   ASSERT_TRUE(row_run.ok()) << row_run.status().ToString();
   EXPECT_EQ(row_aborts, 1);
   ExpectSameOutput(row_run->output, clean->output, "row engine under fault");
 
-  for (int dop : kDops) {
-    for (size_t batch_rows : kBatchSizes) {
-      int col_aborts = 0;
-      auto col_run =
-          run(ExecEngine::kColumnar, dop, batch_rows, /*faults=*/true,
-              &col_aborts);
-      const std::string label = "nth=" + std::to_string(nth) +
-                                " dop=" + std::to_string(dop) +
-                                " batch_rows=" + std::to_string(batch_rows);
-      ASSERT_TRUE(col_run.ok()) << label << ": "
-                                << col_run.status().ToString();
-      EXPECT_EQ(col_aborts, 1) << label;
-      ExpectSameOutput(col_run->output, clean->output, label);
-      EXPECT_EQ(col_run->stats.bytes_spooled, row_run->stats.bytes_spooled)
-          << label;
-    }
+  for (size_t batch_rows : kBatchSizes) {
+    int col_aborts = 0;
+    auto col_run = run(ExecEngine::kColumnar, batch_rows, /*faults=*/true,
+                       &col_aborts);
+    const std::string label = "nth=" + std::to_string(nth) +
+                              " batch_rows=" + std::to_string(batch_rows);
+    ASSERT_TRUE(col_run.ok()) << label << ": " << col_run.status().ToString();
+    EXPECT_EQ(col_aborts, 1) << label;
+    ExpectSameOutput(col_run->output, clean->output, label);
+    EXPECT_EQ(col_run->stats.bytes_spooled, row_run->stats.bytes_spooled)
+        << label;
   }
 }
 

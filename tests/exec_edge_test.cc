@@ -239,15 +239,13 @@ class BatchBoundaryTest : public ExecEdgeTest {
     catalog_.Register("Holes", table, "guid-holes").ok();
   }
 
-  Result<ExecResult> RunAt(const std::string& sql, ExecEngine engine, int dop,
+  Result<ExecResult> RunAt(const std::string& sql, ExecEngine engine,
                            size_t batch_rows) {
     PlanBuilder builder(&catalog_);
     auto plan = builder.BuildFromSql(sql);
     if (!plan.ok()) return plan.status();
     ExecContext context;
     context.catalog = &catalog_;
-    context.dop = dop;
-    context.morsel_rows = 7;  // misaligned with every batch size under test
     context.engine = engine;
     context.batch_rows = batch_rows;
     Executor executor(context);
@@ -266,19 +264,17 @@ class BatchBoundaryTest : public ExecEdgeTest {
     return out;
   }
 
-  // Columnar output must match the serial row engine at every dop x
-  // batch_rows, including batch sizes that do not divide the input.
+  // Columnar output must match the row engine at every batch_rows,
+  // including batch sizes that do not divide the input.
   void ExpectBoundaryInvariant(const std::string& sql) {
-    auto reference = RunAt(sql, ExecEngine::kRow, 1, 1);
+    auto reference = RunAt(sql, ExecEngine::kRow, 1);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     const std::string expected = Render(reference->output);
-    for (int dop : {1, 4}) {
-      for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{3}, size_t{1024}}) {
-        auto r = RunAt(sql, ExecEngine::kColumnar, dop, batch_rows);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        EXPECT_EQ(Render(r->output), expected)
-            << sql << " dop=" << dop << " batch_rows=" << batch_rows;
-      }
+    for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{3}, size_t{1024}}) {
+      auto r = RunAt(sql, ExecEngine::kColumnar, batch_rows);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(Render(r->output), expected)
+          << sql << " batch_rows=" << batch_rows;
     }
   }
 };

@@ -37,12 +37,11 @@ class FaultTest : public ::testing::Test {
 
   void TearDown() override { fault::FaultInjector::Global().Disarm(); }
 
-  std::unique_ptr<ReuseEngine> MakeEngine(int dop = 1) {
+  std::unique_ptr<ReuseEngine> MakeEngine() {
     ReuseEngineOptions options;
     options.selection.schedule_aware = false;
     options.selection.per_virtual_cluster = false;
     options.selection.strategy = SelectionStrategy::kGreedyRatio;
-    options.exec_dop = dop;
     // One view per job keeps the build/match counts below exact: the shared
     // subexpression yields exactly one spool in job 3 and one match in job 4.
     options.max_views_per_job = 1;
@@ -275,27 +274,6 @@ TEST_F(FaultTest, ExecTimeViewLossFallsBackToBasePlan) {
   EXPECT_EQ(
       obs::MetricsRegistry::Global().counter("engine.fallbacks").Value(),
       fallbacks_before + 1);
-}
-
-// --- Morsel preemption: retried, invisible in results ------------------------
-
-TEST_F(FaultTest, MorselPreemptionIsInvisibleInResults) {
-  auto reference_engine = MakeEngine(/*dop=*/2);
-  auto reference = RunLoop(reference_engine.get());
-  if (HasFatalFailure()) return;
-
-  auto engine = MakeEngine(/*dop=*/2);
-  Arm("exec.morsel.preempt=nth:1:resource_exhausted");
-  std::vector<JobExecution> execs;
-  auto outputs = RunLoop(engine.get(), &execs);
-  if (HasFatalFailure()) return;
-
-  EXPECT_EQ(outputs, reference);
-  EXPECT_EQ(
-      fault::FaultInjector::Global().stats(fault::sites::kMorselPreempt).fired,
-      1u);
-  EXPECT_EQ(execs[2].views_built, 1);
-  EXPECT_EQ(execs[3].views_matched, 1);
 }
 
 // --- Cluster node faults ------------------------------------------------------

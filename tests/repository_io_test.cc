@@ -263,6 +263,35 @@ TEST(RepositoryIoTest, ImpossibleCountsAreCorrupt) {
             StatusCode::kCorruption);
 }
 
+// Loads a snapshot of one group with the given subtree size and virtual
+// cluster list, every other field valid.
+StatusCode LoadOneGroup(const std::string& subtree_size,
+                        const std::string& vcs) {
+  WorkloadRepository repository;
+  return DeserializeRepository(
+             "cloudviews-repository v1\ngroup\t" + HashString("a").ToHex() +
+                 "\t" + HashString("b").ToHex() + "\t1\t" + subtree_size +
+                 "\t1\t1\t1\t1\t1\t0\t0\t" + vcs + "\tds\n",
+             &repository)
+      .code();
+}
+
+TEST(RepositoryIoTest, SubtreeSizeBelowOneIsCorrupt) {
+  // No signature covers fewer than one operator, and "-1" must not wrap to
+  // 2^64 - 1 in the unsigned field.
+  EXPECT_EQ(LoadOneGroup("1", "vc0"), StatusCode::kOk);
+  EXPECT_EQ(LoadOneGroup("0", "vc0"), StatusCode::kCorruption);
+  EXPECT_EQ(LoadOneGroup("-1", "vc0"), StatusCode::kCorruption);
+}
+
+TEST(RepositoryIoTest, RepeatedVirtualClusterIsCorrupt) {
+  // Ingest records each virtual cluster once; a repeat would put the
+  // candidate into that cluster's selection pass twice.
+  EXPECT_EQ(LoadOneGroup("1", "vc0,vc1"), StatusCode::kOk);
+  EXPECT_EQ(LoadOneGroup("1", "vc0,vc0"), StatusCode::kCorruption);
+  EXPECT_EQ(LoadOneGroup("1", "vc1,vc0,vc1"), StatusCode::kCorruption);
+}
+
 TEST(Hash128Test, FromHexRoundTrip) {
   Hash128 h = HashString("roundtrip");
   Hash128 parsed;

@@ -1,9 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
-#include <set>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -83,94 +82,6 @@ TEST(ThreadPoolTest, NestedTaskGroupsDoNotDeadlock) {
   }
   ASSERT_TRUE(outer.Wait().ok());
   EXPECT_EQ(inner_runs.load(), 32);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 10007;  // prime: last morsel is ragged
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  Status status = ParallelFor(
-      &pool, /*dop=*/4, kN, /*grain=*/64,
-      [&hits](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-        return Status::OK();
-      });
-  ASSERT_TRUE(status.ok());
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "row " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForMorselBoundariesIgnoreDop) {
-  // Morsel boundaries must be a pure function of (n, grain) so results are
-  // reproducible at any dop.
-  auto boundaries = [](int dop) {
-    ThreadPool pool(4);
-    std::mutex mu;
-    std::set<std::pair<size_t, size_t>> out;
-    Status status =
-        ParallelFor(&pool, dop, 1000, 96,
-                    [&](size_t, size_t begin, size_t end) {
-                      std::lock_guard<std::mutex> lock(mu);
-                      out.emplace(begin, end);
-                      return Status::OK();
-                    });
-    EXPECT_TRUE(status.ok());
-    return out;
-  };
-  auto serial = boundaries(1);
-  auto parallel = boundaries(4);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial.size(), 11u);  // ceil(1000 / 96)
-}
-
-TEST(ThreadPoolTest, ParallelForReturnsLowestFailingMorsel) {
-  ThreadPool pool(4);
-  for (int trial = 0; trial < 20; ++trial) {
-    Status status = ParallelFor(
-        &pool, 4, 1000, 10, [](size_t morsel, size_t, size_t) {
-          if (morsel == 7) return Status::InvalidArgument("morsel 7");
-          if (morsel == 42) return Status::Internal("morsel 42");
-          return Status::OK();
-        });
-    ASSERT_FALSE(status.ok());
-    // Always the lowest-indexed failure, regardless of completion order.
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(status.message().find("morsel 7"), std::string::npos);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForInlineWhenSerial) {
-  // dop <= 1 or no pool runs inline on the calling thread.
-  std::thread::id caller = std::this_thread::get_id();
-  Status status = ParallelFor(
-      nullptr, 8, 100, 10, [caller](size_t, size_t, size_t) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        return Status::OK();
-      });
-  EXPECT_TRUE(status.ok());
-  ThreadPool pool(2);
-  status = ParallelFor(&pool, 1, 100, 10,
-                       [caller](size_t, size_t, size_t) {
-                         EXPECT_EQ(std::this_thread::get_id(), caller);
-                         return Status::OK();
-                       });
-  EXPECT_TRUE(status.ok());
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool ran = false;
-  Status status = ParallelFor(&pool, 4, 0, 16,
-                              [&ran](size_t, size_t, size_t) {
-                                ran = true;
-                                return Status::OK();
-                              });
-  EXPECT_TRUE(status.ok());
-  EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPoolTest, SharedPoolAndDefaultDop) {

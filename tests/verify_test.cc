@@ -259,21 +259,11 @@ TEST_F(VerifyTest, UnionBranchArityMismatchRejected) {
 TEST_F(VerifyTest, WiringRejectsUncoveredPlanNodes) {
   LogicalOpPtr scan = CustomerScan();
   std::vector<PhysicalOp*> empty;
-  Status status = verify::PhysicalVerifier::VerifyWiring(
-      *scan, empty, /*dop=*/1, /*morsel_rows=*/4096);
+  Status status = verify::PhysicalVerifier::VerifyWiring(*scan, empty);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("has no physical operator"),
             std::string::npos)
       << status.ToString();
-}
-
-TEST_F(VerifyTest, WiringRejectsBadRuntimePreconditions) {
-  LogicalOpPtr scan = CustomerScan();
-  std::vector<PhysicalOp*> empty;
-  EXPECT_FALSE(verify::PhysicalVerifier::VerifyWiring(*scan, empty, 0, 4096)
-                   .ok());
-  EXPECT_FALSE(verify::PhysicalVerifier::VerifyWiring(*scan, empty, 1, 0)
-                   .ok());
 }
 
 TEST_F(VerifyTest, PostRunRejectsUnsealedSpool) {

@@ -44,6 +44,10 @@ CASES = [
     (LAYERING, "layering_unknown", 1,
      ["[layering]", "module 'vendor' is not declared"]),
     (LAYERING, "layering_clean", 0, []),
+    (LAYERING, "layering_thread_pool_bad", 1,
+     ["[layering]", "operator.cc:4:",
+      "module 'exec' must not include \"common/thread_pool.h\""]),
+    (LAYERING, "layering_thread_pool_clean", 0, []),
     (LINT, "compensation_bad", 1,
      ["[compensation]", "BuildCompensation"]),
     (LINT, "compensation_clean", 0, []),

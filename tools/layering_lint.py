@@ -25,6 +25,11 @@ The declared contract (edges point at allowed dependencies):
     cluster    -> core, ...
     workload   -> cluster, core, ... (top)
 
+Some headers are narrower than their module (RESTRICTED_HEADERS): only the
+listed modules may include them, whatever else may include their module.
+Operators run serially, so the thread pool is reachable only from common,
+obs (its telemetry hooks) and core (sharing windows run their jobs on it).
+
 Run: python3 tools/layering_lint.py [--root DIR]
 Exit status 1 when any violation is found.
 """
@@ -54,6 +59,11 @@ ALLOWED_DEPS = {
              "storage", "verify"},
     "cluster": {"common", "core", "fault", "obs", "plan"},
     "workload": {"cluster", "common", "core", "obs", "plan", "storage"},
+}
+
+# Header -> the modules that may include it.
+RESTRICTED_HEADERS = {
+    "common/thread_pool.h": {"common", "core", "obs"},
 }
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
@@ -140,6 +150,14 @@ def collect_violations(src_root):
                             (path, line_no, "layering",
                              f'include "{target}" is not under a declared '
                              "module"))
+                        continue
+                    restricted = RESTRICTED_HEADERS.get(target)
+                    if restricted is not None and module not in restricted:
+                        violations.append(
+                            (path, line_no, "layering",
+                             f'module \'{module}\' must not include '
+                             f'"{target}": only '
+                             f"{', '.join(sorted(restricted))} may"))
                         continue
                     if dep == module or dep in allowed:
                         continue
