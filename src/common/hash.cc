@@ -1,25 +1,6 @@
 #include "common/hash.h"
 
-#include <cstring>
-
 namespace cloudviews {
-
-Hasher& Hasher::Update(std::string_view bytes) {
-  uint64_t word = 0;
-  size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    std::memcpy(&word, bytes.data() + i, 8);
-    Update(word);
-  }
-  if (i < bytes.size()) {
-    word = 0;
-    std::memcpy(&word, bytes.data() + i, bytes.size() - i);
-    // Tag the tail with its length so "ab"+"c" != "a"+"bc".
-    Update(word ^ (uint64_t{bytes.size() - i} << 56));
-  }
-  Update(uint64_t{bytes.size()});
-  return *this;
-}
 
 Hash128 HashString(std::string_view s) { return Hasher().Update(s).Finish(); }
 

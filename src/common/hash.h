@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -41,16 +42,73 @@ inline uint64_t Mix64(uint64_t x) {
   return x;
 }
 
+// 64-bit hashing of hash-table keys (join and aggregate keys), which need
+// only that equal keys collide: nothing outside one operator sees these
+// values. A key hash starts at 0 and folds one word per key cell, in column
+// order; a string cell's word is HashBytes64 of its bytes.
+inline uint64_t MixKeyWord(uint64_t hash, uint64_t word) {
+  return Mix64(hash ^ word);
+}
+
+// Distinct strings of one length get distinct values up to 8 bytes; a
+// longer string folds 8-byte words, its last word overlapping the one
+// before.
+inline uint64_t HashBytes64(std::string_view bytes) {
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  const size_t n = bytes.size();
+  auto load64 = [](const unsigned char* q) {
+    uint64_t w;
+    std::memcpy(&w, q, 8);
+    return w;
+  };
+  auto load32 = [](const unsigned char* q) {
+    uint32_t w;
+    std::memcpy(&w, q, 4);
+    return uint64_t{w};
+  };
+  // Bijective in `word` for a fixed `h`.
+  auto fold = [](uint64_t h, uint64_t word) {
+    h = (h ^ word) * 0x9E3779B185EBCA87ULL;
+    return h ^ (h >> 29);
+  };
+  uint64_t h = 0xC2B2AE3D27D4EB4FULL ^ n;
+  if (n >= 8) {
+    for (size_t i = 0; i + 8 < n; i += 8) h = fold(h, load64(p + i));
+    return fold(h, load64(p + n - 8));
+  }
+  if (n >= 4) return fold(h, load32(p) | load32(p + n - 4) << 32);
+  if (n == 0) return h;
+  const uint64_t word =
+      uint64_t{p[0]} | uint64_t{p[n / 2]} << 8 | uint64_t{p[n - 1]} << 16;
+  return fold(h, word);
+}
+
 // Incremental 128-bit hasher (xxhash-inspired mixing over two 64-bit lanes).
 // Usage: Hasher h; h.Update(...); ... Hash128 sig = h.Finish();
-// The word and double updates and Finish are inline so that the columnar
-// engine's column-at-a-time hash loops compile to straight-line code.
+// Every update and Finish are inline so that the columnar engine's
+// column-at-a-time hash loops compile to straight-line code.
 class Hasher {
  public:
   Hasher() = default;
   explicit Hasher(uint64_t seed) : hi_(kInitHi ^ seed), lo_(kInitLo + seed) {}
 
-  Hasher& Update(std::string_view bytes);
+  // Eight bytes at a time, a short tail tagged with its length, then the
+  // total length.
+  Hasher& Update(std::string_view bytes) {
+    uint64_t word = 0;
+    size_t i = 0;
+    for (; i + 8 <= bytes.size(); i += 8) {
+      std::memcpy(&word, bytes.data() + i, 8);
+      Update(word);
+    }
+    if (i < bytes.size()) {
+      word = 0;
+      std::memcpy(&word, bytes.data() + i, bytes.size() - i);
+      // Tag the tail with its length so "ab"+"c" != "a"+"bc".
+      Update(word ^ (uint64_t{bytes.size() - i} << 56));
+    }
+    return Update(uint64_t{bytes.size()});
+  }
   // Without this overload a string literal would take the bool overload via
   // the pointer->bool standard conversion, silently hashing all strings alike.
   Hasher& Update(const char* s) { return Update(std::string_view(s)); }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -141,7 +142,7 @@ T LiteralAs(const Value& v) {
   } else if constexpr (std::is_same_v<T, double>) {
     return v.NumericValue();
   } else {
-    return v.AsString();
+    return std::string_view(v.AsString());
   }
 }
 
@@ -157,8 +158,8 @@ void WithLane(const CompareOperand& o, F&& f) {
     return;
   }
   const ColumnVector& c = *o.column;
-  if constexpr (std::is_same_v<T, std::string>) {
-    f([&s = c.strings()](size_t i) -> const std::string& { return s[i]; });
+  if constexpr (std::is_same_v<T, std::string_view>) {
+    f([&c](size_t i) { return c.StringAt(i); });
   } else if constexpr (std::is_same_v<T, int64_t>) {
     f([&v = c.ints()](size_t i) { return v[i]; });
   } else if (c.type() == DataType::kInt64) {
@@ -170,7 +171,7 @@ void WithLane(const CompareOperand& o, F&& f) {
 
 template <typename T>
 int ThreeWay(const T& a, const T& b) {
-  if constexpr (std::is_same_v<T, std::string>) {
+  if constexpr (std::is_same_v<T, std::string_view>) {
     const int c = a.compare(b);
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   } else {
@@ -217,7 +218,7 @@ Status EvalComparison(BinaryOp op, const CompareOperand& lhs,
       // CompareCells does for an int/double pair.
       CompareLanes<double>(op, lhs, rhs, n, cells.data());
     } else {
-      CompareLanes<std::string>(op, lhs, rhs, n, cells.data());
+      CompareLanes<std::string_view>(op, lhs, rhs, n, cells.data());
     }
     std::vector<uint64_t> valid =
         lhs.literal != nullptr   ? rhs.column->valid_words()
@@ -257,7 +258,9 @@ Status ArithmeticCell(BinaryOp op, const ColumnVector& lhs, size_t i,
   const DataType rt = rhs.CellType(j);
   if (op == BinaryOp::kAdd && lt == DataType::kString &&
       rt == DataType::kString) {
-    out->AppendString(lhs.CellString(i) + rhs.CellString(j));
+    std::string joined(lhs.CellString(i));
+    joined += rhs.CellString(j);
+    out->AppendString(joined);
     return Status::OK();
   }
   const bool both_int = lt == DataType::kInt64 && rt == DataType::kInt64;
@@ -270,29 +273,11 @@ Status ArithmeticCell(BinaryOp op, const ColumnVector& lhs, size_t i,
                                    rhs.CellToString(j));
   }
   if (both_int) {
-    int64_t a = lhs.CellInt64(i);
-    int64_t b = rhs.CellInt64(j);
-    switch (op) {
-      case BinaryOp::kAdd:
-        out->AppendInt64(a + b);
-        return Status::OK();
-      case BinaryOp::kSubtract:
-        out->AppendInt64(a - b);
-        return Status::OK();
-      case BinaryOp::kMultiply:
-        out->AppendInt64(a * b);
-        return Status::OK();
-      case BinaryOp::kDivide:
-        if (b == 0) return Status::InvalidArgument("integer division by zero");
-        out->AppendInt64(a / b);
-        return Status::OK();
-      case BinaryOp::kModulo:
-        if (b == 0) return Status::InvalidArgument("modulo by zero");
-        out->AppendInt64(a % b);
-        return Status::OK();
-      default:
-        break;
-    }
+    int64_t result = 0;
+    CLOUDVIEWS_RETURN_NOT_OK(
+        IntArithmetic(op, lhs.CellInt64(i), rhs.CellInt64(j), &result));
+    out->AppendInt64(result);
+    return Status::OK();
   }
   double a = lhs.CellNumeric(i);
   double b = rhs.CellNumeric(j);
@@ -330,23 +315,40 @@ Status EvalArithmetic(BinaryOp op, const ColumnVector& lhs,
   const bool rhs_num = typed && (rhs.type() == DataType::kInt64 ||
                                  rhs.type() == DataType::kDouble);
   if (both_int && op != BinaryOp::kDivide && op != BinaryOp::kModulo) {
-    // Dense typed kernel: compute on every lane (null slots hold 0, so no
-    // overflow hazard) and let DenseInt64 normalize null slots back to 0.
+    // Dense typed kernel: compute on every lane and let DenseInt64
+    // normalize null slots back to 0. A null lane (holding 0) can overflow
+    // too, 0 - INT64_MIN, so only a non-null lane's overflow is an error,
+    // the same one IntArithmetic returns.
     const std::vector<int64_t>& a = lhs.ints();
     const std::vector<int64_t>& b = rhs.ints();
     std::vector<int64_t> cells(n);
+    std::vector<uint64_t> valid = AndValid(lhs, rhs, n);
+    bool overflow = false;
+    auto lanes = [&](auto checked_op) {
+      for (size_t i = 0; i < n; ++i) {
+        const bool lane = checked_op(a[i], b[i], &cells[i]);
+        overflow |= lane & (((valid[i >> 6] >> (i & 63)) & 1) != 0);
+      }
+    };
     switch (op) {
       case BinaryOp::kAdd:
-        for (size_t i = 0; i < n; ++i) cells[i] = a[i] + b[i];
+        lanes([](int64_t x, int64_t y, int64_t* r) {
+          return __builtin_add_overflow(x, y, r);
+        });
         break;
       case BinaryOp::kSubtract:
-        for (size_t i = 0; i < n; ++i) cells[i] = a[i] - b[i];
+        lanes([](int64_t x, int64_t y, int64_t* r) {
+          return __builtin_sub_overflow(x, y, r);
+        });
         break;
       default:
-        for (size_t i = 0; i < n; ++i) cells[i] = a[i] * b[i];
+        lanes([](int64_t x, int64_t y, int64_t* r) {
+          return __builtin_mul_overflow(x, y, r);
+        });
         break;
     }
-    *out = ColumnVector::DenseInt64(std::move(cells), AndValid(lhs, rhs, n), n);
+    if (overflow) return Status::InvalidArgument("integer overflow");
+    *out = ColumnVector::DenseInt64(std::move(cells), std::move(valid), n);
     return Status::OK();
   } else if (lhs_num && rhs_num && !both_int && op != BinaryOp::kDivide &&
              op != BinaryOp::kModulo) {
@@ -519,12 +521,12 @@ Status EvalCall(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
       if (args[0]->CellType(i) != DataType::kString) {
         return Status::Internal(name + " applied to non-string");
       }
-      std::string s = args[0]->CellString(i);
+      std::string s(args[0]->CellString(i));
       for (char& c : s) {
         c = upper ? static_cast<char>(std::toupper(c))
                   : static_cast<char>(std::tolower(c));
       }
-      result->AppendString(std::move(s));
+      result->AppendString(s);
     }
     *out = std::move(result);
     return Status::OK();
@@ -582,12 +584,12 @@ Status EvalCall(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
           args[2]->CellType(i) != DataType::kInt64) {
         return Status::Internal("SUBSTR argument type mismatch");
       }
-      const std::string& s = args[0]->CellString(i);
+      const std::string_view s = args[0]->CellString(i);
       int64_t start = args[1]->CellInt64(i);  // 1-based
       int64_t len = args[2]->CellInt64(i);
       if (start < 1) start = 1;
       if (static_cast<size_t>(start - 1) >= s.size() || len <= 0) {
-        result->AppendString(std::string());
+        result->AppendString(std::string_view());
         continue;
       }
       result->AppendString(s.substr(static_cast<size_t>(start - 1),

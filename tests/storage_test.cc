@@ -1,3 +1,7 @@
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,7 +126,8 @@ ColumnVector MakeColumnWithNulls(MakeCell make_cell) {
   return col;
 }
 
-// One column of each storage mode: typed scalars, string, mixed, kNull.
+// One column of each storage mode: typed scalars, string, mixed, kNull, and
+// a second string column whose cells run from 0 to 22 bytes.
 std::vector<ColumnVector> StorageModeColumns() {
   std::vector<ColumnVector> cols;
   cols.push_back(MakeColumnWithNulls(
@@ -139,6 +144,9 @@ std::vector<ColumnVector> StorageModeColumns() {
   ColumnVector all_null;
   for (size_t i = 0; i < 200; ++i) all_null.AppendNull();
   cols.push_back(std::move(all_null));
+  cols.push_back(MakeColumnWithNulls([](size_t i) {
+    return Value(std::string(i % 23, static_cast<char>('a' + i % 5)));
+  }));
   return cols;
 }
 
@@ -207,6 +215,147 @@ TEST(ColumnVectorTest, PadAwareGatherMatchesPerCellAppends) {
       }
     }
   }
+}
+
+TEST(ColumnVectorTest, RangeAppendMatchesPerCellAppends) {
+  // Ranges that straddle bitmap words, appended after a leading null (an
+  // untyped column adopting the source type) and after a first range (a
+  // string column shifting its offsets).
+  const size_t bounds[][2] = {{0, 200}, {1, 64}, {63, 130}, {199, 200}};
+  std::vector<ColumnVector> sources = StorageModeColumns();
+  for (size_t c = 0; c < sources.size(); ++c) {
+    ColumnVector got;
+    ColumnVector want;
+    got.AppendNull();
+    want.AppendNull();
+    for (const auto& range : bounds) {
+      got.AppendRangeFrom(sources[c], range[0], range[1]);
+      for (size_t i = range[0]; i < range[1]; ++i) {
+        want.AppendCellFrom(sources[c], i);
+      }
+    }
+    EXPECT_TRUE(got.BitmapConsistent()) << "source " << c;
+    EXPECT_EQ(RenderCells(got), RenderCells(want)) << "source " << c;
+    EXPECT_EQ(got.TotalByteSize(), want.TotalByteSize()) << "source " << c;
+  }
+}
+
+TEST(ColumnVectorTest, StringOffsetsFailLoudlyPastTheirRange) {
+  EXPECT_EQ(ColumnVector::CheckedOffset(0), 0u);
+  EXPECT_EQ(ColumnVector::CheckedOffset(std::numeric_limits<uint32_t>::max()),
+            std::numeric_limits<uint32_t>::max());
+  EXPECT_THROW(ColumnVector::CheckedOffset(size_t{1} << 32),
+               std::length_error);
+}
+
+// The storage-mode columns plus cells where equality is subtle: NaN, -0.0
+// against 0.0, int64 against double (2^53 + 1 reads as 2^53 through double),
+// and strings around the 8-byte word: empty, 7, 8, 9, 16 and 17 bytes, and
+// strings that share their first 8 bytes.
+std::vector<ColumnVector> KeyColumns() {
+  std::vector<ColumnVector> cols = StorageModeColumns();
+  const double nan = std::nan("");
+  const int64_t big = (int64_t{1} << 53) + 1;
+  ColumnVector doubles;
+  ColumnVector ints;
+  ColumnVector strings;
+  ColumnVector mixed;
+  for (double v : {nan, -0.0, 0.0, 5.0, 2.5, -7.0, 9007199254740992.0}) {
+    doubles.AppendDouble(v);
+    mixed.AppendDouble(v);
+  }
+  doubles.AppendNull();
+  for (int64_t v : {int64_t{0}, int64_t{5}, int64_t{-7}, big, int64_t{2}}) {
+    ints.AppendInt64(v);
+    mixed.AppendInt64(v);
+  }
+  ints.AppendNull();
+  const std::string alphabet = "abcdefghijklmnopq";
+  std::vector<std::string> texts;
+  for (size_t len : {0, 7, 8, 9, 16, 17}) {
+    texts.push_back(alphabet.substr(0, len));
+  }
+  for (const char* v : {"abcdefghX", "abcdefghY", "abcdefghijklmnoq"}) {
+    texts.push_back(v);
+  }
+  texts.push_back("abcdefgh12345678");
+  for (const std::string& v : texts) {
+    strings.AppendString(v);
+    mixed.AppendString(v);
+  }
+  strings.AppendNull();
+  mixed.AppendNull();
+  mixed.AppendBool(true);
+  cols.push_back(std::move(doubles));
+  cols.push_back(std::move(ints));
+  cols.push_back(std::move(strings));
+  cols.push_back(std::move(mixed));
+  return cols;
+}
+
+bool IsNan(const ColumnVector& col, size_t i) {
+  return col.CellType(i) == DataType::kDouble && std::isnan(col.CellDouble(i));
+}
+
+TEST(ColumnVectorTest, KeyEqualityAndKeyHashFollowCompareCells) {
+  // Over every pair of cells of every pair of columns: the typed equality
+  // is exactly CompareCells == 0, and equal non-NaN cells hash equally.
+  std::vector<ColumnVector> cols = KeyColumns();
+  std::vector<std::vector<uint64_t>> hashes;
+  for (const ColumnVector& col : cols) {
+    hashes.emplace_back(col.size(), 0);
+    col.MixKeyHashes(col.size(), hashes.back().data());
+  }
+  size_t pairs = 0;
+  size_t equal_pairs = 0;
+  for (size_t a = 0; a < cols.size(); ++a) {
+    for (size_t b = 0; b < cols.size(); ++b) {
+      const KeyEquality equal(cols[a], cols[b]);
+      for (size_t i = 0; i < cols[a].size(); ++i) {
+        for (size_t j = 0; j < cols[b].size(); ++j) {
+          const bool want = CompareCells(cols[a], i, cols[b], j) == 0;
+          ++pairs;
+          if (equal(i, j) != want) {
+            ADD_FAILURE() << "columns " << a << "/" << b << " cells " << i
+                          << "/" << j << ": " << cols[a].CellToString(i)
+                          << " vs " << cols[b].CellToString(j);
+            return;
+          }
+          if (!want || IsNan(cols[a], i) || IsNan(cols[b], j)) continue;
+          ++equal_pairs;
+          if (hashes[a][i] != hashes[b][j]) {
+            ADD_FAILURE() << "equal cells hash apart: columns " << a << "/"
+                          << b << " cells " << i << "/" << j << ": "
+                          << cols[a].CellToString(i);
+            return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 1000000u);
+  EXPECT_GT(equal_pairs, 10000u);
+}
+
+TEST(ColumnVectorTest, KeyHashSeparatesTheSubtleStrings) {
+  // Distinct strings of the fixture, each around an 8-byte boundary, get
+  // distinct key hashes, as do -0.0/0.0 (equal) against 5.0 and NaN.
+  std::vector<ColumnVector> cols = KeyColumns();
+  const ColumnVector& strings = cols[cols.size() - 2];
+  std::vector<uint64_t> hashes(strings.size(), 0);
+  strings.MixKeyHashes(strings.size(), hashes.data());
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    for (size_t j = i + 1; j < hashes.size(); ++j) {
+      EXPECT_NE(hashes[i], hashes[j])
+          << strings.CellToString(i) << " vs " << strings.CellToString(j);
+    }
+  }
+  const ColumnVector& doubles = cols[cols.size() - 4];
+  std::vector<uint64_t> dh(doubles.size(), 0);
+  doubles.MixKeyHashes(doubles.size(), dh.data());
+  EXPECT_EQ(dh[1], dh[2]);  // -0.0 and 0.0
+  EXPECT_NE(dh[2], dh[3]);  // 0.0 and 5.0
+  EXPECT_NE(dh[0], dh[3]);  // NaN and 5.0
 }
 
 TEST(ColumnVectorTest, ColumnAtATimeHashEqualsPerCellHash) {
