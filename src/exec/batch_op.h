@@ -226,7 +226,7 @@ class BatchAggregateOp : public BatchOp {
  private:
   struct AggState {
     double sum = 0.0;
-    int64_t sum_int = 0;
+    __int128 sum_int = 0;  // exact; see IntSumResult
     bool int_only = true;
     int64_t count = 0;
     // Row ordinals (into the evaluated argument column) of the current

@@ -341,7 +341,8 @@ Status HashAggregateOp::AccumulateRow(const Row& row, Group* group) const {
   return Status::OK();
 }
 
-void HashAggregateOp::EmitGroup(Group* group, std::vector<Row>* out) const {
+Status HashAggregateOp::EmitGroup(Group* group,
+                                  std::vector<Row>* out) const {
   Row row = std::move(group->key);
   for (size_t i = 0; i < logical_->aggregates.size(); ++i) {
     const AggregateSpec& spec = logical_->aggregates[i];
@@ -355,7 +356,9 @@ void HashAggregateOp::EmitGroup(Group* group, std::vector<Row>* out) const {
         if (state.count == 0) {
           row.push_back(Value::Null());
         } else if (state.int_only) {
-          row.push_back(Value(state.sum_int));
+          int64_t sum = 0;
+          CLOUDVIEWS_RETURN_NOT_OK(IntSumResult(state.sum_int, &sum));
+          row.push_back(Value(sum));
         } else {
           row.push_back(Value(state.sum));
         }
@@ -375,6 +378,7 @@ void HashAggregateOp::EmitGroup(Group* group, std::vector<Row>* out) const {
     }
   }
   out->push_back(std::move(row));
+  return Status::OK();
 }
 
 void HashAggregateOp::SortOutput() {
@@ -436,7 +440,9 @@ Status HashAggregateOp::Open() {
   // Emit one output row per group: keys then aggregate results.
   output_.reserve(num_groups);
   for (auto& [hash, bucket] : buckets) {
-    for (Group& group : bucket) EmitGroup(&group, &output_);
+    for (Group& group : bucket) {
+      CLOUDVIEWS_RETURN_NOT_OK(EmitGroup(&group, &output_));
+    }
   }
   SortOutput();
   return Status::OK();

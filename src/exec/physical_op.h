@@ -166,7 +166,7 @@ class HashAggregateOp : public PhysicalOp {
  private:
   struct AggState {
     double sum = 0.0;
-    int64_t sum_int = 0;
+    __int128 sum_int = 0;  // exact; see IntSumResult
     bool int_only = true;
     int64_t count = 0;
     Value min;
@@ -185,7 +185,7 @@ class HashAggregateOp : public PhysicalOp {
   Group* FindOrCreateGroup(GroupBuckets* buckets, uint64_t hash, Row&& key,
                            size_t* num_groups) const;
   Status AccumulateRow(const Row& row, Group* group) const;
-  void EmitGroup(Group* group, std::vector<Row>* out) const;
+  Status EmitGroup(Group* group, std::vector<Row>* out) const;
   void SortOutput();
 
   PhysicalOpPtr child_;
