@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -56,13 +55,17 @@ Status EvalUnary(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
   // Negate: integers stay integers, everything else goes through the
   // NumericValue coercion (so -bool and -string are doubles), exactly as
   // Expr::Evaluate does.
+  // An int64 negates as 0 - v, so -INT64_MIN is an overflow error.
+  int64_t negated = 0;
   if (!operand->mixed() && operand->type() == DataType::kInt64) {
     const std::vector<int64_t>& v = operand->ints();
     for (size_t i = 0; i < in.num_rows; ++i) {
       if (operand->IsNull(i)) {
         result->AppendNull();
       } else {
-        result->AppendInt64(-v[i]);
+        CLOUDVIEWS_RETURN_NOT_OK(
+            IntArithmetic(BinaryOp::kSubtract, 0, v[i], &negated));
+        result->AppendInt64(negated);
       }
     }
   } else {
@@ -70,7 +73,9 @@ Status EvalUnary(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
       if (operand->IsNull(i)) {
         result->AppendNull();
       } else if (operand->CellType(i) == DataType::kInt64) {
-        result->AppendInt64(-operand->CellInt64(i));
+        CLOUDVIEWS_RETURN_NOT_OK(IntArithmetic(
+            BinaryOp::kSubtract, 0, operand->CellInt64(i), &negated));
+        result->AppendInt64(negated);
       } else {
         result->AppendDouble(-operand->CellNumeric(i));
       }
@@ -552,7 +557,13 @@ Status EvalCall(const Expr& expr, const EvalInput& in, ColumnPtr* out) {
       if (args[0]->IsNull(i)) {
         result->AppendNull();
       } else if (args[0]->CellType(i) == DataType::kInt64) {
-        result->AppendInt64(std::abs(args[0]->CellInt64(i)));
+        // ABS of a negative int64 is 0 - v: ABS(INT64_MIN) overflows.
+        int64_t v = args[0]->CellInt64(i);
+        if (v < 0) {
+          CLOUDVIEWS_RETURN_NOT_OK(
+              IntArithmetic(BinaryOp::kSubtract, 0, v, &v));
+        }
+        result->AppendInt64(v);
       } else {
         result->AppendDouble(std::fabs(args[0]->CellNumeric(i)));
       }
@@ -782,16 +793,21 @@ void GatherReferenced(const Expr& expr, const std::vector<ColumnPtr>& left,
     const bool from_left = i < left.size();
     const ColumnPtr& src = from_left ? left[i] : right[i - left.size()];
     if (src != nullptr) {
-      (*sub)[i] = GatherColumn(*src, from_left ? left_rows : right_rows);
+      (*sub)[i] = GatherColumn(*src, from_left ? left_rows : right_rows,
+                               /*pads=*/false);
     }
   }
 }
 
 void RowByteSizes(const ColumnBatch& batch, std::vector<uint32_t>* out) {
+  const auto uniform = static_cast<uint32_t>(batch.uniform_unread_bytes);
   if (batch.unread_bytes.empty()) {
-    out->assign(batch.num_rows, 0);
+    out->assign(batch.num_rows, uniform);
   } else {
     *out = batch.unread_bytes;
+    if (uniform != 0) {
+      for (uint32_t& bytes : *out) bytes += uniform;
+    }
   }
   for (const ColumnPtr& col : batch.columns) {
     if (col != nullptr) col->AddCellByteSizes(0, batch.num_rows, out->data());
@@ -804,7 +820,7 @@ size_t BatchByteSize(const ColumnBatch& batch) {
     if (col != nullptr) total += col->TotalByteSize();
   }
   for (uint32_t bytes : batch.unread_bytes) total += bytes;
-  return total;
+  return total + batch.uniform_unread_bytes * batch.num_rows;
 }
 
 }  // namespace cloudviews

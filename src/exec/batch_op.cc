@@ -64,6 +64,7 @@ ColumnBatch SliceBatch(const ColumnBatch& batch, size_t begin, size_t end) {
     out.unread_bytes.assign(batch.unread_bytes.begin() + begin,
                             batch.unread_bytes.begin() + end);
   }
+  out.uniform_unread_bytes = batch.uniform_unread_bytes;
   out.num_rows = end - begin;
   return out;
 }
@@ -136,16 +137,18 @@ ColumnMask ChildReads(const LogicalOp& node, const ColumnMask& required,
   return reads;
 }
 
-// Gathers `rows` (kPadIndex: a null pad) of one input into out slots
-// [offset, offset + arity). The input's `columns` are null where pruned
-// below, those columns' bytes being `unread` per row. Slots `keep` marks
-// get a gathered column; every other slot adds its bytes to
-// out->unread_bytes, read off the source cells without copying them (1 per
-// pad). An empty build side drains to no columns: its rows are all pads.
-void GatherInto(const std::vector<ColumnPtr>& columns,
-                const std::vector<uint32_t>& unread, size_t arity,
-                const std::vector<uint32_t>& rows, const ColumnMask& keep,
-                size_t offset, ColumnBatch* out) {
+// Gathers `rows` of one input into out slots [offset, offset + arity).
+// `rows` may hold kPadIndex (a null pad) only when `pads` is set: only a
+// left join's right side pads. The input's columns are null where pruned
+// below, those columns' bytes travelling in its unread bytes. Slots `keep`
+// marks get a gathered column; every other slot adds its bytes to out's
+// unread bytes, read off the source cells without copying them: once for
+// the batch when its cells share one byte size (a pad's 1 byte included),
+// else per row (1 per pad). An empty build side drains to no columns: its
+// rows are all pads.
+void GatherInto(const ColumnBatch& in, size_t arity,
+                const std::vector<uint32_t>& rows, bool pads,
+                const ColumnMask& keep, size_t offset, ColumnBatch* out) {
   const ColumnVector none;
   auto unread_out = [&] {
     if (out->unread_bytes.empty()) out->unread_bytes.assign(rows.size(), 0);
@@ -153,53 +156,70 @@ void GatherInto(const std::vector<ColumnPtr>& columns,
   };
   uint32_t pruned = 0;  // unkept slots absent here: 1 byte per pad each
   for (size_t c = 0; c < arity; ++c) {
-    const ColumnVector* src = c < columns.size() ? columns[c].get() : nullptr;
+    const ColumnVector* src =
+        c < in.columns.size() ? in.columns[c].get() : nullptr;
     if (Keeps(keep, offset + c)) {
       out->columns[offset + c] =
-          GatherColumn(src != nullptr ? *src : none, rows);
-    } else if (src != nullptr) {
-      src->AddCellByteSizes(rows, unread_out());
-    } else {
+          GatherColumn(src != nullptr ? *src : none, rows, pads);
+      continue;
+    }
+    if (src == nullptr) {
       pruned += 1;
+      continue;
+    }
+    const size_t uniform = src->UniformCellByteSize();
+    if (uniform == 1 || (uniform != 0 && !pads)) {
+      out->uniform_unread_bytes += uniform;
+    } else {
+      src->AddCellByteSizes(rows, unread_out());
     }
   }
-  if (pruned == 0 && unread.empty()) return;
+  const std::vector<uint32_t>& unread = in.unread_bytes;
+  if (!pads) {
+    // No row is a pad: the input's uniform bytes carry over whole.
+    out->uniform_unread_bytes += in.uniform_unread_bytes;
+    if (unread.empty()) return;
+    uint32_t* bytes = unread_out();
+    for (size_t k = 0; k < rows.size(); ++k) bytes[k] += unread[rows[k]];
+    return;
+  }
+  const auto uniform = static_cast<uint32_t>(in.uniform_unread_bytes);
+  if (pruned == 0 && uniform == 0 && unread.empty()) return;
   uint32_t* bytes = unread_out();
   for (size_t k = 0; k < rows.size(); ++k) {
     if (rows[k] == kPadIndex) {
       bytes[k] += pruned;
-    } else if (!unread.empty()) {
-      bytes[k] += unread[rows[k]];
+    } else {
+      bytes[k] += uniform + (unread.empty() ? 0 : unread[rows[k]]);
     }
   }
 }
 
-// The `keep` slots of `in` at `rows`; the other slots' bytes go to
-// unread_bytes.
+// The `keep` slots of `in` at `rows`; the other slots' bytes go to the
+// unread bytes.
 ColumnBatch GatherRows(const ColumnBatch& in, const std::vector<uint32_t>& rows,
                        const ColumnMask& keep) {
   ColumnBatch out;
   out.columns.assign(in.columns.size(), nullptr);
   out.num_rows = rows.size();
-  GatherInto(in.columns, in.unread_bytes, in.columns.size(), rows, keep, 0,
-             &out);
+  GatherInto(in, in.columns.size(), rows, /*pads=*/false, keep, 0, &out);
   return out;
 }
 
-// Join output: `left` at `out_left`, then `right` at `out_right` (kPadIndex
-// pads with nulls), gathering only the `keep` slots.
+// Join output: `left` at `out_left`, then `right` at `out_right`, where
+// `right_pads` (a left join) lets kPadIndex pad with nulls, gathering only
+// the `keep` slots.
 ColumnBatch GatherJoinOutput(const ColumnBatch& left, size_t left_arity,
                              const std::vector<uint32_t>& out_left,
                              const ColumnBatch& right, size_t right_arity,
                              const std::vector<uint32_t>& out_right,
-                             const ColumnMask& keep) {
+                             bool right_pads, const ColumnMask& keep) {
   ColumnBatch out;
   out.columns.assign(left_arity + right_arity, nullptr);
   out.num_rows = out_left.size();
-  GatherInto(left.columns, left.unread_bytes, left_arity, out_left, keep, 0,
+  GatherInto(left, left_arity, out_left, /*pads=*/false, keep, 0, &out);
+  GatherInto(right, right_arity, out_right, right_pads, keep, left_arity,
              &out);
-  GatherInto(right.columns, right.unread_bytes, right_arity, out_right, keep,
-             left_arity, &out);
   return out;
 }
 
@@ -340,20 +360,45 @@ Status BatchOp::DrainToChunk(BatchChunk* chunk) {
   }
   if (!any_unread) return Status::OK();
   // Batches may differ in which unread columns they carry (a UNION ALL's
-  // children): a column some batch lacks counts as unread throughout.
+  // children): a column some batch lacks counts as unread throughout. Each
+  // batch's uniform bytes add those of such columns whose cells share one
+  // byte size; the chunk keeps one uniform count only when every batch has
+  // the same, and otherwise folds each batch's into its rows.
+  std::vector<size_t> uniform(batches.size());
+  bool per_row = false;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    uniform[b] = batches[b].uniform_unread_bytes;
+    per_row = per_row || !batches[b].unread_bytes.empty();
+    for (size_t c = 0; c < arity; ++c) {
+      const ColumnPtr& col = batches[b].columns[c];
+      if (chunk->columns[c] != nullptr || col == nullptr) continue;
+      const size_t size = col->UniformCellByteSize();
+      uniform[b] += size;
+      per_row = per_row || size == 0;
+    }
+  }
+  const bool one_uniform = std::all_of(
+      uniform.begin(), uniform.end(), [&](size_t u) { return u == uniform[0]; });
+  if (one_uniform) chunk->uniform_unread_bytes = uniform[0];
+  if (one_uniform && !per_row) return Status::OK();
   chunk->unread_bytes.reserve(chunk->num_rows);
-  for (const ColumnBatch& b : batches) {
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const ColumnBatch& batch = batches[b];
     const size_t base = chunk->unread_bytes.size();
-    if (b.unread_bytes.empty()) {
-      chunk->unread_bytes.resize(base + b.num_rows, 0);
+    const auto folded = static_cast<uint32_t>(one_uniform ? 0 : uniform[b]);
+    if (batch.unread_bytes.empty()) {
+      chunk->unread_bytes.resize(base + batch.num_rows, folded);
     } else {
-      chunk->unread_bytes.insert(chunk->unread_bytes.end(),
-                                 b.unread_bytes.begin(), b.unread_bytes.end());
+      for (uint32_t bytes : batch.unread_bytes) {
+        chunk->unread_bytes.push_back(bytes + folded);
+      }
     }
     for (size_t c = 0; c < arity; ++c) {
-      if (chunk->columns[c] == nullptr && b.columns[c] != nullptr) {
-        b.columns[c]->AddCellByteSizes(0, b.num_rows,
-                                       chunk->unread_bytes.data() + base);
+      const ColumnPtr& col = batch.columns[c];
+      if (chunk->columns[c] == nullptr && col != nullptr &&
+          col->UniformCellByteSize() == 0) {
+        col->AddCellByteSizes(0, batch.num_rows,
+                              chunk->unread_bytes.data() + base);
       }
     }
   }
@@ -454,8 +499,9 @@ void BatchScanPipelineOp::CountScan(const std::vector<ColumnPtr>& scanned,
 
 Status BatchScanPipelineOp::RunRange(size_t begin, size_t end,
                                      ColumnBatch* out) {
-  std::vector<ColumnPtr> scanned;
-  CLOUDVIEWS_RETURN_NOT_OK(ScannedColumns(&scanned));
+  ColumnBatch source;  // the scanned columns, every table row
+  CLOUDVIEWS_RETURN_NOT_OK(ScannedColumns(&source.columns));
+  const std::vector<ColumnPtr>& scanned = source.columns;
   CountScan(scanned, begin, end, &stages_[0].stats);
 
   ColumnBatch cur;
@@ -482,18 +528,25 @@ Status BatchScanPipelineOp::RunRange(size_t begin, size_t end,
         FilterSelection(predicate, EvalInput{&sparse, end - begin}, &sel));
     for (uint32_t& row : sel) row += static_cast<uint32_t>(begin);
     cur.num_rows = sel.size();
-    GatherInto(scanned, {}, scanned.size(), sel, stages_[1].keep, 0, &cur);
+    GatherInto(source, scanned.size(), sel, /*pads=*/false, stages_[1].keep,
+               0, &cur);
     st.rows_out += cur.num_rows;
     st.bytes_out += BatchByteSize(cur);
     first = 2;
   } else {
     // A whole-table range shares every column; a smaller one slices the
-    // columns the stage above reads and counts the others' bytes.
+    // columns the stage above reads and counts the others' bytes, once for
+    // a column whose cells share one byte size.
     const bool whole = begin == 0 && end == table_->num_rows();
     cur.num_rows = end - begin;
     for (size_t c = 0; c < scanned.size(); ++c) {
       if (whole || Keeps(stages_[0].keep, c)) {
         cur.columns[c] = SliceOrShare(scanned[c], begin, end);
+        continue;
+      }
+      const size_t uniform = scanned[c]->UniformCellByteSize();
+      if (uniform != 0) {
+        cur.uniform_unread_bytes += uniform;
         continue;
       }
       if (cur.unread_bytes.empty()) cur.unread_bytes.assign(cur.num_rows, 0);
@@ -1230,7 +1283,7 @@ Status BatchHashJoinOp::Probe(const ColumnBatch& probe, ColumnBatch* out) {
   *out = GatherJoinOutput(
       probe, logical_->children[0]->output_schema.num_columns(), out_left,
       build_, logical_->children[1]->output_schema.num_columns(), out_right,
-      required_);
+      logical_->join_kind == sql::JoinKind::kLeft, required_);
   stats_.rows_out += out->num_rows;
   stats_.bytes_out += BatchByteSize(*out);
   return Status::OK();
@@ -1416,7 +1469,7 @@ Status BatchMergeJoinOp::Open() {
   output_ = GatherJoinOutput(
       left, logical_->children[0]->output_schema.num_columns(), out_left,
       right, logical_->children[1]->output_schema.num_columns(), out_right,
-      required_);
+      left_outer, required_);
   return Status::OK();
 }
 
@@ -1522,7 +1575,7 @@ Status BatchLoopJoinOp::NextBatch(ColumnBatch* batch, bool* done) {
     ColumnBatch out = GatherJoinOutput(
         input, logical_->children[0]->output_schema.num_columns(), out_left,
         right_chunk_, logical_->children[1]->output_schema.num_columns(),
-        out_right, required_);
+        out_right, left_outer, required_);
     CountBatch(&stats_, out, 0.0);
     *batch = std::move(out);
     *done = false;

@@ -39,9 +39,9 @@ using ColumnMask = std::vector<bool>;
 //
 // Required columns: BuildBatchPlan tells each operator which of its output
 // ordinals its consumer reads. A batch carries at least those columns; a
-// slot nothing above reads may stay null, its bytes carried per row in
-// ColumnBatch::unread_bytes, so every OperatorStats::bytes_out still counts
-// the full logical row (DESIGN.md, "Columnar execution").
+// slot nothing above reads may stay null, its bytes carried in the batch's
+// unread bytes (ColumnBatch), so every OperatorStats::bytes_out still
+// counts the full logical row (DESIGN.md, "Columnar execution").
 class BatchOp : public PhysicalOp {
  public:
   using PhysicalOp::PhysicalOp;

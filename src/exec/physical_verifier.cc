@@ -186,7 +186,7 @@ Status PhysicalVerifier::VerifyBatch(const LogicalOp& root,
         std::to_string(batch.num_columns()) + " columns, plan output has " +
         std::to_string(arity));
   }
-  if (!batch.unread_bytes.empty()) {
+  if (!batch.unread_bytes.empty() || batch.uniform_unread_bytes != 0) {
     return Status::Corruption(
         "batch invariant: root emitted a batch with unread columns");
   }
@@ -206,6 +206,12 @@ Status PhysicalVerifier::VerifyBatch(const LogicalOp& root,
       return Status::Corruption("batch invariant: column " +
                                 std::to_string(c) +
                                 " null bitmap disagrees with its length");
+    }
+    if (!col->NullCountConsistent()) {
+      return Status::Corruption("batch invariant: column " +
+                                std::to_string(c) + " null count " +
+                                std::to_string(col->null_count()) +
+                                " disagrees with its bitmap");
     }
   }
   return Status::OK();

@@ -30,9 +30,10 @@ namespace verify {
 //
 //   VerifyBatch    — every output batch is structurally sound: the arity
 //                    matches the plan's output schema, the batch is full
-//                    width (no column left unread), every column holds
-//                    exactly num_rows cells, and each column's null bitmap
-//                    is sized consistently with its length.
+//                    width (no column left unread, no unread bytes), every
+//                    column holds exactly num_rows cells, and each column's
+//                    null bitmap is sized consistently with its length and
+//                    agrees with its null count.
 //
 // Every failure is Status::Corruption naming the offending operator.
 class PhysicalVerifier {

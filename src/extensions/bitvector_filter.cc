@@ -119,7 +119,7 @@ Result<int64_t> SemiJoinReduce(const BloomFilter& filter,
   }
   std::vector<ColumnVector> columns(probe_side.num_columns());
   for (size_t c = 0; c < columns.size(); ++c) {
-    columns[c].AppendGatherFrom(*probe_side.column(c), kept);
+    columns[c].AppendGatherFrom(*probe_side.column(c), kept, /*pads=*/false);
   }
   auto out = std::make_shared<Table>(probe_side.name() + "_reduced",
                                      probe_side.schema());

@@ -25,7 +25,8 @@ Result<TablePtr> SampleView(const Table& view_contents, double rate,
   }
   std::vector<ColumnVector> columns(view_contents.num_columns());
   for (size_t c = 0; c < columns.size(); ++c) {
-    columns[c].AppendGatherFrom(*view_contents.column(c), kept);
+    columns[c].AppendGatherFrom(*view_contents.column(c), kept,
+                                /*pads=*/false);
   }
   auto sample = std::make_shared<Table>(view_contents.name() + "_sample",
                                         view_contents.schema());

@@ -276,7 +276,12 @@ Result<LogicalOpPtr> PlanBuilder::BuildQueryBlock(
       ExprPtr arg;
       if (call.children.empty() ||
           call.children[0]->kind == sql::AstExprKind::kStar) {
-        if (spec.func == AggFunc::kCount) spec.func = AggFunc::kCountStar;
+        // Only COUNT counts rows; every other aggregate needs an argument.
+        if (spec.func != AggFunc::kCount) {
+          return Status::InvalidArgument(
+              call.function_name + " needs an argument; only COUNT takes *");
+        }
+        spec.func = AggFunc::kCountStar;
       } else {
         auto bound = BindExpr(*call.children[0], scope);
         if (!bound.ok()) return bound.status();

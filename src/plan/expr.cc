@@ -256,7 +256,13 @@ Result<Value> Expr::Evaluate(const Row& row) const {
         }
         return Value(!val.AsBool());
       }
-      if (val.type() == DataType::kInt64) return Value(-val.AsInt64());
+      if (val.type() == DataType::kInt64) {
+        // 0 - v, so -INT64_MIN is an overflow error.
+        int64_t negated = 0;
+        CLOUDVIEWS_RETURN_NOT_OK(IntArithmetic(sql::BinaryOp::kSubtract, 0,
+                                               val.AsInt64(), &negated));
+        return Value(negated);
+      }
       return Value(-val.NumericValue());
     }
     case ExprKind::kBinary: {
@@ -305,7 +311,13 @@ Result<Value> Expr::Evaluate(const Row& row) const {
       if (function_name == "ABS") {
         if (args.size() != 1 || args[0].is_null()) return Value::Null();
         if (args[0].type() == DataType::kInt64) {
-          return Value(std::abs(args[0].AsInt64()));
+          // ABS of a negative int64 is 0 - v: ABS(INT64_MIN) overflows.
+          int64_t v = args[0].AsInt64();
+          if (v < 0) {
+            CLOUDVIEWS_RETURN_NOT_OK(
+                IntArithmetic(sql::BinaryOp::kSubtract, 0, v, &v));
+          }
+          return Value(v);
         }
         return Value(std::fabs(args[0].NumericValue()));
       }

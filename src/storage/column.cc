@@ -255,8 +255,22 @@ void ColumnVector::Reserve(size_t n, DataType expected) {
 
 void ColumnVector::GrowBitmap(bool valid) {
   if ((size_ & 63) == 0) valid_.push_back(0);
-  if (valid) SetValid(size_);
+  if (valid) {
+    SetValid(size_);
+  } else {
+    ++null_count_;
+  }
   ++size_;
+}
+
+void ColumnVector::SetValidRange(size_t begin, size_t end) {
+  while (begin < end) {
+    const size_t off = begin & 63;
+    const size_t n = std::min<size_t>(64 - off, end - begin);
+    const uint64_t bits = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+    valid_[begin >> 6] |= bits << off;
+    begin += n;
+  }
 }
 
 void ColumnVector::AppendTypedDefault() {
@@ -313,6 +327,10 @@ void ColumnVector::Demote() {
   cells_.reserve(size_);
   for (size_t i = 0; i < size_; ++i) cells_.push_back(GetValue(i));
   mixed_ = true;
+  DropTyped();
+}
+
+void ColumnVector::DropTyped() {
   type_ = DataType::kNull;
   bools_.clear();
   ints_.clear();
@@ -403,6 +421,7 @@ void ColumnVector::AppendBits(const std::vector<uint64_t>& words, size_t begin,
   size_t out_bit = size_;
   size_t in_bit = begin;
   size_t remaining = count;
+  size_t present = 0;
   while (remaining > 0) {
     const size_t n = remaining < 64 ? remaining : 64;
     const size_t w = in_bit >> 6;
@@ -410,6 +429,7 @@ void ColumnVector::AppendBits(const std::vector<uint64_t>& words, size_t begin,
     uint64_t v = words[w] >> off;
     if (off != 0 && w + 1 < words.size()) v |= words[w + 1] << (64 - off);
     if (n < 64) v &= (uint64_t{1} << n) - 1;
+    present += static_cast<size_t>(std::popcount(v));
     const size_t ow = out_bit >> 6;
     const size_t ooff = out_bit & 63;
     valid_[ow] |= v << ooff;
@@ -418,6 +438,7 @@ void ColumnVector::AppendBits(const std::vector<uint64_t>& words, size_t begin,
     in_bit += n;
     remaining -= n;
   }
+  null_count_ += count - present;
   size_ = new_size;
 }
 
@@ -467,8 +488,32 @@ void ColumnVector::AppendRangeFrom(const ColumnVector& src, size_t begin,
   AppendBits(src.valid_, begin, end - begin);
 }
 
+namespace {
+
+// Appends from[idx] for each index to *out, a pad taking T{} (the default
+// AppendNull pushes). Without pads, one indexed loop into presized storage.
+template <typename T>
+void GatherValues(const std::vector<T>& from,
+                  const std::vector<uint32_t>& indices, bool pads,
+                  std::vector<T>* out) {
+  const size_t at = out->size();
+  out->resize(at + indices.size());
+  T* dst = out->data() + at;
+  if (pads) {
+    for (size_t k = 0; k < indices.size(); ++k) {
+      const uint32_t idx = indices[k];
+      dst[k] = idx == ColumnVector::kPadIndex ? T{} : from[idx];
+    }
+  } else {
+    for (size_t k = 0; k < indices.size(); ++k) dst[k] = from[indices[k]];
+  }
+}
+
+}  // namespace
+
 void ColumnVector::AppendGatherFrom(const ColumnVector& src,
-                                    const std::vector<uint32_t>& indices) {
+                                    const std::vector<uint32_t>& indices,
+                                    bool pads) {
   const bool bulk_ok =
       !mixed_ && !src.mixed_ && src.type_ != DataType::kNull &&
       (type_ == src.type_ || (type_ == DataType::kNull && size_ == 0));
@@ -484,26 +529,17 @@ void ColumnVector::AppendGatherFrom(const ColumnVector& src,
   }
   const size_t n = indices.size();
   if (n == 0) return;
-  if (type_ == DataType::kNull) AdoptType(src.type_);
-  // Pads take the typed default, exactly what AppendNull pushes.
+  const bool adopted = type_ == DataType::kNull;
+  if (adopted) AdoptType(src.type_);
   switch (type_) {
     case DataType::kBool:
-      bools_.reserve(bools_.size() + n);
-      for (uint32_t idx : indices) {
-        bools_.push_back(idx == kPadIndex ? 0 : src.bools_[idx]);
-      }
+      GatherValues(src.bools_, indices, pads, &bools_);
       break;
     case DataType::kInt64:
-      ints_.reserve(ints_.size() + n);
-      for (uint32_t idx : indices) {
-        ints_.push_back(idx == kPadIndex ? 0 : src.ints_[idx]);
-      }
+      GatherValues(src.ints_, indices, pads, &ints_);
       break;
     case DataType::kDouble:
-      doubles_.reserve(doubles_.size() + n);
-      for (uint32_t idx : indices) {
-        doubles_.push_back(idx == kPadIndex ? 0.0 : src.doubles_[idx]);
-      }
+      GatherValues(src.doubles_, indices, pads, &doubles_);
       break;
     case DataType::kString: {
       // Size the bytes first, then copy each cell's range; a pad or a null
@@ -537,15 +573,22 @@ void ColumnVector::AppendGatherFrom(const ColumnVector& src,
   }
   const size_t new_size = size_ + n;
   valid_.resize((new_size + 63) / 64, 0);
-  size_t bit = size_;
-  for (uint32_t idx : indices) {
-    if (idx != kPadIndex &&
-        (src.valid_[idx >> 6] & (uint64_t{1} << (idx & 63))) != 0) {
-      valid_[bit >> 6] |= uint64_t{1} << (bit & 63);
+  if (!pads && src.null_count_ == 0) {
+    SetValidRange(size_, new_size);
+  } else {
+    size_t bit = size_;
+    for (uint32_t idx : indices) {
+      if (idx != kPadIndex && !src.IsNull(idx)) {
+        SetValid(bit);
+      } else {
+        ++null_count_;
+      }
+      ++bit;
     }
-    ++bit;
   }
   size_ = new_size;
+  // Nulls alone leave an untyped column untyped, as per-cell appends do.
+  if (adopted && null_count_ == size_) DropTyped();
 }
 
 void ColumnVector::NormalizeDense() {
@@ -554,6 +597,7 @@ void ColumnVector::NormalizeDense() {
   if ((size_ & 63) != 0 && !valid_.empty()) {
     valid_.back() &= (uint64_t{1} << (size_ & 63)) - 1;
   }
+  null_count_ = size_ - CountValid(0, size_);
   // Defaults at null positions, matching what per-cell AppendNull builds.
   for (size_t w = 0; w < valid_.size(); ++w) {
     uint64_t invalid = ~valid_[w];
@@ -648,7 +692,7 @@ size_t ColumnVector::CountValid(size_t begin, size_t end) const {
     const size_t n = std::min<size_t>(64 - off, end - begin);
     uint64_t w = valid_[begin >> 6] >> off;
     if (n < 64) w &= (uint64_t{1} << n) - 1;
-    present += static_cast<size_t>(__builtin_popcountll(w));
+    present += static_cast<size_t>(std::popcount(w));
     begin += n;
   }
   return present;
@@ -683,6 +727,21 @@ void ColumnVector::ForEachCellByteSize(size_t n, RowAt row_at,
   }
 }
 
+size_t ColumnVector::UniformCellByteSize() const {
+  if (mixed_) return 0;
+  switch (type_) {
+    case DataType::kNull:
+    case DataType::kBool:
+      return 1;
+    case DataType::kInt64:
+    case DataType::kDouble:
+      return null_count_ == 0 ? 8 : 0;
+    case DataType::kString:
+      return 0;
+  }
+  return 0;
+}
+
 void ColumnVector::AddCellByteSizes(const std::vector<uint32_t>& rows,
                                     uint32_t* out) const {
   ForEachCellByteSize(
@@ -707,17 +766,22 @@ size_t ColumnVector::ByteSize(size_t begin, size_t end) const {
         [&](size_t, size_t bytes) { total += bytes; });
     return total;
   }
-  // A null cell is 1 byte: count nulls word-wise.
+  // A null cell is 1 byte: the whole column's nulls are counted, a range's
+  // are counted word-wise.
+  const auto present = [&] {
+    return begin == 0 && end == size_ ? size_ - null_count_
+                                      : CountValid(begin, end);
+  };
   switch (type_) {
     case DataType::kInt64:
     case DataType::kDouble: {
-      const size_t present = CountValid(begin, end);
-      return (n - present) + present * 8;
+      const size_t p = present();
+      return (n - p) + p * 8;
     }
     case DataType::kString: {
       // A null's range is empty, so the offsets span the present bytes.
-      const size_t present = CountValid(begin, end);
-      return (n - present) + present * 4 + (offsets_[end] - offsets_[begin]);
+      const size_t p = present();
+      return (n - p) + p * 4 + (offsets_[end] - offsets_[begin]);
     }
     default:
       return n;
@@ -789,9 +853,9 @@ ColumnPtr SliceColumn(const ColumnVector& src, size_t begin, size_t end) {
 }
 
 ColumnPtr GatherColumn(const ColumnVector& src,
-                       const std::vector<uint32_t>& indices) {
+                       const std::vector<uint32_t>& indices, bool pads) {
   auto out = std::make_shared<ColumnVector>();
-  out->AppendGatherFrom(src, indices);
+  out->AppendGatherFrom(src, indices, pads);
   return out;
 }
 

@@ -44,6 +44,9 @@ class ColumnVector {
   bool IsNull(size_t i) const {
     return (valid_[i >> 6] & (uint64_t{1} << (i & 63))) == 0;
   }
+  // Number of null cells, kept by every builder (Arrow's null count): zero
+  // lets a kernel skip the bitmap.
+  size_t null_count() const { return null_count_; }
   // The cell's dynamic type (kNull for null cells, per-cell in mixed mode).
   DataType CellType(size_t i) const;
 
@@ -75,6 +78,10 @@ class ColumnVector {
   // Column-at-a-time HashCellInto: feeds cell begin + k into hashers[k] for
   // k in [0, n), the same bytes a per-cell call would feed.
   void HashCellsInto(size_t begin, size_t n, Hasher* hashers) const;
+  // The byte size every cell has when all share one, else 0: 1 for an
+  // untyped or bool column (a null or a pad is 1 byte too), 8 for an int64
+  // or double column without nulls.
+  size_t UniformCellByteSize() const;
   // Adds CellByteSize of the cell at rows[k] to out[k] (1 for kPadIndex: a
   // pad is a null), without copying the cells.
   void AddCellByteSizes(const std::vector<uint32_t>& rows,
@@ -108,9 +115,12 @@ class ColumnVector {
   // are the engine's throughput path; per-cell appends remain the fallback
   // for mixed-mode and type-mismatch cases.
   void AppendRangeFrom(const ColumnVector& src, size_t begin, size_t end);
-  // Appends src's cell at each index in order, or a null for kPadIndex.
+  // Appends src's cell at each index in order, or a null for kPadIndex,
+  // which `indices` may hold only when `pads` is set. Without pads, typed
+  // values copy in one indexed loop, and from a source without nulls the
+  // validity bits are set a word at a time.
   void AppendGatherFrom(const ColumnVector& src,
-                        const std::vector<uint32_t>& indices);
+                        const std::vector<uint32_t>& indices, bool pads);
 
   // Kernel-result factories: install fully formed typed storage. `valid` is
   // a packed bitmap of at least ceil(n/64) words; tail bits past n and cell
@@ -135,12 +145,17 @@ class ColumnVector {
   // accounting), without copying the range out: for a fixed-width or string
   // column, 1 per null plus per present cell 8 (int64, double), 1 (bool) or
   // 4 (string) and, for strings, the offset difference.
+  // The whole column's ByteSize reads the null count: O(1) unless mixed.
   size_t ByteSize(size_t begin, size_t end) const;
   size_t TotalByteSize() const { return ByteSize(0, size_); }
 
-  // True when the null bitmap is sized consistently with size() — the
-  // invariant the PhysicalVerifier's batch check enforces.
+  // True when the null bitmap is sized consistently with size(), and when
+  // null_count() is size() minus the bitmap's set bits — the invariants the
+  // PhysicalVerifier's batch check enforces.
   bool BitmapConsistent() const { return valid_.size() == (size_ + 63) / 64; }
+  bool NullCountConsistent() const {
+    return null_count_ == size_ - CountValid(0, size_);
+  }
 
   // `bytes` as the offset that ends a string buffer of that size. Throws
   // std::length_error past UINT32_MAX: a string column's appends fail
@@ -148,7 +163,12 @@ class ColumnVector {
   static uint32_t CheckedOffset(size_t bytes);
 
  private:
+  // Tests build columns that break an invariant the verifier checks.
+  friend class ColumnVectorPeer;
+
   void SetValid(size_t i) { valid_[i >> 6] |= uint64_t{1} << (i & 63); }
+  // Sets the bits [begin, end) of the (already sized) bitmap.
+  void SetValidRange(size_t begin, size_t end);
   // Number of non-null cells in [begin, end).
   size_t CountValid(size_t begin, size_t end) const;
   // Calls add(k, CellByteSize(row_at(k))) for k in [0, n), counting 1 for
@@ -165,19 +185,24 @@ class ColumnVector {
   // to mixed storage.
   bool PrepareTyped(DataType type);
   // Appends `count` bits of `words` starting at bit `begin` to the bitmap,
-  // advancing size_ (typed storage must be grown by the caller).
+  // advancing size_ and null_count_ (typed storage must be grown by the
+  // caller).
   void AppendBits(const std::vector<uint64_t>& words, size_t begin,
                   size_t count);
-  // Zeroes cell slots at null positions and tail bitmap bits — the
-  // normalization that makes Dense* results match append-built columns.
+  // Zeroes cell slots at null positions and tail bitmap bits, and counts
+  // the nulls — the normalization that makes Dense* results match
+  // append-built columns.
   void NormalizeDense();
   // Switches to mixed storage, converting existing cells to Values.
   void Demote();
+  // Makes the column untyped, freeing its typed storage.
+  void DropTyped();
   // Appends the default slot (an empty range for strings) to the active
   // typed storage for a null cell.
   void AppendTypedDefault();
 
   size_t size_ = 0;
+  size_t null_count_ = 0;
   DataType type_ = DataType::kNull;
   bool mixed_ = false;
   std::vector<uint64_t> valid_;
@@ -194,19 +219,25 @@ using ColumnPtr = std::shared_ptr<const ColumnVector>;
 
 // A batch of rows in columnar layout. Columns all have length num_rows. In
 // the columnar engine a column no consumer reads may stay null; its bytes
-// (CellByteSize per cell) then travel per row in `unread_bytes`, so the
-// batch's byte size is still that of the full logical row.
+// (CellByteSize per cell) then travel with the batch, so the batch's byte
+// size is still that of the full logical row. Row i's unread bytes are
+// uniform_unread_bytes plus, when present, unread_bytes[i]: the uniform
+// count covers the null columns whose cells all had one byte size
+// (ColumnVector::UniformCellByteSize), the per-row vector the others.
 struct ColumnBatch {
   std::vector<ColumnPtr> columns;
   size_t num_rows = 0;
-  // Per-row bytes of the null columns; empty when every column is present.
+  // Per-row bytes of the null columns; empty when none needs them.
   std::vector<uint32_t> unread_bytes;
+  // Bytes every row carries for null columns of one cell size.
+  size_t uniform_unread_bytes = 0;
 
   size_t num_columns() const { return columns.size(); }
   void Clear() {
     columns.clear();
     num_rows = 0;
     unread_bytes.clear();
+    uniform_unread_bytes = 0;
   }
 };
 
@@ -273,9 +304,10 @@ class KeyEquality {
 // Builds a column holding rows [begin, end) of `src` (a typed copy).
 ColumnPtr SliceColumn(const ColumnVector& src, size_t begin, size_t end);
 
-// Builds a column of src's cells at `indices`, in order (kPadIndex = null).
+// Builds a column of src's cells at `indices`, in order (kPadIndex = null,
+// only when `pads`; see AppendGatherFrom).
 ColumnPtr GatherColumn(const ColumnVector& src,
-                       const std::vector<uint32_t>& indices);
+                       const std::vector<uint32_t>& indices, bool pads);
 
 // Concatenates per-batch columns for column `col` of `batches`.
 ColumnPtr ConcatColumn(const std::vector<ColumnBatch>& batches, size_t col);

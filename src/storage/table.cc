@@ -46,7 +46,7 @@ Status Table::AppendBatch(const ColumnBatch& batch) {
         "batch arity " + std::to_string(batch.num_columns()) +
         " does not match schema " + schema_.ToString() + " of table " + name_);
   }
-  if (!batch.unread_bytes.empty()) {
+  if (!batch.unread_bytes.empty() || batch.uniform_unread_bytes != 0) {
     return Status::InvalidArgument("batch with unread columns appended to " +
                                    name_);
   }

@@ -46,7 +46,7 @@ class Table {
   Status Append(const Row& row);
 
   // Appends a batch column-wise. Every column must be present, hold exactly
-  // num_rows cells and carry no unread bytes.
+  // num_rows cells, and the batch must carry no unread bytes.
   Status AppendBatch(const ColumnBatch& batch);
 
   // Fills an empty table with whole columns, one per schema column and all

@@ -8,6 +8,7 @@
 // the two engines may pull different amounts of input before the limit
 // trips (batch granularity), so only output is compared.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -174,6 +175,25 @@ class ColumnarExecTest : public ::testing::Test {
                   reference->stats.spool_cpu_cost,
                   1e-6 * (1.0 + reference->stats.spool_cpu_cost));
     }
+  }
+
+  // Builds `root` at `batch_rows` and drains the operator of logical node
+  // `node` (inside that plan) into *chunk.
+  void DrainNode(const LogicalOpPtr& root, const LogicalOp* node,
+                 size_t batch_rows, BatchChunk* chunk) {
+    ExecContext context;
+    context.catalog = &catalog_;
+    std::vector<PhysicalOp*> registry;
+    auto built = BuildBatchPlan(context, batch_rows, root, &registry);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    BatchOp* op = nullptr;
+    for (PhysicalOp* candidate : registry) {
+      if (candidate->logical() == node) op = static_cast<BatchOp*>(candidate);
+    }
+    ASSERT_NE(op, nullptr);
+    ASSERT_TRUE(op->Open().ok());
+    ASSERT_TRUE(op->DrainToChunk(chunk).ok());
+    op->Close();
   }
 
   DatasetCatalog catalog_;
@@ -361,48 +381,167 @@ TEST_F(ColumnarExecTest, UnionAllBuildSideChildrenCarryDifferentColumns) {
 TEST_F(ColumnarExecTest, JoinDrainCarriesOnlyColumnsTheAggregateReads) {
   // Under the aggregate, the join's drained chunk holds only the columns
   // the aggregate reads; the others stay null, yet its byte size is that
-  // of the same join drained at full width (as a root).
-  LogicalOpPtr plan = Plan(
-      "SELECT PartType, COUNT(*) FROM Sales JOIN Parts "
-      "ON Sales.PartId = Parts.PartId GROUP BY PartType");
-  ASSERT_NE(plan, nullptr);
-  const LogicalOp& agg = *plan->children[0];
-  ASSERT_EQ(agg.kind, LogicalOpKind::kAggregate);
-  const LogicalOpPtr& join = agg.children[0];
-  ASSERT_EQ(join->kind, LogicalOpKind::kJoin);
-  std::vector<int> read;
-  for (const ExprPtr& key : agg.group_by) key->CollectColumns(&read);
-  ASSERT_EQ(read.size(), 1u);
+  // of the same join drained at full width (as a root). The unread
+  // null-free int64 and double columns travel as one count per batch, so
+  // per-row bytes are left for string columns alone: Parts.Brand in the
+  // first join, none in the self-join of the all-numeric Sales.
+  for (const char* sql :
+       {"SELECT PartType, COUNT(*) FROM Sales JOIN Parts "
+        "ON Sales.PartId = Parts.PartId GROUP BY PartType",
+        "SELECT s.PartId, COUNT(*) FROM Sales s JOIN Sales t "
+        "ON s.SaleId = t.SaleId GROUP BY s.PartId"}) {
+    LogicalOpPtr plan = Plan(sql);
+    ASSERT_NE(plan, nullptr);
+    const LogicalOp& agg = *plan->children[0];
+    ASSERT_EQ(agg.kind, LogicalOpKind::kAggregate);
+    const LogicalOpPtr& join = agg.children[0];
+    ASSERT_EQ(join->kind, LogicalOpKind::kJoin);
+    std::vector<int> read;
+    for (const ExprPtr& key : agg.group_by) key->CollectColumns(&read);
+    ASSERT_EQ(read.size(), 1u);
 
-  ExecContext context;
-  context.catalog = &catalog_;
-  auto drain_join = [&](const LogicalOpPtr& root, BatchChunk* chunk) {
-    std::vector<PhysicalOp*> registry;
-    auto built = BuildBatchPlan(context, /*batch_rows=*/64, root, &registry);
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
-    BatchOp* join_op = nullptr;
-    for (PhysicalOp* op : registry) {
-      if (op->logical() == join.get()) join_op = static_cast<BatchOp*>(op);
+    BatchChunk pruned;
+    BatchChunk full;
+    DrainNode(plan, join.get(), /*batch_rows=*/64, &pruned);
+    DrainNode(join, join.get(), /*batch_rows=*/64, &full);
+    ASSERT_GT(full.num_rows, 0u);
+    ASSERT_EQ(pruned.num_rows, full.num_rows);
+    ASSERT_EQ(pruned.columns.size(), join->output_schema.num_columns());
+    ASSERT_EQ(full.columns.size(), pruned.columns.size());
+    size_t uniform = 0;
+    std::vector<uint32_t> per_row(full.num_rows, 0);
+    for (size_t c = 0; c < pruned.columns.size(); ++c) {
+      EXPECT_EQ(pruned.columns[c] != nullptr, static_cast<int>(c) == read[0])
+          << sql << " column " << c;
+      ASSERT_NE(full.columns[c], nullptr) << sql << " column " << c;
+      if (pruned.columns[c] != nullptr) continue;
+      const ColumnVector& col = *full.columns[c];
+      uniform += col.UniformCellByteSize();
+      if (col.UniformCellByteSize() != 0) continue;
+      ASSERT_EQ(col.type(), DataType::kString) << sql << " column " << c;
+      col.AddCellByteSizes(0, full.num_rows, per_row.data());
     }
-    ASSERT_NE(join_op, nullptr);
-    ASSERT_TRUE(join_op->Open().ok());
-    ASSERT_TRUE(join_op->DrainToChunk(chunk).ok());
-    join_op->Close();
-  };
+    EXPECT_TRUE(full.unread_bytes.empty()) << sql;
+    EXPECT_EQ(full.uniform_unread_bytes, 0u) << sql;
+    EXPECT_GT(pruned.uniform_unread_bytes, 0u) << sql;
+    EXPECT_EQ(pruned.uniform_unread_bytes, uniform) << sql;
+    if (std::all_of(per_row.begin(), per_row.end(),
+                    [](uint32_t bytes) { return bytes == 0; })) {
+      EXPECT_TRUE(pruned.unread_bytes.empty()) << sql;
+    } else {
+      EXPECT_EQ(pruned.unread_bytes, per_row) << sql;
+    }
+    EXPECT_EQ(BatchByteSize(pruned), BatchByteSize(full)) << sql;
+  }
+}
+
+// Twelve rows whose int64 `v` and double `d` hold a null only at rows 7
+// and 10, so at batch_rows 3 the first two batches hold none, beside a
+// bool `f` and a string `s` without nulls. v runs over Sales.CustomerId.
+void RegisterLateNulls(DatasetCatalog* catalog) {
+  Schema schema({{"k", DataType::kInt64},
+                 {"v", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"f", DataType::kBool},
+                 {"s", DataType::kString}});
+  auto table = std::make_shared<Table>("LateNulls", schema);
+  for (int64_t i = 0; i < 12; ++i) {
+    table
+        ->Append({Value(i), i == 7 ? Value::Null() : Value(i * 7 % 100),
+                  i == 10 ? Value::Null() : Value(0.5 * static_cast<double>(i)),
+                  Value(i % 3 == 0), Value("s" + std::to_string(i % 4))})
+        .ok();
+  }
+  ASSERT_TRUE(catalog->Register("LateNulls", table, "guid-latenulls-v1").ok());
+}
+
+// Unread columns whose cells differ in byte size keep per-row bytes: an
+// int64 or double column holding a null, on either side of a join, and
+// under a filter that gathers straight from the table.
+TEST_F(ColumnarExecTest, NullableNumbersUnreadUnderJoinAndAggregate) {
+  RegisterLateNulls(&catalog_);
+  for (JoinAlgorithm algorithm :
+       {JoinAlgorithm::kHash, JoinAlgorithm::kMerge, JoinAlgorithm::kLoop}) {
+    ExpectEngineParity(Plan(
+        "SELECT Sales.PartId, COUNT(*) FROM Sales JOIN LateNulls "
+        "ON Sales.CustomerId = LateNulls.k GROUP BY Sales.PartId",
+        algorithm));
+    ExpectEngineParity(Plan(
+        "SELECT LateNulls.k, SUM(Sales.Price) FROM LateNulls JOIN Sales "
+        "ON LateNulls.k = Sales.CustomerId GROUP BY LateNulls.k",
+        algorithm));
+  }
+  ExpectEngineParity(
+      Plan("SELECT f, COUNT(*) FROM LateNulls WHERE k > 2 GROUP BY f"));
+}
+
+// A left join's right side pads, and a pad is 1 byte in every column, so
+// its unread int64 and double columns keep per-row bytes whether the build
+// side carries them (a bare scan) or they were pruned below the join (a
+// filtered scan counts them once per batch); an unread bool column is 1
+// byte a cell, pads included.
+TEST_F(ColumnarExecTest, PaddedRightSideKeepsPerRowBytes) {
+  RegisterLateNulls(&catalog_);
+  LogicalOpPtr pruned_right = Plan(
+      "SELECT Customer.CustomerId, COUNT(*) FROM Customer LEFT JOIN Sales "
+      "ON Customer.CustomerId = Sales.CustomerId "
+      "GROUP BY Customer.CustomerId");
+  LogicalOpPtr filtered = Plan("SELECT * FROM Sales WHERE Quantity > 3");
+  ASSERT_NE(pruned_right, nullptr);
+  ASSERT_NE(filtered, nullptr);
+  LogicalOp* join = pruned_right->children[0]->children[0].get();
+  ASSERT_EQ(join->kind, LogicalOpKind::kJoin);
+  while (filtered->kind != LogicalOpKind::kFilter) {
+    ASSERT_FALSE(filtered->children.empty());
+    filtered = filtered->children[0];
+  }
+  // Customers whose CustomerId % 5 is 3 or 4 find a sale; the rest pad.
+  join->children[1] = filtered;
+  for (JoinAlgorithm algorithm :
+       {JoinAlgorithm::kHash, JoinAlgorithm::kMerge, JoinAlgorithm::kLoop}) {
+    ExpectEngineParity(Plan(
+        "SELECT Customer.CustomerId, COUNT(*) FROM Customer LEFT JOIN Sales "
+        "ON Customer.CustomerId = Sales.CustomerId AND Sales.Price > 15 "
+        "GROUP BY Customer.CustomerId",
+        algorithm));
+    ExpectEngineParity(Plan(
+        "SELECT Sales.PartId, COUNT(*) FROM Sales LEFT JOIN LateNulls "
+        "ON Sales.CustomerId = LateNulls.k GROUP BY Sales.PartId",
+        algorithm));
+    SetJoinAlgorithm(pruned_right.get(), algorithm);
+    ExpectEngineParity(pruned_right);
+  }
+}
+
+// At batch_rows 3 the probe side's v (a join key nothing above reads) is
+// null-free in the first two batches, whose bytes for it travel once per
+// batch, but not in the third, which carries them per row: a drain above
+// the join meets batches whose counts differ and folds them into rows.
+TEST_F(ColumnarExecTest, NullsInALaterBatchFoldIntoPerRowBytes) {
+  RegisterLateNulls(&catalog_);
+  LogicalOpPtr plan = Plan(
+      "SELECT LateNulls.k, COUNT(*) FROM LateNulls JOIN Sales "
+      "ON LateNulls.v = Sales.CustomerId GROUP BY LateNulls.k");
+  ExpectEngineParity(plan);
+  // A sort's drain is gathered again, so its bytes reach its bytes_out.
+  ExpectEngineParity(Plan(
+      "SELECT LateNulls.k, SaleId FROM LateNulls JOIN Sales "
+      "ON LateNulls.v = Sales.CustomerId ORDER BY k, SaleId"));
+  ExpectEngineParity(Plan(
+      "SELECT LateNulls.s, COUNT(*) FROM LateNulls JOIN Sales "
+      "ON LateNulls.k = Sales.CustomerId AND LateNulls.d < 4.5 "
+      "GROUP BY LateNulls.s"));
+
+  ASSERT_NE(plan, nullptr);
+  const LogicalOpPtr& join = plan->children[0]->children[0];
+  ASSERT_EQ(join->kind, LogicalOpKind::kJoin);
   BatchChunk pruned;
   BatchChunk full;
-  drain_join(plan, &pruned);
-  drain_join(join, &full);
-  ASSERT_GT(full.num_rows, 0u);
-  ASSERT_EQ(pruned.num_rows, full.num_rows);
-  ASSERT_EQ(pruned.columns.size(), join->output_schema.num_columns());
-  ASSERT_EQ(full.columns.size(), pruned.columns.size());
-  for (size_t c = 0; c < pruned.columns.size(); ++c) {
-    EXPECT_EQ(pruned.columns[c] != nullptr, static_cast<int>(c) == read[0])
-        << "column " << c;
-    EXPECT_NE(full.columns[c], nullptr) << "column " << c;
-  }
-  EXPECT_TRUE(full.unread_bytes.empty());
+  DrainNode(plan, join.get(), /*batch_rows=*/3, &pruned);
+  DrainNode(join, join.get(), /*batch_rows=*/3, &full);
+  ASSERT_GT(pruned.num_rows, 0u);
+  EXPECT_FALSE(pruned.unread_bytes.empty());
+  EXPECT_EQ(pruned.uniform_unread_bytes, 0u);
   EXPECT_EQ(BatchByteSize(pruned), BatchByteSize(full));
 }
 

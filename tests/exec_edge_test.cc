@@ -214,6 +214,40 @@ TEST_F(ExecEdgeTest, IntegerOverflowIsAnErrorInBothEngines) {
   }
 }
 
+TEST_F(ExecEdgeTest, NegatingOrAbsOfInt64MinIsAnErrorInBothEngines) {
+  // -v and ABS(v) are 0 - v for a negative int64, so INT64_MIN overflows,
+  // from a column and from a literal; INT64_MAX and a NULL lane do not.
+  RegisterExtremes(&catalog_);
+  for (ExecEngine engine : {ExecEngine::kRow, ExecEngine::kColumnar}) {
+    for (const char* sql :
+         {"SELECT -lo FROM Extremes", "SELECT ABS(lo) FROM Extremes",
+          "SELECT -(0 - 9223372036854775807 - 1) FROM Customer",
+          "SELECT ABS(0 - 9223372036854775807 - 1) FROM Customer"}) {
+      auto r = Run(sql, JoinAlgorithm::kHash, engine);
+      ASSERT_FALSE(r.ok()) << sql;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+      EXPECT_EQ(r.status().message(), "integer overflow") << sql;
+    }
+    auto r = Run("SELECT -hi, ABS(0 - hi), ABS(neg), -maybe, ABS(maybe) "
+                 "FROM Extremes",
+                 JoinAlgorithm::kHash, engine);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->output->num_rows(), 2u);
+    const int64_t hi = std::numeric_limits<int64_t>::max();
+    const Row first = r->output->row(0);
+    EXPECT_EQ(first[0].AsInt64(), -hi);
+    EXPECT_EQ(first[1].AsInt64(), hi);
+    EXPECT_EQ(first[2].AsInt64(), 1);
+    EXPECT_TRUE(first[3].is_null());
+    EXPECT_TRUE(first[4].is_null());
+    const Row second = r->output->row(1);
+    EXPECT_EQ(second[0].AsInt64(), -2);
+    EXPECT_EQ(second[1].AsInt64(), 2);
+    EXPECT_EQ(second[3].AsInt64(), -5);
+    EXPECT_EQ(second[4].AsInt64(), 5);
+  }
+}
+
 TEST_F(ExecEdgeTest, IntegerArithmeticAtTheRangeEnds) {
   // INT64_MIN % -1 is 0 (computing it traps), and a NULL lane beside
   // INT64_MIN stays NULL: the dense kernel's 0 - INT64_MIN there is no

@@ -229,6 +229,33 @@ TEST_F(PlanTest, AggregatePlanShape) {
   EXPECT_EQ(agg->aggregates[1].func, AggFunc::kAvg);
 }
 
+TEST_F(PlanTest, OnlyCountTakesAStar) {
+  // Every other aggregate needs an argument: the builder rejects these in
+  // every build, not only where the plan verifier runs.
+  PlanBuilder builder(&catalog_);
+  for (const char* sql :
+       {"SELECT SUM(*) FROM Sales", "SELECT AVG(*) FROM Sales",
+        "SELECT MIN(*) FROM Sales", "SELECT MAX(*) FROM Sales",
+        "SELECT SUM() FROM Sales"}) {
+    auto plan = builder.BuildFromSql(sql);
+    ASSERT_FALSE(plan.ok()) << sql;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(plan.status().message().find("only COUNT takes *"),
+              std::string::npos)
+        << plan.status().ToString();
+  }
+  for (const char* sql : {"SELECT COUNT(*) FROM Sales",
+                          "SELECT COUNT(DISTINCT *) FROM Sales"}) {
+    LogicalOpPtr plan = Build(sql);
+    ASSERT_NE(plan, nullptr) << sql;
+    const LogicalOp* agg = plan->children[0].get();
+    ASSERT_EQ(agg->kind, LogicalOpKind::kAggregate) << sql;
+    ASSERT_EQ(agg->aggregates.size(), 1u) << sql;
+    EXPECT_EQ(agg->aggregates[0].func, AggFunc::kCountStar) << sql;
+    EXPECT_EQ(agg->aggregates[0].arg, nullptr) << sql;
+  }
+}
+
 TEST_F(PlanTest, HavingBecomesFilterOverAggregate) {
   LogicalOpPtr plan = Build(
       "SELECT MktSegment FROM Customer GROUP BY MktSegment "

@@ -1,5 +1,8 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -126,8 +129,17 @@ ColumnVector MakeColumnWithNulls(MakeCell make_cell) {
   return col;
 }
 
-// One column of each storage mode: typed scalars, string, mixed, kNull, and
-// a second string column whose cells run from 0 to 22 bytes.
+// 200 cells built by `make_cell(i)`, none null.
+template <typename MakeCell>
+ColumnVector MakeColumnWithoutNulls(MakeCell make_cell) {
+  ColumnVector col;
+  for (size_t i = 0; i < 200; ++i) col.AppendValue(make_cell(i));
+  return col;
+}
+
+// One column of each storage mode: typed scalars, string, mixed, kNull, a
+// second string column whose cells run from 0 to 22 bytes, and (from index
+// 7) int64, double, bool and string columns without nulls.
 std::vector<ColumnVector> StorageModeColumns() {
   std::vector<ColumnVector> cols;
   cols.push_back(MakeColumnWithNulls(
@@ -147,7 +159,27 @@ std::vector<ColumnVector> StorageModeColumns() {
   cols.push_back(MakeColumnWithNulls([](size_t i) {
     return Value(std::string(i % 23, static_cast<char>('a' + i % 5)));
   }));
+  cols.push_back(MakeColumnWithoutNulls(
+      [](size_t i) { return Value(static_cast<int64_t>(i) - 100); }));
+  cols.push_back(MakeColumnWithoutNulls(
+      [](size_t i) { return Value(0.25 * static_cast<double>(i)); }));
+  cols.push_back(
+      MakeColumnWithoutNulls([](size_t i) { return Value(i % 5 == 0); }));
+  cols.push_back(MakeColumnWithoutNulls(
+      [](size_t i) { return Value(std::string(i % 13, 'y')); }));
   return cols;
+}
+
+// The null count every builder keeps: size() minus the bitmap's set bits
+// (tail bits past size() are zero).
+void ExpectNullCountMatchesBitmap(const ColumnVector& col,
+                                  const std::string& label) {
+  size_t present = 0;
+  for (uint64_t word : col.valid_words()) {
+    present += static_cast<size_t>(std::popcount(word));
+  }
+  EXPECT_EQ(col.null_count(), col.size() - present) << label;
+  EXPECT_TRUE(col.NullCountConsistent()) << label;
 }
 
 // Every cell's type and rendering: equal strings = equal cells.
@@ -183,35 +215,52 @@ TEST(ColumnVectorTest, RangeByteSizeEqualsCellByteSizeSum) {
 
 TEST(ColumnVectorTest, PadAwareGatherMatchesPerCellAppends) {
   constexpr uint32_t kPad = ColumnVector::kPadIndex;
+  std::vector<uint32_t> every_row_reversed;
+  for (uint32_t i = 200; i-- > 0;) every_row_reversed.push_back(i);
   const std::vector<std::vector<uint32_t>> index_lists = {
-      {kPad, kPad, kPad},                       // all pads
-      {5, 0, 63, 64, 199, 64, 1},               // no pads
-      {kPad, 3, kPad, 64, 63, kPad, 128, kPad}  // mixed
+      {},                                        // empty
+      {kPad, kPad, kPad},                        // all pads
+      {5, 0, 63, 64, 199, 64, 1},                // no pads
+      every_row_reversed,                        // no pads, four words
+      {kPad, 3, kPad, 64, 63, kPad, 128, kPad},  // mixed
   };
   std::vector<ColumnVector> sources = StorageModeColumns();
-  // Destinations: empty, holding a leading null, and holding an int64.
-  std::vector<ColumnVector> starts(3);
-  starts[1].AppendNull();
-  starts[2].AppendInt64(7);
   for (size_t c = 0; c < sources.size(); ++c) {
+    // Destinations: empty, holding a leading null, holding an int64, and
+    // holding the source's first 70 cells (so the gather starts mid-word).
+    std::vector<ColumnVector> starts(4);
+    starts[1].AppendNull();
+    starts[2].AppendInt64(7);
+    starts[3].AppendRangeFrom(sources[c], 0, 70);
     for (size_t l = 0; l < index_lists.size(); ++l) {
-      for (size_t d = 0; d < starts.size(); ++d) {
-        ColumnVector got = starts[d];
-        got.AppendGatherFrom(sources[c], index_lists[l]);
-        ColumnVector want = starts[d];
-        for (uint32_t idx : index_lists[l]) {
-          if (idx == kPad) {
-            want.AppendNull();
-          } else {
-            want.AppendCellFrom(sources[c], idx);
+      const std::vector<uint32_t>& indices = index_lists[l];
+      const bool has_pads =
+          std::find(indices.begin(), indices.end(), kPad) != indices.end();
+      // A list without pads also goes through the padding path.
+      for (bool pads : {has_pads, true}) {
+        for (size_t d = 0; d < starts.size(); ++d) {
+          ColumnVector got = starts[d];
+          got.AppendGatherFrom(sources[c], indices, pads);
+          ColumnVector want = starts[d];
+          for (uint32_t idx : indices) {
+            if (idx == kPad) {
+              want.AppendNull();
+            } else {
+              want.AppendCellFrom(sources[c], idx);
+            }
           }
+          const std::string label =
+              "source " + std::to_string(c) + " list " + std::to_string(l) +
+              " pads " + std::to_string(pads) + " start " + std::to_string(d);
+          EXPECT_TRUE(got.BitmapConsistent()) << label;
+          EXPECT_EQ(got.type(), want.type()) << label;
+          EXPECT_EQ(got.mixed(), want.mixed()) << label;
+          EXPECT_EQ(RenderCells(got), RenderCells(want)) << label;
+          EXPECT_EQ(got.valid_words(), want.valid_words()) << label;
+          EXPECT_EQ(got.null_count(), want.null_count()) << label;
+          ExpectNullCountMatchesBitmap(got, label);
+          EXPECT_EQ(got.TotalByteSize(), want.TotalByteSize()) << label;
         }
-        const std::string label = "source " + std::to_string(c) +
-                                  " list " + std::to_string(l) +
-                                  " start " + std::to_string(d);
-        EXPECT_TRUE(got.BitmapConsistent()) << label;
-        EXPECT_EQ(RenderCells(got), RenderCells(want)) << label;
-        EXPECT_EQ(got.TotalByteSize(), want.TotalByteSize()) << label;
       }
     }
   }
@@ -236,7 +285,95 @@ TEST(ColumnVectorTest, RangeAppendMatchesPerCellAppends) {
     }
     EXPECT_TRUE(got.BitmapConsistent()) << "source " << c;
     EXPECT_EQ(RenderCells(got), RenderCells(want)) << "source " << c;
+    EXPECT_EQ(got.valid_words(), want.valid_words()) << "source " << c;
+    ExpectNullCountMatchesBitmap(got, "source " + std::to_string(c));
     EXPECT_EQ(got.TotalByteSize(), want.TotalByteSize()) << "source " << c;
+  }
+}
+
+TEST(ColumnVectorTest, EveryBuilderKeepsTheNullCount) {
+  ColumnVector cells;
+  ExpectNullCountMatchesBitmap(cells, "empty");
+  cells.AppendNull();
+  cells.AppendInt64(1);
+  cells.AppendValue(Value::Null());
+  cells.AppendInt64(2);
+  EXPECT_EQ(cells.null_count(), 2u);
+  ExpectNullCountMatchesBitmap(cells, "per-cell appends");
+  cells.AppendString("demotes");  // to mixed storage, bitmap kept
+  cells.AppendNull();
+  ASSERT_TRUE(cells.mixed());
+  EXPECT_EQ(cells.null_count(), 3u);
+  ExpectNullCountMatchesBitmap(cells, "mixed");
+  for (bool v : {true, false}) {
+    ColumnVector bools;
+    bools.AppendBool(v);
+    bools.AppendNull();
+    bools.AppendDouble(1.5);  // demotes
+    ExpectNullCountMatchesBitmap(bools, "bool then double");
+  }
+
+  // Kernel results: junk tail bits past n are normalized away.
+  const size_t n = 70;
+  std::vector<uint64_t> valid = {0xF0F0F0F0F0F0F0F0u, ~uint64_t{0}};
+  auto ints = ColumnVector::DenseInt64(std::vector<int64_t>(n, 3), valid, n);
+  EXPECT_EQ(ints->null_count(), 32u);
+  ExpectNullCountMatchesBitmap(*ints, "DenseInt64");
+  ExpectNullCountMatchesBitmap(
+      *ColumnVector::DenseDouble(std::vector<double>(n, 0.5), valid, n),
+      "DenseDouble");
+  ExpectNullCountMatchesBitmap(
+      *ColumnVector::DenseBool(std::vector<uint8_t>(n, 1), valid, n),
+      "DenseBool");
+  for (const Value& v : {Value(int64_t{4}), Value(2.5), Value(true),
+                         Value("s"), Value::Null()}) {
+    ColumnPtr broadcast = BroadcastValue(v, n);
+    EXPECT_EQ(broadcast->null_count(), v.is_null() ? n : 0u);
+    ExpectNullCountMatchesBitmap(*broadcast, "broadcast " + v.ToString());
+  }
+
+  // Range, gather and concat builders over every storage mode.
+  std::vector<ColumnVector> sources = StorageModeColumns();
+  for (size_t c = 0; c < sources.size(); ++c) {
+    const std::string label = "source " + std::to_string(c);
+    ExpectNullCountMatchesBitmap(sources[c], label);
+    ColumnPtr slice = SliceColumn(sources[c], 63, 130);
+    ExpectNullCountMatchesBitmap(*slice, label + " slice");
+    ColumnPtr gathered = GatherColumn(
+        sources[c], {ColumnVector::kPadIndex, 64, 0, 199}, /*pads=*/true);
+    ExpectNullCountMatchesBitmap(*gathered, label + " gather");
+    std::vector<ColumnBatch> batches(2);
+    batches[0].columns = {slice};
+    batches[1].columns = {gathered};
+    batches[0].num_rows = slice->size();
+    batches[1].num_rows = gathered->size();
+    ColumnPtr concat = ConcatColumn(batches, 0);
+    EXPECT_EQ(concat->null_count(),
+              slice->null_count() + gathered->null_count())
+        << label;
+    ExpectNullCountMatchesBitmap(*concat, label + " concat");
+  }
+}
+
+TEST(ColumnVectorTest, UniformCellByteSizeIsEveryCellsSize) {
+  // A non-zero uniform size is every cell's CellByteSize; it is 1 only
+  // where a pad (1 byte) has it too, and 8 only without nulls.
+  constexpr uint32_t kPad = ColumnVector::kPadIndex;
+  std::vector<ColumnVector> cols = StorageModeColumns();
+  const size_t want[] = {0, 0, 1, 0, 0, 1, 0, 8, 8, 1, 0};
+  ASSERT_EQ(cols.size(), std::size(want));
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const ColumnVector& col = cols[c];
+    const size_t uniform = col.UniformCellByteSize();
+    EXPECT_EQ(uniform, want[c]) << "column " << c;
+    if (uniform == 0) continue;
+    for (size_t i = 0; i < col.size(); ++i) {
+      EXPECT_EQ(col.CellByteSize(i), uniform) << "column " << c << " row " << i;
+    }
+    EXPECT_EQ(col.TotalByteSize(), uniform * col.size()) << "column " << c;
+    std::vector<uint32_t> pad_bytes(1, 0);
+    col.AddCellByteSizes({kPad}, pad_bytes.data());
+    EXPECT_EQ(pad_bytes[0] == uniform, uniform == 1) << "column " << c;
   }
 }
 
@@ -463,6 +600,9 @@ TEST(TableTest, AppendBatchRejectsUnreadBytes) {
   Table t("t", Schema({{"id", DataType::kInt64}}));
   ColumnBatch batch = IntBatch(3, 3);
   batch.unread_bytes.assign(3, 8);
+  EXPECT_EQ(t.AppendBatch(batch).code(), StatusCode::kInvalidArgument);
+  batch = IntBatch(3, 3);
+  batch.uniform_unread_bytes = 8;
   EXPECT_EQ(t.AppendBatch(batch).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(t.num_rows(), 0u);
 }

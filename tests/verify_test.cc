@@ -16,6 +16,16 @@
 #include "verify/signature_auditor.h"
 
 namespace cloudviews {
+
+// Reaches into a ColumnVector to break the invariants the batch check
+// enforces, which no builder breaks.
+class ColumnVectorPeer {
+ public:
+  static void SetNullCount(ColumnVector* col, size_t null_count) {
+    col->null_count_ = null_count;
+  }
+};
+
 namespace {
 
 using verify::PlanVerifier;
@@ -396,6 +406,44 @@ TEST_F(VerifyTest, BatchWithUnreadColumnsRejected) {
   Status status = verify::PhysicalVerifier::VerifyBatch(*scan, batch);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("unread columns"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(VerifyTest, BatchWithUniformUnreadBytesRejected) {
+  // Bytes every row carries for unread columns are unread columns too,
+  // even beside a full set of present columns.
+  LogicalOpPtr scan = CustomerScan();
+  auto col = std::make_shared<ColumnVector>();
+  col->AppendInt64(1);
+  ColumnBatch batch;
+  batch.columns = {col, col, col};
+  batch.num_rows = 1;
+  ASSERT_TRUE(verify::PhysicalVerifier::VerifyBatch(*scan, batch).ok());
+  batch.uniform_unread_bytes = 8;
+  Status status = verify::PhysicalVerifier::VerifyBatch(*scan, batch);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unread columns"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(VerifyTest, BatchNullCountDisagreeingWithBitmapRejected) {
+  LogicalOpPtr scan = CustomerScan();
+  auto col = std::make_shared<ColumnVector>();
+  col->AppendInt64(1);
+  col->AppendNull();
+  ASSERT_EQ(col->null_count(), 1u);
+  ColumnBatch batch;
+  batch.columns = {col, col, col};
+  batch.num_rows = 2;
+  ASSERT_TRUE(verify::PhysicalVerifier::VerifyBatch(*scan, batch).ok());
+  auto broken = std::make_shared<ColumnVector>(*col);
+  ColumnVectorPeer::SetNullCount(broken.get(), 0);
+  EXPECT_FALSE(broken->NullCountConsistent());
+  batch.columns[1] = broken;
+  Status status = verify::PhysicalVerifier::VerifyBatch(*scan, batch);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("column 1 null count 0 disagrees"),
+            std::string::npos)
       << status.ToString();
 }
 
